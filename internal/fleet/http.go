@@ -93,39 +93,12 @@ func (f *Front) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
 		return
 	}
-	if f.cfg.MaxBodyBytes > 0 {
-		// Same body cap the daemons apply: the front must not buffer an
-		// unbounded JSON payload on behalf of a replica that would refuse it.
-		r.Body = http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes)
-	}
-	var req serve.InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%w (limit %d bytes)", serve.ErrBodyTooLarge, mbe.Limit))
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: fmt.Sprintf("decoding request: %v", err)})
+	req, feeds, rerr := serve.ReadInferRequest(w, r, f.cfg.MaxBodyBytes)
+	if rerr != nil {
+		writeJSON(w, rerr.Status, rerr.Response())
 		return
 	}
-	if req.Model == "" {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "missing \"model\""})
-		return
-	}
-	feeds := ramiel.Env{}
-	switch {
-	case len(req.Inputs) > 0:
-		for name, tj := range req.Inputs {
-			shape := ramiel.NewShape(tj.Shape...)
-			if !shape.Valid() || shape.Numel() != len(tj.Data) {
-				writeJSON(w, http.StatusBadRequest,
-					serve.ErrorResponse{Error: fmt.Sprintf("input %q: shape %v inconsistent with %d values", name, tj.Shape, len(tj.Data))})
-				return
-			}
-			feeds[name] = ramiel.NewTensor(shape, tj.Data)
-		}
-	case req.Seed != nil:
+	if feeds == nil {
 		// Seed mode needs a graph to derive feeds from; any in-process
 		// replica can supply it. A purely remote fleet forwards inputs
 		// only.
@@ -135,9 +108,6 @@ func (f *Front) handleInfer(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 			return
 		}
-	default:
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "provide \"inputs\" or \"seed\""})
-		return
 	}
 
 	ctx := r.Context()

@@ -301,37 +301,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	if s.cfg.MaxBodyBytes > 0 {
-		// Bound the body before the decoder touches it: an unbounded JSON
-		// array must not be able to allocate past the configured cap.
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeInferError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	req, feeds, rerr := ReadInferRequest(w, r, s.cfg.MaxBodyBytes)
+	if rerr != nil {
+		writeJSON(w, rerr.Status, rerr.Response())
 		return
 	}
-	if req.Model == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing \"model\""))
-		return
-	}
-	feeds := ramiel.Env{}
-	switch {
-	case len(req.Inputs) > 0:
-		for name, tj := range req.Inputs {
-			t, err := tj.toTensor()
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("input %q: %w", name, err))
-				return
-			}
-			feeds[name] = t
-		}
+	if feeds != nil {
 		// Validate against the model signature up front so a bad request
 		// is a 400, not a poisoned micro-batch deep in the executor. These
 		// rejections count as validation errors for the model just like
@@ -346,16 +321,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 			writeInferError(w, http.StatusBadRequest, err)
 			return
 		}
-	case req.Seed != nil:
+	} else {
 		var err error
 		feeds, err = s.RandomFeeds(req.Model, *req.Seed)
 		if err != nil {
 			writeError(w, StatusFor(err), err)
 			return
 		}
-	default:
-		writeError(w, http.StatusBadRequest, errors.New("provide \"inputs\" or \"seed\""))
-		return
 	}
 
 	ctx := r.Context()
