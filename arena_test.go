@@ -114,7 +114,7 @@ func TestConcurrentArenaRunsShareProgram(t *testing.T) {
 			defer wg.Done()
 			ar := ramiel.NewArena()
 			for j := 0; j < iters; j++ {
-				got, err := prog.RunArena(feeds, ar)
+				got, err := prog.NewSession(ramiel.WithArena(ar)).Run(context.Background(), feeds)
 				if err != nil {
 					t.Errorf("concurrent arena run: %v", err)
 					return

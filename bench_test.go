@@ -121,7 +121,7 @@ func BenchmarkRunParallelSqueezenet(b *testing.B) {
 	feeds := ramiel.RandomInputs(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.Run(feeds); err != nil {
+		if _, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +337,7 @@ func BenchmarkServeCompilePerRequest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := prog.Run(feeds); err != nil {
+		if _, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,6 @@ import (
 
 	ramiel "repro"
 	"repro/internal/exec"
-	"repro/internal/profile"
 )
 
 func main() {
@@ -52,7 +51,6 @@ func main() {
 	arena := flag.Bool("arena", true, "use arena-backed tensor memory for -run")
 	report := flag.Bool("report", false, "print metrics, clusters and simulation")
 	timelineOut := flag.String("timeline", "", "with -run: write the timed run's execution timeline as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
-	profileOut := flag.String("profile-out", "", "with -run: write the timed run's lane trace (and per-op spans) as profile JSON")
 	calibrate := flag.Bool("calibrate", false, "run calibration reps and report measured op cost vs the static model")
 	calibrateReps := flag.Int("calibrate-reps", 5, "parallel executions to accumulate for -calibrate")
 	calibrateOut := flag.String("calibrate-out", "", "with -calibrate: write the full calibration report as JSON")
@@ -109,10 +107,10 @@ func main() {
 	}
 
 	ramiel.SetIntraOpThreads(*intra)
-	if (*timelineOut != "" || *profileOut != "") && !*run {
-		log.Fatal("-timeline and -profile-out need -run")
+	if *timelineOut != "" && !*run {
+		log.Fatal("-timeline needs -run")
 	}
-	if *timelineOut != "" || *profileOut != "" {
+	if *timelineOut != "" {
 		// Sample every run so the timed run in runAndVerify is captured.
 		prog.EnableTimeline(1, 4)
 	}
@@ -123,23 +121,13 @@ func main() {
 	}
 	if *run {
 		did = true
-		prof, err := runAndVerify(prog, *seed, *arena, *report)
-		if err != nil {
+		if err := runAndVerify(prog, *seed, *arena, *report); err != nil {
 			log.Fatal(err)
 		}
 		if *timelineOut != "" {
 			if err := exportTimeline(prog, g.Name, *timelineOut); err != nil {
 				log.Fatal(err)
 			}
-		}
-		if *profileOut != "" {
-			t := profile.FromProfile(g.Name, prof)
-			t.AttachTimeline(prog.LastTimeline())
-			if err := t.Save(*profileOut); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  wrote lane profile (%d lanes, %d op spans) to %s\n",
-				len(t.Lanes), len(t.Ops), *profileOut)
 		}
 	}
 	if *calibrate {
@@ -259,7 +247,7 @@ func printReport(prog *ramiel.Program) {
 		res.TotalWork/1000, res.Makespan/1000, res.Speedup())
 }
 
-func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) (*exec.Profile, error) {
+func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) error {
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(prog.Graph, seed)
 	// One reusable session carries the run configuration (arena, profiling)
@@ -272,27 +260,27 @@ func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) (*ex
 	// Warm both paths untimed so the printed speedup compares steady
 	// states: sequential vs parallel, not cold-start vs warm-arena.
 	if _, err := prog.RunSequential(feeds); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := sess.Run(ctx, feeds); err != nil {
-		return nil, err
+		return err
 	}
 	t0 := time.Now()
 	want, err := prog.RunSequential(feeds)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	seq := time.Since(t0)
 	t0 = time.Now()
 	got, err := sess.Run(ctx, feeds)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	par := time.Since(t0)
 	prof := sess.Profile()
 	for k, w := range want {
 		if !got[k].AllClose(w, 1e-4, 1e-5) {
-			return nil, fmt.Errorf("output %q differs between parallel and sequential run", k)
+			return fmt.Errorf("output %q differs between parallel and sequential run", k)
 		}
 	}
 	fmt.Printf("  run: sequential %v, parallel %v (%.2fx on this host), outputs verified\n",
@@ -311,7 +299,7 @@ func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) (*ex
 	if report {
 		printOpTable(prog, 8)
 	}
-	return prof, nil
+	return nil
 }
 
 // printOpTable prints the top-n operator types of the program by measured

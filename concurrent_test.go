@@ -1,6 +1,7 @@
 package ramiel_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestProgramRunConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				out, err := prog.Run(feeds)
+				out, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds)
 				if err != nil {
 					t.Error(err)
 					return
@@ -85,7 +86,7 @@ func TestHyperclusteredRunConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := prog.Run(batched)
+			out, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), batched)
 			if err != nil {
 				t.Error(err)
 				return

@@ -28,15 +28,13 @@
 // arena that recycles intermediate tensors across its runs (steady-state
 // inference allocates nothing per run), and WithProfiling records each
 // run's per-lane busy/slack profile (Session.Profile). Session.Run
-// validates feeds up front (Program.ValidateFeeds) and honors its context:
+// validates feeds up front (ValidateFeeds) and honors its context:
 // cancellation and deadlines abort an in-flight run cooperatively between
 // operator kernels, with no goroutine leaks and the arena left reusable.
 //
 // A Session serves one goroutine; the compiled Program underneath is safe
 // to share — any number of Sessions may run it concurrently (the serving
-// invariant; see the Plan concurrency contract in internal/exec). The old
-// run-method matrix (Program.Run, RunArena, RunProfiled, RunProfiledArena)
-// remains as deprecated one-shot-session wrappers.
+// invariant; see the Plan concurrency contract in internal/exec).
 //
 // Execution is instrumented: every Plan run accumulates per-op-type
 // invocation counts and cumulative wall time (Program.OpTotals — where
@@ -45,6 +43,18 @@
 // counters on top (see internal/obs). The ramield daemon serves it all at
 // GET /v1/stats, /v1/trace and /metrics (Prometheus text format), next to
 // POST /v1/infer, GET /v1/models, /healthz and /readyz.
+//
+// ramield is the one daemon. With one in-process replica it serves that
+// server's API; with more (-replicas N), with other ramields behind it
+// (-remotes URLs), or both, it serves the fleet front (internal/fleet:
+// consistent-hash routing, deadline-feasibility admission, retries, hedging,
+// circuit breakers) — GET /v1/fleet and the ramielfe_* metric families in
+// place of /v1/stats, /v1/trace and /v1/timeline. POST /v1/infer is the same
+// handler either way (serve.InferHandler), and every refusal — a bad body,
+// feeds that do not match the model, a memory or admission shed, a remote
+// replica's error — is one type (serve.Refusal) answered through one
+// mapping (serve.ReplyFor): same status, cause label and Retry-After on
+// both tiers.
 //
 // For when the aggregates are not enough, Program.EnableTimeline attaches
 // an execution-timeline flight recorder that samples one run in N into
@@ -64,9 +74,9 @@
 // alone with tensor.ErrArenaBudget instead of growing the heap), the
 // daemon sheds requests whose projected working set would overflow the
 // memory budget (429 with cause "memory" and a Retry-After hint;
-// ramield/ramielfe -mem-budget, default 80% of cgroup/system memory), a
+// ramield -mem-budget, default 80% of cgroup/system memory), a
 // stuck-run watchdog force-cancels runs exceeding a multiple of the
-// model's p99 (-watchdog, -watchdog-floor; cause "watchdog"), request
+// model's p99 (-watchdog, never under 2s; cause "watchdog"), request
 // bodies are capped (-max-body, 413), and non-finite feeds (NaN/Inf) are
 // rejected at validation (ramiel.CheckFiniteFeeds; -finite-check=false
 // opts out). DESIGN.md's "Resource governance" section has the policy

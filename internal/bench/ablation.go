@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -124,7 +125,7 @@ func AblationChanDepth(opts Opts) (string, error) {
 		var cells []string
 		for _, depth := range []int{1, 4, 16} {
 			c.lc.Plan.ChanDepth = depth
-			_, prof, err := c.lc.RunProfiled(c.feeds)
+			_, prof, err := c.lc.Plan.Execute(context.Background(), c.feeds, nil)
 			if err != nil {
 				return "", err
 			}

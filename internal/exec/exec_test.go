@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -88,7 +89,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(feeds)
+	got, _, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestParallelProfileCountsMessages(t *testing.T) {
 	g, feeds := smallGraph()
 	ns := g.Nodes
 	plan, _ := NewPlan(g, [][]*graph.Node{{ns[0], ns[1], ns[3]}, {ns[2]}})
-	_, prof, err := plan.RunProfiled(feeds)
+	_, prof, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestParallelErrorPropagatesWithoutDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = plan.Run(Env{"x": tensor.Zeros(3)})
+	_, _, err = plan.Execute(context.Background(), Env{"x": tensor.Zeros(3)}, nil)
 	if err == nil {
 		t.Fatal("kernel failure not propagated")
 	}
@@ -159,7 +160,7 @@ func TestNewPlanOrderedRejectsDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := plan.Run(Env{"x": tensor.FromSlice([]float32{1})})
+	out, _, err := plan.Execute(context.Background(), Env{"x": tensor.FromSlice([]float32{1})}, nil)
 	if err != nil || out["vd"] == nil {
 		t.Fatalf("run failed: %v", err)
 	}

@@ -21,14 +21,13 @@ import (
 // order. It is produced from a core.Clustering but typed on plain node
 // slices so this package stays independent of the clustering package.
 //
-// Concurrency contract: once built, a Plan is immutable and Execute (and
-// its Run/RunProfiled wrappers) may be called from any number of goroutines
-// simultaneously on the same Plan — the serving invariant (compile once,
-// serve many). All routing
+// Concurrency contract: once built, a Plan is immutable and Execute may be
+// called from any number of goroutines simultaneously on the same Plan —
+// the serving invariant (compile once, serve many). All routing
 // state shared between runs (lane membership, channel keys, per-node
 // send/receive schedules) is computed once and only read afterwards; each
 // run allocates its own channels and value environments. Mutating Graph,
-// Lanes or ChanDepth after the first Run is not supported.
+// Lanes or ChanDepth after the first Execute is not supported.
 type Plan struct {
 	Graph *graph.Graph
 	// Lanes lists each cluster's nodes in execution order.
@@ -127,11 +126,10 @@ type outputDst struct {
 	graphOutput bool
 }
 
-// planTopo is the run-invariant routing structure of a Plan: everything
-// RunProfiled used to recompute per call that depends only on the plan
-// itself. Hoisting it makes Plan.Run cheap to call per request and safe to
-// call concurrently (the graph's lazy indexes are only touched here, under
-// the plan's once guard).
+// planTopo is the run-invariant routing structure of a Plan: everything a
+// run needs that depends only on the plan itself. Hoisting it makes
+// Plan.Execute cheap to call per request and safe to call concurrently (the
+// graph's lazy indexes are only touched here, under the plan's once guard).
 type planTopo struct {
 	laneOf map[*graph.Node]int
 	// keys lists every cross-lane channel a run must allocate.
@@ -558,49 +556,19 @@ func insertionSortByPos(ns []*graph.Node, pos map[*graph.Node]int) {
 	}
 }
 
-// Run executes the plan: one goroutine per lane, channels per cross-lane
-// (value, consumer-lane) pair, mirroring the paper's Algorithm 4 runtime of
-// queue.put/queue.get message passing between Python processes. Returns
-// the graph outputs.
+// Execute is the plan's one entry point: a parallel run under ctx — one
+// goroutine per lane, a channel per cross-lane (value, consumer-lane) pair,
+// mirroring the paper's Algorithm 4 runtime of queue.put/queue.get message
+// passing between Python processes — returning the graph outputs and the
+// per-lane busy/slack profile.
 //
-// Run is safe for concurrent use: many goroutines may Run the same Plan at
-// once, each call with its own channels and environments (see the Plan
-// concurrency contract). Cancellation-aware callers should use Execute.
-func (p *Plan) Run(feeds Env) (Env, error) {
-	out, _, err := p.Execute(context.Background(), feeds, nil)
-	return out, err
-}
-
-// RunArena is Run with arena-backed tensor memory: every kernel output is
-// allocated from ar, and each intermediate's storage is returned to ar the
-// moment its statically-known last consumer finishes (the reuse plan of
-// internal/memplan). Graph outputs are never recycled — they escape to the
-// caller as ordinary heap-owned tensors.
-//
-// The arena must not be shared between concurrent runs: the serving
-// invariant extends to "each run owns its arena" — many goroutines may
-// RunArena the same Plan at once as long as every call passes a different
-// (or pooled, currently-idle) arena. Keeping one arena alive across
-// sequential runs is exactly what makes steady-state inference allocation-
-// free for intermediates.
-func (p *Plan) RunArena(feeds Env, ar *tensor.Arena) (Env, error) {
-	out, _, err := p.Execute(context.Background(), feeds, ar)
-	return out, err
-}
-
-// RunProfiled is Run plus the per-lane busy/slack profile.
-func (p *Plan) RunProfiled(feeds Env) (Env, *Profile, error) {
-	return p.Execute(context.Background(), feeds, nil)
-}
-
-// RunProfiledArena is RunArena plus the per-lane busy/slack profile.
-func (p *Plan) RunProfiledArena(feeds Env, ar *tensor.Arena) (Env, *Profile, error) {
-	return p.Execute(context.Background(), feeds, ar)
-}
-
-// Execute is the plan's core entry point: one parallel run under ctx, with
-// optional arena-backed tensor memory (nil ar = heap) and the per-lane
-// busy/slack profile. All other run methods are thin wrappers over it.
+// With a non-nil ar every kernel output is allocated from the arena and each
+// intermediate's storage goes back to it the moment its statically-known
+// last consumer finishes (the reuse plan of internal/memplan); graph outputs
+// escape to the caller as ordinary heap-owned tensors. Concurrent runs must
+// each pass their own (or a pooled, currently idle) arena; keeping one alive
+// across sequential runs is what makes steady-state inference allocation-
+// free for intermediates. A nil ar runs on the heap.
 //
 // Cancellation is cooperative: lanes observe ctx between operator kernels
 // and while blocked on cross-lane receives, so a cancelled or deadline-

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestPlanRunConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				out, err := plan.Run(feeds)
+				out, _, err := plan.Execute(context.Background(), feeds, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -72,7 +73,7 @@ func TestPlanRunProfiledConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if _, _, err := plan.RunProfiled(feeds); err != nil {
+				if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/graph"
@@ -44,7 +45,7 @@ func TestPlanPrepacksConstantWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(feeds)
+	got, _, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestPlanPrepacksConstantWeights(t *testing.T) {
 	}
 	// Arena runs share the same packed table.
 	ar := tensor.NewArena()
-	got2, err := plan.RunArena(feeds, ar)
+	got2, _, err := plan.Execute(context.Background(), feeds, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestPrepackSkipsFeedableInitializers(t *testing.T) {
 	// And the override actually takes effect.
 	wOverride := r.RandTensor(4, 6)
 	feeds := Env{"x": r.RandTensor(2, 4), "W": wOverride}
-	got, err := plan.Run(feeds)
+	got, _, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

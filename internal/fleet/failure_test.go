@@ -75,10 +75,10 @@ func TestNonRetryableErrorIsNotRetried(t *testing.T) {
 	fakes, front, _ := orderedFakes(t, 2, "m", 1, 0)
 	owner, backup := fakes[0], fakes[1]
 
-	appErr := &ReplicaError{Replica: owner.name, Status: http.StatusBadRequest, Cause: "validation", Msg: "bad feeds"}
+	appErr := &serve.Refusal{Status: http.StatusBadRequest, Cause: "validation", Err: errors.New("bad feeds")}
 	owner.fail(1, appErr)
 	_, _, _, err := front.Infer(context.Background(), "m", nil, false)
-	var re *ReplicaError
+	var re *serve.Refusal
 	if !errors.As(err, &re) || re.Status != http.StatusBadRequest {
 		t.Fatalf("err = %v, want the replica's 400 back unchanged", err)
 	}
@@ -93,13 +93,13 @@ func TestNonRetryableErrorIsNotRetried(t *testing.T) {
 func TestBreakerEjectsAndRecovers(t *testing.T) {
 	fakes, _, mk := orderedFakes(t, 2, "m", 1, 0)
 	owner, backup := fakes[0], fakes[1]
-	front := mk(Config{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond, NoRetry: true})
+	front := mk(Config{BreakerThreshold: 2, BreakerCooldown: 50 * time.Millisecond, MaxAttempts: 1})
 
 	// Two consecutive transport failures trip the owner's breaker.
 	owner.fail(1000, nil)
 	for i := 0; i < 2; i++ {
 		if _, _, _, err := front.Infer(context.Background(), "m", nil, false); !errors.Is(err, ErrInjected) {
-			t.Fatalf("request %d: err = %v, want injected transport error (NoRetry)", i, err)
+			t.Fatalf("request %d: err = %v, want injected transport error (MaxAttempts 1)", i, err)
 		}
 	}
 	ownerCalls := owner.calls.Load()
@@ -293,10 +293,10 @@ func TestRetryableClassification(t *testing.T) {
 		{"nil", nil, false},
 		{"transport", &TransportError{Replica: "r0", Err: errors.New("connection refused")}, true},
 		{"wrapped transport", fmt.Errorf("attempt 1: %w", &TransportError{Replica: "r0", Err: ErrInjected}), true},
-		{"replica 500", &ReplicaError{Replica: "r0", Status: 500, Msg: "boom"}, true},
-		{"replica 503", &ReplicaError{Replica: "r0", Status: 503, Msg: "draining"}, true},
-		{"replica 400", &ReplicaError{Replica: "r0", Status: 400, Msg: "bad feeds"}, false},
-		{"replica 404", &ReplicaError{Replica: "r0", Status: 404, Msg: "no model"}, false},
+		{"replica 500", &serve.Refusal{Status: 500, Err: errors.New("boom")}, true},
+		{"replica 503", &serve.Refusal{Status: 503, Err: errors.New("draining")}, true},
+		{"replica 400", &serve.Refusal{Status: 400, Err: errors.New("bad feeds")}, false},
+		{"replica 404", &serve.Refusal{Status: 404, Err: errors.New("no model")}, false},
 		{"shutdown", serve.ErrShutdown, true},
 		{"batcher closed", serve.ErrBatcherClosed, true},
 		{"canceled", context.Canceled, false},
@@ -467,7 +467,7 @@ func TestRetryRoutingBeyond64Replicas(t *testing.T) {
 	}
 }
 
-// TestQueueFullRetryAfterDerivedFromBacklog asserts the ShedQueueFull
+// TestQueueFullRetryAfterDerivedFromBacklog asserts the queue-full
 // Retry-After basis: the pending bound sheds before routing, so the wait
 // estimate must come from the live p50 histogram and the backlog, not a
 // flat 1s floor that invites retries into a saturated fleet.
@@ -489,12 +489,12 @@ func TestQueueFullRetryAfterDerivedFromBacklog(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	_, _, info, err := front.Infer(context.Background(), "m", nil, false)
+	_, _, _, err := front.Infer(context.Background(), "m", nil, false)
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if info.PredictedWait < time.Second {
-		t.Errorf("queue-full predicted wait = %v, want >= 1s from the 3s-p50 backlog", info.PredictedWait)
+	if _, _, wait := serve.ReplyFor(err); wait < 2*time.Second {
+		t.Errorf("queue-full Retry-After basis = %v, want the 3s-p50 backlog, not the 1s floor", wait)
 	}
 	close(f.block)
 	<-done

@@ -20,13 +20,14 @@
 //     what cannot finish, and each replica sizes its micro-batch windows
 //     from the live arrival rate and execution histograms.
 //
-// cmd/ramielfe exposes a Front over HTTP; ramield -replicas N runs an
-// in-process fleet in one process.
+// cmd/ramield serves a Front over HTTP whenever it runs more than one
+// replica: -replicas N in-process, -remotes URLs on other hosts, or both.
 package fleet
 
 import (
 	"context"
 	"errors"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +37,10 @@ import (
 	"repro/internal/serve"
 )
 
-// Shed errors. Infeasible/queue-full map to 429 (the client can retry
-// with a looser deadline or less load), no-replica to 503.
+// Shed sentinels. A shed request is answered with a serve.Refusal wrapping
+// one of them — infeasible/queue-full as 429 (the client can retry with a
+// looser deadline or less load), no-replica as 503 — each with a
+// Retry-After estimate; match them with errors.Is.
 var (
 	// ErrInfeasible rejects a request whose predicted completion time
 	// (queue wait + p90 execution) exceeds its deadline budget.
@@ -49,36 +52,12 @@ var (
 	ErrNoReplica = errors.New("fleet: no ready replica")
 )
 
-// ShedCause labels why admission rejected a request.
-type ShedCause int
-
+// The front's sheds in the stack's one cause enum; modelState.sheds is
+// indexed by cause − firstShedCause.
 const (
-	// ShedInfeasible: the deadline-feasibility check failed.
-	ShedInfeasible ShedCause = iota
-	// ShedQueueFull: the per-model pending bound was hit.
-	ShedQueueFull
-	// ShedNoReplica: no healthy ready replica.
-	ShedNoReplica
-	numShedCauses
+	firstShedCause = serve.CauseInfeasible
+	numShedCauses  = int(serve.CauseNoReplica-serve.CauseInfeasible) + 1
 )
-
-// String returns the stable label used in JSON and metric labels.
-func (c ShedCause) String() string {
-	switch c {
-	case ShedInfeasible:
-		return "infeasible"
-	case ShedQueueFull:
-		return "queue_full"
-	case ShedNoReplica:
-		return "no_replica"
-	}
-	return "unknown"
-}
-
-// shedCauses lists every cause, for renderers.
-func shedCauses() []ShedCause {
-	return []ShedCause{ShedInfeasible, ShedQueueFull, ShedNoReplica}
-}
 
 // Config tunes the fleet front. Zero values pick sensible defaults.
 type Config struct {
@@ -95,9 +74,6 @@ type Config struct {
 	// model to the next ring member (default per replica: 2 × its
 	// workers).
 	SpillWatermark int64
-	// Margin scales the predicted completion time in the feasibility test;
-	// >1 rejects earlier (safety margin), <1 gambles. Default 1.0.
-	Margin float64
 	// Deadline is the default per-request deadline when the caller's
 	// context has none (default 30s) — admission needs a budget to check
 	// against.
@@ -107,9 +83,6 @@ type Config struct {
 	// attempt plus any retries/hedges, each on a replica the request has
 	// not tried yet. Default min(3, replica count); 1 disables re-routing.
 	MaxAttempts int
-	// NoRetry forces MaxAttempts to 1 — the A/B baseline for the
-	// failure-handling benchmarks.
-	NoRetry bool
 	// HedgeDelay launches a second attempt on the next healthy ring
 	// member when the first has not answered within this delay — the
 	// "Tail at Scale" hedge against slow or silently dead replicas. First
@@ -142,17 +115,11 @@ func (c Config) withDefaults(totalWorkers, numReplicas int) Config {
 			c.MaxPending = 16
 		}
 	}
-	if c.Margin <= 0 {
-		c.Margin = 1.0
-	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
 	}
 	if c.MaxAttempts < 1 {
 		c.MaxAttempts = min(3, max(numReplicas, 1))
-	}
-	if c.NoRetry {
-		c.MaxAttempts = 1
 	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 0.2
@@ -179,7 +146,7 @@ type modelState struct {
 	pending  atomic.Int64
 	spills   atomic.Int64
 	errors   atomic.Int64
-	shed     [numShedCauses]atomic.Int64
+	sheds    [numShedCauses]atomic.Int64
 
 	// Failure-handling counters: extra attempts launched (retries after a
 	// retryable failure, hedges after HedgeDelay), requests won by each,
@@ -203,9 +170,6 @@ type RouteInfo struct {
 	// Spilled is true when the request did not run on its ring owner
 	// (watermark or health spillover).
 	Spilled bool
-	// PredictedWait is the admission controller's queue-wait estimate at
-	// enqueue (zero with admission off or no data yet).
-	PredictedWait time.Duration
 	// Attempts is how many replica tries the request consumed (1 = no
 	// retry or hedge; zero when shed before any attempt).
 	Attempts int
@@ -269,9 +233,6 @@ func New(cfg Config, replicas ...Replica) *Front {
 	}
 	return f
 }
-
-// Replicas returns the replica set (fixed at construction).
-func (f *Front) Replicas() []Replica { return f.replicas }
 
 // Uptime reports how long the front has been running.
 func (f *Front) Uptime() time.Duration { return time.Since(f.start) }
@@ -418,40 +379,18 @@ func (f *Front) predict(ms *modelState, r Replica) (wait, exec time.Duration) {
 	if p90 <= 0 {
 		return 0, 0
 	}
-	p50 := time.Duration(ms.exec.Quantile(0.50))
 	queued, inflight := r.Load()
-	w := r.Workers()
-	if w < 1 {
-		w = 1
-	}
-	wait = time.Duration(queued+inflight) * p50 / time.Duration(w)
-	return wait, p90
+	return serve.DrainWait(queued+inflight, time.Duration(ms.exec.Quantile(0.50)), r.Workers()), p90
 }
 
-// queueFullWait estimates when a queue-full shed should clear: the
-// model's pending backlog drains at one p50 execution per fleet worker.
-// The pending bound sheds before routing, so predict()'s per-replica
-// estimate never runs on this path — this is the Retry-After basis for
-// ShedQueueFull instead of a flat floor that would tell clients to retry
-// straight into a saturated fleet. Zero while the model has no samples.
-func (f *Front) queueFullWait(ms *modelState) time.Duration {
-	p50 := time.Duration(ms.exec.Quantile(0.50))
-	if p50 <= 0 {
-		return 0
-	}
-	w := f.totalWorkers
-	if w < 1 {
-		w = 1
-	}
-	return time.Duration(ms.pending.Load()) * p50 / time.Duration(w)
-}
-
-// shed records one rejection (cause counter + decision latency) and
-// returns its error.
-func (ms *modelState) shedReq(cause ShedCause, since time.Time, err error) error {
-	ms.shed[cause].Add(1)
+// shed records one rejection (cause counter + decision latency) and returns
+// the refusal it is answered with. wait is the Retry-After basis, floored at
+// the header's one-second granularity: an estimate of zero (no samples yet)
+// must not tell clients to retry straight into a saturated fleet.
+func (ms *modelState) shed(cause serve.ErrorCause, status int, sentinel error, since time.Time, wait time.Duration) error {
+	ms.sheds[cause-firstShedCause].Add(1)
 	ms.reject.Record(time.Since(since))
-	return err
+	return &serve.Refusal{Status: status, Cause: cause.String(), RetryAfter: max(wait, time.Second), Err: sentinel}
 }
 
 // Infer routes one request through the fleet: admission check, replica
@@ -468,16 +407,19 @@ func (f *Front) Infer(ctx context.Context, model string, feeds ramiel.Env, noBat
 	}
 
 	// The pending bound needs no placement, so it runs before routing — a
-	// queue-full shed must never consume a breaker's half-open probe slot.
-	// Its Retry-After estimate comes from the backlog instead.
-	if !f.cfg.NoAdmission && ms.pending.Load() >= int64(f.cfg.MaxPending) {
-		info := RouteInfo{PredictedWait: f.queueFullWait(ms)}
-		return nil, serve.InferMeta{}, info, ms.shedReq(ShedQueueFull, t0, ErrQueueFull)
+	// queue-full shed must never consume a breaker's half-open probe slot —
+	// and its Retry-After comes from the model's whole pending backlog
+	// draining across the fleet's workers.
+	if pending := ms.pending.Load(); !f.cfg.NoAdmission && pending >= int64(f.cfg.MaxPending) {
+		wait := serve.DrainWait(pending, time.Duration(ms.exec.Quantile(0.50)), f.totalWorkers)
+		return nil, serve.InferMeta{}, RouteInfo{},
+			ms.shed(serve.CauseQueueFull, http.StatusTooManyRequests, ErrQueueFull, t0, wait)
 	}
 
 	idx, probe, spilled, ok := f.route(model, nil)
 	if !ok {
-		return nil, serve.InferMeta{}, RouteInfo{}, ms.shedReq(ShedNoReplica, t0, ErrNoReplica)
+		return nil, serve.InferMeta{}, RouteInfo{},
+			ms.shed(serve.CauseNoReplica, http.StatusServiceUnavailable, ErrNoReplica, t0, 0)
 	}
 	rep := f.replicas[idx]
 	info := RouteInfo{Replica: rep.Name(), Spilled: spilled}
@@ -487,14 +429,13 @@ func (f *Front) Infer(ctx context.Context, model string, feeds ramiel.Env, noBat
 
 	if !f.cfg.NoAdmission {
 		if wait, exec := f.predict(ms, rep); exec > 0 {
-			info.PredictedWait = wait
-			need := wait + time.Duration(float64(exec)*f.cfg.Margin)
 			dl, _ := ctx.Deadline()
-			if budget := time.Until(dl); need > budget {
+			if wait+exec > time.Until(dl) {
 				if probe {
 					f.breakers[idx].refund()
 				}
-				return nil, serve.InferMeta{}, info, ms.shedReq(ShedInfeasible, t0, ErrInfeasible)
+				return nil, serve.InferMeta{}, info,
+					ms.shed(serve.CauseInfeasible, http.StatusTooManyRequests, ErrInfeasible, t0, wait)
 			}
 		}
 	}
@@ -622,12 +563,12 @@ func (ms *modelState) snapshot() ModelSnapshot {
 		HedgeWins:       ms.hedgeWins.Load(),
 		BudgetExhausted: ms.budgetExhausted.Load(),
 	}
-	for _, c := range shedCauses() {
-		if n := ms.shed[c].Load(); n > 0 {
+	for i := range ms.sheds {
+		if n := ms.sheds[i].Load(); n > 0 {
 			if snap.Shed == nil {
-				snap.Shed = make(map[string]int64, int(numShedCauses))
+				snap.Shed = make(map[string]int64, numShedCauses)
 			}
-			snap.Shed[c.String()] = n
+			snap.Shed[(firstShedCause + serve.ErrorCause(i)).String()] = n
 		}
 	}
 	return snap

@@ -179,11 +179,11 @@ func TestNoReadyReplica(t *testing.T) {
 	if !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("err = %v, want ErrNoReplica", err)
 	}
-	if got := front.SnapshotModel("m").Shed[ShedNoReplica.String()]; got != 1 {
+	if got := front.SnapshotModel("m").Shed["no_replica"]; got != 1 {
 		t.Errorf("shed[no_replica] = %d, want 1", got)
 	}
-	if got := statusFor(err); got != http.StatusServiceUnavailable {
-		t.Errorf("statusFor(ErrNoReplica) = %d, want 503", got)
+	if got, _, _ := serve.ReplyFor(err); got != http.StatusServiceUnavailable {
+		t.Errorf("ReplyFor(ErrNoReplica) = %d, want 503", got)
 	}
 }
 
@@ -212,14 +212,14 @@ func TestAdmissionInfeasibleDeadline(t *testing.T) {
 		t.Errorf("rejection took %v — admission must not queue or execute", decision)
 	}
 	snap := front.SnapshotModel("m")
-	if got := snap.Shed[ShedInfeasible.String()]; got != 1 {
+	if got := snap.Shed["infeasible"]; got != 1 {
 		t.Errorf("shed[infeasible] = %d, want 1", got)
 	}
 	if snap.Reject == nil || snap.Reject.Count != 1 {
 		t.Errorf("reject histogram = %+v, want 1 sample", snap.Reject)
 	}
-	if got := statusFor(err); got != http.StatusTooManyRequests {
-		t.Errorf("statusFor(ErrInfeasible) = %d, want 429", got)
+	if got, _, _ := serve.ReplyFor(err); got != http.StatusTooManyRequests {
+		t.Errorf("ReplyFor(ErrInfeasible) = %d, want 429", got)
 	}
 	if calls := f.calls.Load(); calls != 3 {
 		t.Errorf("replica saw %d calls, want 3 — the shed request must not reach it", calls)
@@ -253,11 +253,11 @@ func TestAdmissionQueueFull(t *testing.T) {
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("err = %v, want ErrQueueFull", err)
 	}
-	if got := front.SnapshotModel("m").Shed[ShedQueueFull.String()]; got != 1 {
+	if got := front.SnapshotModel("m").Shed["queue_full"]; got != 1 {
 		t.Errorf("shed[queue_full] = %d, want 1", got)
 	}
-	if got := statusFor(err); got != http.StatusTooManyRequests {
-		t.Errorf("statusFor(ErrQueueFull) = %d, want 429", got)
+	if got, _, _ := serve.ReplyFor(err); got != http.StatusTooManyRequests {
+		t.Errorf("ReplyFor(ErrQueueFull) = %d, want 429", got)
 	}
 
 	close(f.block)
@@ -383,15 +383,15 @@ func TestRemoteReplicaRoundTrip(t *testing.T) {
 
 	// Unknown model: the daemon's 404 + cause must survive the hop.
 	_, _, _, err = front.Infer(context.Background(), "nope", feeds, false)
-	var re *ReplicaError
+	var re *serve.Refusal
 	if !errors.As(err, &re) {
-		t.Fatalf("err = %v (%T), want *ReplicaError", err, err)
+		t.Fatalf("err = %v (%T), want *serve.Refusal", err, err)
 	}
 	if re.Status != http.StatusNotFound {
 		t.Errorf("replica error status = %d, want 404", re.Status)
 	}
-	if statusFor(err) != http.StatusNotFound {
-		t.Errorf("statusFor passes %d, want the replica's 404", statusFor(err))
+	if got, _, _ := serve.ReplyFor(err); got != http.StatusNotFound {
+		t.Errorf("ReplyFor passes %d, want the replica's 404", got)
 	}
 }
 

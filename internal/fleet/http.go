@@ -3,174 +3,71 @@ package fleet
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
 	ramiel "repro"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// Handler returns the fleet front's HTTP API (what cmd/ramielfe serves):
+// Handler returns the fleet front's HTTP API (what cmd/ramield serves when
+// it runs more than one replica):
 //
-//	POST /v1/infer — run one inference request through routing + admission
-//	                 (X-Fleet-Replica reports placement; 429 on shed)
+//	POST /v1/infer — serve.InferHandler over the front: the daemon's wire
+//	                 format and replies, through routing + admission
+//	                 (X-Fleet-Replica reports placement; sheds are 429/503
+//	                 with a cause label and Retry-After)
 //	GET  /v1/fleet — topology + per-model admission stats (alias /v1/stats)
 //	GET  /metrics  — Prometheus text exposition of the fleet families
 //	GET  /healthz  — liveness (the front serves HTTP)
 //	GET  /readyz   — readiness (not draining, ≥1 replica ready)
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/infer", f.handleInfer)
+	mux.Handle("/v1/infer", serve.InferHandler(backend{f}, f.cfg.MaxBodyBytes))
 	mux.HandleFunc("/v1/fleet", f.handleFleet)
 	mux.HandleFunc("/v1/stats", f.handleFleet)
 	mux.HandleFunc("/metrics", f.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if f.Ready() {
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-			return
-		}
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
-	})
+	serve.MountHealth(mux, f.Ready)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+// backend is the Front as a serve.Backend: Infer without the RouteInfo,
+// whose placement rides on InferMeta.Replica instead.
+type backend struct{ *Front }
+
+func (b backend) Infer(ctx context.Context, model string, feeds ramiel.Env, noBatch bool) (ramiel.Env, serve.InferMeta, error) {
+	outs, meta, info, err := b.Front.Infer(ctx, model, feeds, noBatch)
+	meta.Replica = info.Replica
+	return outs, meta, err
 }
 
-// causeOf labels a fleet error for the response body: shed causes use the
-// fleet taxonomy, replica errors keep the daemon's.
-func causeOf(err error) string {
-	switch {
-	case errors.Is(err, ErrInfeasible):
-		return ShedInfeasible.String()
-	case errors.Is(err, ErrQueueFull):
-		return ShedQueueFull.String()
-	case errors.Is(err, ErrNoReplica):
-		return ShedNoReplica.String()
-	}
-	var re *ReplicaError
-	if errors.As(err, &re) {
-		return re.Cause
-	}
-	return serve.CauseOf(err).String()
-}
-
-// statusFor maps fleet errors onto HTTP statuses: sheds that the client
-// can relieve (tighter load, looser deadline) are 429, a fleet with no
-// ready replica is 503, and replica errors keep their original status.
-func statusFor(err error) int {
-	switch {
-	case errors.Is(err, ErrInfeasible), errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrNoReplica):
-		return http.StatusServiceUnavailable
-	}
-	var re *ReplicaError
-	if errors.As(err, &re) {
-		return re.Status
-	}
-	return serve.StatusFor(err)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, serve.ErrorResponse{Error: err.Error(), Cause: causeOf(err)})
-}
-
-func (f *Front) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "POST only"})
-		return
-	}
-	req, feeds, rerr := serve.ReadInferRequest(w, r, f.cfg.MaxBodyBytes)
-	if rerr != nil {
-		writeJSON(w, rerr.Status, rerr.Response())
-		return
-	}
-	if feeds == nil {
-		// Seed mode needs a graph to derive feeds from; any in-process
-		// replica can supply it. A purely remote fleet forwards inputs
-		// only.
-		var err error
-		feeds, err = f.seedFeeds(req.Model, *req.Seed)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
-			return
-		}
-	}
-
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
-	outs, meta, info, err := f.Infer(ctx, req.Model, feeds, req.NoBatch)
-	if info.Replica != "" {
-		w.Header().Set("X-Fleet-Replica", info.Replica)
-	}
-	if meta.RequestID != 0 {
-		w.Header().Set("X-Request-ID", strconv.FormatUint(meta.RequestID, 10))
-	}
-	if err != nil {
-		code := statusFor(err)
-		if code == http.StatusTooManyRequests {
-			// Tell the client when the shed condition should have cleared:
-			// the predicted queue wait, rounded up to whole seconds (the
-			// header's granularity), minimum 1.
-			secs := int(info.PredictedWait/time.Second) + 1
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-		writeError(w, code, err)
-		return
-	}
-	resp := serve.InferResponse{
-		Model:       req.Model,
-		RequestID:   meta.RequestID,
-		Outputs:     make(map[string]serve.TensorJSON, len(outs)),
-		BatchSize:   meta.BatchSize,
-		LatencyUs:   meta.Latency.Microseconds(),
-		BatchWaitUs: meta.BatchWait.Microseconds(),
-		QueueWaitUs: meta.QueueWait.Microseconds(),
-		ExecUs:      meta.Exec.Microseconds(),
-	}
-	for name, t := range outs {
-		resp.Outputs[name] = serve.TensorJSON{Shape: t.Shape(), Data: t.Data()}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// seedFeeds builds deterministic random feeds from the first in-process
-// replica that knows the model.
-func (f *Front) seedFeeds(model string, seed uint64) (ramiel.Env, error) {
+// RandomFeeds builds seed-mode feeds from the first in-process replica that
+// knows the model; when none does, the last one's answer (the daemon's 404)
+// stands. A purely remote fleet holds no graph to derive feeds from and
+// forwards inputs only.
+func (f *Front) RandomFeeds(model string, seed uint64) (ramiel.Env, error) {
+	var err error = &serve.Refusal{Status: http.StatusBadRequest,
+		Err: errors.New(`seed mode needs an in-process replica (remote fleets take "inputs")`)}
 	for _, r := range f.replicas {
 		if s, ok := r.(feedSeeder); ok {
-			feeds, err := s.RandomFeeds(model, seed)
-			if err == nil {
+			var feeds ramiel.Env
+			if feeds, err = s.RandomFeeds(model, seed); err == nil {
 				return feeds, nil
 			}
 		}
 	}
-	return nil, fmt.Errorf("seed mode needs an in-process replica holding %q (remote fleets take \"inputs\")", model)
+	return nil, err
 }
 
 func (f *Front) handleFleet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
+		serve.WriteJSON(w, http.StatusMethodNotAllowed, serve.ErrorResponse{Error: "GET only"})
 		return
 	}
-	writeJSON(w, http.StatusOK, f.Snapshot())
+	serve.WriteJSON(w, http.StatusOK, f.Snapshot())
 }
 
 // handleMetrics renders the fleet-level Prometheus families. Replica and

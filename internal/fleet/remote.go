@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -184,22 +185,6 @@ func probeDelay(interval time.Duration, fails int, jitter float64) time.Duration
 // StopProbing ends the probe loop. Idempotent.
 func (r *Remote) StopProbing() { r.stopOnce.Do(func() { close(r.stop) }) }
 
-// ReplicaError is a failure reported by a remote replica, carrying the
-// daemon's HTTP status and cause label through the front unchanged. A
-// ReplicaError means the replica answered: only its 5xx responses count as
-// retryable replica failures, and 4xx application errors never trip the
-// circuit breaker (see Retryable).
-type ReplicaError struct {
-	Replica string
-	Status  int
-	Cause   string
-	Msg     string
-}
-
-func (e *ReplicaError) Error() string {
-	return fmt.Sprintf("fleet: replica %s: %s (status %d)", e.Replica, e.Msg, e.Status)
-}
-
 // TransportError is a failure to get an answer from a replica at all —
 // connection refused/reset, DNS failure, or the connection dying
 // mid-response — as opposed to an HTTP response carrying an application
@@ -261,7 +246,16 @@ func (r *Remote) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 				msg = er.Error
 			}
 		}
-		return nil, serve.InferMeta{}, &ReplicaError{Replica: r.name, Status: resp.StatusCode, Cause: er.Cause, Msg: msg}
+		// The replica answered: its status, cause label and Retry-After pass
+		// through the front unchanged. Only its 5xx replies count as
+		// retryable replica failures (see Retryable).
+		retryAfter, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+		return nil, serve.InferMeta{}, &serve.Refusal{
+			Status:     resp.StatusCode,
+			Cause:      er.Cause,
+			RetryAfter: time.Duration(retryAfter) * time.Second,
+			Err:        fmt.Errorf("fleet: replica %s: %s (status %d)", r.name, msg, resp.StatusCode),
+		}
 	}
 	var ir serve.InferResponse
 	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {

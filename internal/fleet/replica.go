@@ -72,10 +72,6 @@ func NewLocal(name string, srv *serve.Server) *Local {
 	return &Local{name: name, srv: srv}
 }
 
-// Server exposes the wrapped runtime (registration, warmup, shutdown stay
-// the owner's job).
-func (l *Local) Server() *serve.Server { return l.srv }
-
 func (l *Local) Name() string { return l.name }
 
 func (l *Local) Infer(ctx context.Context, model string, feeds ramiel.Env, noBatch bool) (ramiel.Env, serve.InferMeta, error) {

@@ -29,7 +29,9 @@ func Retryable(err error) bool {
 	if errors.As(err, &te) {
 		return true
 	}
-	var re *ReplicaError
+	// A refusal means the replica answered, so only a 5xx is a replica
+	// failure; a 4xx (a memory shed's 429 included) is not retried.
+	var re *serve.Refusal
 	if errors.As(err, &re) {
 		return re.Status >= 500
 	}

@@ -1,6 +1,7 @@
 package hyper
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -152,7 +153,7 @@ func TestHyperclusterPlanRunsCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := plan.Run(feeds)
+		got, _, err := plan.Execute(context.Background(), feeds, nil)
 		if err != nil {
 			t.Fatalf("switched=%v: %v", switched, err)
 		}

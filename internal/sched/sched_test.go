@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -170,7 +171,7 @@ func TestIOSLanesExecutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.Run(feeds)
+	got, _, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ import (
 // allocate nothing.
 type batchAdapter struct {
 	exec      *obs.Histogram // live exec-stage histogram (nil-safe: Quantile = 0)
-	minWindow time.Duration  // floor (Config.MinFlush)
+	minWindow time.Duration  // floor (minFlush)
 	maxWindow time.Duration  // cap = the configured static window
 	maxBatch  int
 

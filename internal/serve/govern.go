@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"log"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
@@ -16,10 +17,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// ErrMemoryPressure is returned (unwrapped — the shed path allocates
-// nothing) when memory-feasibility admission rejects a request: projected
-// working set past the budget. HTTP maps it to 429 with cause "memory" and
-// a Retry-After derived from the expected drain.
+// ErrMemoryPressure marks a request rejected by memory-feasibility
+// admission: projected working set past the budget. It arrives inside a
+// Refusal (429, cause "memory", Retry-After from the expected drain).
 var ErrMemoryPressure = errors.New("serve: memory budget exceeded, shedding")
 
 // ErrWatchdogKilled wraps the run error of a request force-cancelled by the
@@ -174,37 +174,22 @@ func (g *memGovernor) release(reserved int64) {
 	g.reserved.Add(-reserved)
 }
 
-// retryAfter estimates when shed traffic should come back: the admitted
-// backlog (in requests, from the reservation ledger) divided by the worker
-// service rate at the model's median execution time.
-func (g *memGovernor) retryAfter(est int64, p50 time.Duration, workers int) time.Duration {
-	if g == nil {
-		return time.Second
+// memoryShed is the refusal a request shed by memory admission is answered
+// with: 429, cause "memory", and a Retry-After from the admitted backlog (in
+// requests, from the reservation ledger) draining at the model's live median
+// execution time.
+func (s *Server) memoryShed(model string, st *ModelStats) error {
+	var backlog int64
+	if est := s.gov.estimate(s, model); est > 0 {
+		backlog = s.gov.reserved.Load()/est + 1
 	}
-	if est <= 0 || p50 <= 0 || workers < 1 {
-		return time.Second
+	p50 := time.Duration(st.stages.Stage(obs.StageExec).Quantile(0.50))
+	return &Refusal{
+		Status:     http.StatusTooManyRequests,
+		Cause:      CauseMemory.String(),
+		RetryAfter: max(DrainWait(backlog, p50, s.cfg.Workers), time.Second),
+		Err:        ErrMemoryPressure,
 	}
-	backlog := g.reserved.Load()/est + 1
-	d := time.Duration(backlog/int64(workers)+1) * p50
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
-}
-
-// memRetryAfter computes the Retry-After hint attached to memory-shed 429s:
-// the governor's drain estimate at the model's live median execution time.
-func (s *Server) memRetryAfter(model string) time.Duration {
-	g := s.gov
-	if g == nil {
-		return time.Second
-	}
-	var est int64
-	if v, ok := g.estimates.Load(model); ok {
-		est = v.(*modelEstimate).bytes.Load()
-	}
-	p50 := time.Duration(s.modelStats(model).stages.Stage(obs.StageExec).Quantile(0.50))
-	return g.retryAfter(est, p50, s.cfg.Workers)
 }
 
 // MemoryStatsSnapshot is the JSON/probe view of the resource governor.
@@ -261,18 +246,8 @@ func (s *Server) MemoryStats() MemoryStatsSnapshot {
 // MemHeadroom reports the governor's current headroom; known is false when
 // governance is disabled. This is the signal fleet routing reads.
 func (s *Server) MemHeadroom() (bytes int64, known bool) {
-	g := s.gov
-	if g == nil {
-		return 0, false
-	}
-	var inUse int64
-	if g.arena != nil {
-		inUse = g.arena.InUseBytes.Load()
-	}
-	if h := g.budget - inUse - g.reserved.Load(); h > 0 {
-		return h, true
-	}
-	return 0, true
+	snap := s.MemoryStats()
+	return snap.HeadroomBytes, snap.Enabled
 }
 
 // watchSlot tracks one in-flight run for the watchdog. start is armed only
@@ -468,12 +443,4 @@ func (w *watchdog) stopLoop() {
 	}
 	close(w.stop)
 	<-w.done
-}
-
-// WatchdogKills reports runs force-cancelled by the watchdog.
-func (s *Server) WatchdogKills() int64 {
-	if s.dog == nil {
-		return 0
-	}
-	return s.dog.kills.Load()
 }

@@ -252,7 +252,7 @@ func TestWatchdogKillsStuckRun(t *testing.T) {
 	if took > time.Second {
 		t.Errorf("killed request took %v, want well under the kernel's 1.5s sleep", took)
 	}
-	if got := s.WatchdogKills(); got != 1 {
+	if got := s.MemoryStats().WatchdogKills; got != 1 {
 		t.Errorf("WatchdogKills = %d, want 1", got)
 	}
 	if got := s.MemoryStats().WatchdogKills; got != 1 {
@@ -347,7 +347,7 @@ func TestNonFiniteFeedsRejected(t *testing.T) {
 		if got := causeOf(err); got != CauseValidation {
 			t.Errorf("%s feed: causeOf = %v, want validation", name, got)
 		}
-		if got := StatusFor(err); got != http.StatusBadRequest {
+		if got, _, _ := ReplyFor(err); got != http.StatusBadRequest {
 			t.Errorf("%s feed: status = %d, want 400", name, got)
 		}
 	}

@@ -193,14 +193,143 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 	// Cause is the classification label also used by the errors_by_cause
 	// counters and trace spans (validation, compile, execution, deadline,
-	// canceled, shutdown). Empty for errors outside the serving taxonomy.
+	// canceled, shutdown, memory, queue_full, ...). Empty for errors outside
+	// the serving taxonomy.
 	Cause string `json:"cause,omitempty"`
+}
+
+// Refusal is a request turned away with its reply already decided: a body
+// that failed to read or decode, a shed by memory or fleet admission, a
+// fleet with no replica to route to, a remote replica's own error reply.
+// Err is the reason — for sheds the sentinel (ErrMemoryPressure,
+// fleet.ErrQueueFull, ...), so errors.Is keeps working through the wrapper.
+type Refusal struct {
+	Status int
+	// Cause is the reply's cause label ("" outside the taxonomy). A label,
+	// not an ErrorCause: a remote daemon's cause passes through unchanged.
+	Cause string
+	// RetryAfter, when > 0, is when the condition that shed the request
+	// should have cleared (see DrainWait); it becomes the Retry-After header.
+	RetryAfter time.Duration
+	Err        error
+}
+
+func (e *Refusal) Error() string { return e.Err.Error() }
+func (e *Refusal) Unwrap() error { return e.Err }
+
+// DrainWait is the one estimate behind every Retry-After: a backlog of
+// requests drains at one median execution per worker. Zero while the model
+// has no samples; sheds floor it at the header's one-second granularity.
+func DrainWait(backlog int64, p50 time.Duration, workers int) time.Duration {
+	return time.Duration(backlog) * p50 / time.Duration(max(workers, 1))
+}
+
+// ReplyFor is the one mapping from a failed request to its HTTP reply:
+// status, cause label, and the Retry-After wait (0 = no header). A Refusal
+// carries its own; every other error — whatever a run, the pool or the
+// registry returned — is classified by cause, and the cause fixes the
+// status.
+func ReplyFor(err error) (status int, cause string, retryAfter time.Duration) {
+	var r *Refusal
+	switch {
+	case errors.As(err, &r):
+		return r.Status, r.Cause, r.RetryAfter
+	case errors.Is(err, ErrNotRegistered):
+		// Not a failure of any model: no cause label, no per-model counter.
+		return http.StatusNotFound, "", 0
+	}
+	c := causeOf(err)
+	switch c {
+	case CauseValidation:
+		status = http.StatusBadRequest
+	case CauseCanceled:
+		// Client went away; 499 is the de-facto status for that (nginx).
+		status = 499
+	case CauseDeadline, CauseWatchdog:
+		// A watchdog kill reads as a server-side timeout.
+		status = http.StatusGatewayTimeout
+	case CauseShutdown, CauseMemory:
+		// Memory here is the arena budget denying a run mid-flight —
+		// overload; an admission shed arrives as a 429 Refusal instead.
+		status = http.StatusServiceUnavailable
+	default:
+		status = http.StatusInternalServerError
+	}
+	return status, c.String(), 0
+}
+
+// Backend is what POST /v1/infer dispatches to: one serving runtime
+// (*Server) or a fleet of them (fleet.Front).
+type Backend interface {
+	// Infer runs one request; InferMeta.Replica reports placement when the
+	// backend has more than one place to run it.
+	Infer(ctx context.Context, model string, feeds ramiel.Env, noBatch bool) (ramiel.Env, InferMeta, error)
+	// RandomFeeds builds the deterministic feeds of seed mode.
+	RandomFeeds(model string, seed uint64) (ramiel.Env, error)
+}
+
+// InferHandler is the POST /v1/infer handler, the only one: read and decode
+// the body (at most maxBody bytes), derive feeds in seed mode, apply
+// timeout_ms, dispatch to b, and answer with the outputs or with ReplyFor's
+// verdict on the error. X-Request-ID echoes the request's span id,
+// X-Fleet-Replica its placement.
+func InferHandler(b Backend, maxBody int64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
+			return
+		}
+		req, feeds, err := ReadInferRequest(w, r, maxBody)
+		if err == nil && feeds == nil {
+			feeds, err = b.RandomFeeds(req.Model, *req.Seed)
+		}
+		var outs ramiel.Env
+		var meta InferMeta
+		if err == nil {
+			ctx := r.Context()
+			if req.TimeoutMs > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+				defer cancel()
+			}
+			outs, meta, err = b.Infer(ctx, req.Model, feeds, req.NoBatch)
+		}
+		if meta.Replica != "" {
+			w.Header().Set("X-Fleet-Replica", meta.Replica)
+		}
+		if meta.RequestID != 0 {
+			w.Header().Set("X-Request-ID", strconv.FormatUint(meta.RequestID, 10))
+		}
+		if err != nil {
+			status, cause, retryAfter := ReplyFor(err)
+			if retryAfter > 0 {
+				// Whole seconds, the header's granularity, rounded up.
+				w.Header().Set("Retry-After", strconv.Itoa(int((retryAfter+time.Second-1)/time.Second)))
+			}
+			WriteJSON(w, status, ErrorResponse{Error: err.Error(), Cause: cause})
+			return
+		}
+		resp := InferResponse{
+			Model:       req.Model,
+			RequestID:   meta.RequestID,
+			Outputs:     make(map[string]TensorJSON, len(outs)),
+			BatchSize:   meta.BatchSize,
+			LatencyUs:   meta.Latency.Microseconds(),
+			BatchWaitUs: meta.BatchWait.Microseconds(),
+			QueueWaitUs: meta.QueueWait.Microseconds(),
+			ExecUs:      meta.Exec.Microseconds(),
+		}
+		for name, t := range outs {
+			resp.Outputs[name] = fromTensor(t)
+		}
+		WriteJSON(w, http.StatusOK, resp)
+	}
 }
 
 // Handler returns the HTTP API:
 //
 //	GET  /v1/models   — registered models, signatures, cache + stats
-//	POST /v1/infer    — run one inference request
+//	POST /v1/infer    — run one inference request (InferHandler)
 //	GET  /v1/stats    — registry/pool/per-model counters, histograms, op time
 //	                    (?variants=1 splits op time per batch variant,
 //	                    ?calibration=1 adds the cost-model calibration report)
@@ -213,57 +342,40 @@ type ErrorResponse struct {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/models", s.handleModels)
-	mux.HandleFunc("/v1/infer", s.handleInfer)
+	mux.Handle("/v1/infer", InferHandler(s, s.cfg.MaxBodyBytes))
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/trace", s.handleTrace)
 	mux.HandleFunc("/v1/timeline", s.handleTimeline)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
-	mux.HandleFunc("/readyz", s.handleReady)
+	MountHealth(mux, s.Ready)
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// MountHealth mounts GET /healthz (liveness: the process serves HTTP) and
+// GET /readyz (200 while ready() holds, 503 otherwise — before the preload
+// set has compiled, and again once draining).
+func MountHealth(mux *http.ServeMux, ready func() bool) {
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		if ready() {
+			WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+			return
+		}
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
+	})
+}
+
+// WriteJSON answers with v as a JSON body.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrorResponse{Error: err.Error()})
-}
-
-// checkFeedSignature verifies client-supplied feeds against the model's
-// declared inputs. Failures wrap ramiel.ErrInvalidFeeds so they classify
-// as CauseValidation and map to 400, same as Session.Run's own check.
-func checkFeedSignature(g *ramiel.Graph, feeds ramiel.Env) error {
-	declared := map[string]bool{}
-	for _, in := range g.Inputs {
-		declared[in.Name] = true
-		t, ok := feeds[in.Name]
-		if !ok {
-			return fmt.Errorf("%w: missing input %q", ramiel.ErrInvalidFeeds, in.Name)
-		}
-		if len(in.Shape) > 0 && !t.Shape().Equal(in.Shape) {
-			return fmt.Errorf("%w: input %q has shape %v, model declares %v",
-				ramiel.ErrInvalidFeeds, in.Name, t.Shape(), in.Shape)
-		}
-	}
-	for name := range feeds {
-		if !declared[name] {
-			return fmt.Errorf("%w: unknown input %q", ramiel.ErrInvalidFeeds, name)
-		}
-	}
-	return nil
-}
-
-// writeInferError is writeError for failures of a dispatched inference
-// request, which carry a cause label from the serving taxonomy.
-func writeInferError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrorResponse{Error: err.Error(), Cause: causeOf(err).String()})
+	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -293,77 +405,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, info)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"models": infos})
-}
-
-func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
-	}
-	req, feeds, rerr := ReadInferRequest(w, r, s.cfg.MaxBodyBytes)
-	if rerr != nil {
-		writeJSON(w, rerr.Status, rerr.Response())
-		return
-	}
-	if feeds != nil {
-		// Validate against the model signature up front so a bad request
-		// is a 400, not a poisoned micro-batch deep in the executor. These
-		// rejections count as validation errors for the model just like
-		// feed failures caught later by Session.Run.
-		g, err := s.reg.Graph(req.Model)
-		if err != nil {
-			writeError(w, StatusFor(err), err)
-			return
-		}
-		if err := checkFeedSignature(g, feeds); err != nil {
-			s.modelStats(req.Model).noteError(CauseValidation)
-			writeInferError(w, http.StatusBadRequest, err)
-			return
-		}
-	} else {
-		var err error
-		feeds, err = s.RandomFeeds(req.Model, *req.Seed)
-		if err != nil {
-			writeError(w, StatusFor(err), err)
-			return
-		}
-	}
-
-	ctx := r.Context()
-	if req.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
-		defer cancel()
-	}
-	outs, meta, err := s.Infer(ctx, req.Model, feeds, req.NoBatch)
-	if meta.RequestID != 0 {
-		w.Header().Set("X-Request-ID", strconv.FormatUint(meta.RequestID, 10))
-	}
-	if err != nil {
-		if errors.Is(err, ErrMemoryPressure) {
-			// Tell shed clients when the admitted backlog should have
-			// drained enough to retry.
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int(s.memRetryAfter(req.Model)/time.Second)+1))
-		}
-		writeInferError(w, StatusFor(err), err)
-		return
-	}
-	resp := InferResponse{
-		Model:       req.Model,
-		RequestID:   meta.RequestID,
-		Outputs:     make(map[string]TensorJSON, len(outs)),
-		BatchSize:   meta.BatchSize,
-		LatencyUs:   meta.Latency.Microseconds(),
-		BatchWaitUs: meta.BatchWait.Microseconds(),
-		QueueWaitUs: meta.QueueWait.Microseconds(),
-		ExecUs:      meta.Exec.Microseconds(),
-	}
-	for name, t := range outs {
-		resp.Outputs[name] = fromTensor(t)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, map[string]any{"models": infos})
 }
 
 // handleTrace serves GET /v1/trace: the most recent request spans, newest
@@ -397,7 +439,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if spans == nil {
 		spans = []obs.Span{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"slow":  slow,
 		"spans": spans,
 	})
@@ -462,17 +504,6 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// handleReady serves GET /readyz: 200 once the preload set has compiled
-// (Warm succeeded or MarkReady was called), 503 before. Distinct from
-// /healthz, which only says the process is serving HTTP.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.Ready() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
-		return
-	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "not ready"})
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
@@ -509,7 +540,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("calibration") == "1" {
 		resp.Calibration = s.calibrations()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // opTotalsByVariant is opTotals without the merge: per model, each compiled
@@ -582,37 +613,4 @@ func (s *Server) opTotals() map[string][]obs.OpTotal {
 		}
 	}
 	return out
-}
-
-// StatusFor maps serving errors onto HTTP status codes.
-func StatusFor(err error) int {
-	switch {
-	// The watchdog kill wraps a context error, so it must outrank the bare
-	// ctx cases; it reads as a server-side timeout.
-	case errors.Is(err, ErrWatchdogKilled):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrMemoryPressure):
-		// Admission shed: the client should back off and retry.
-		return http.StatusTooManyRequests
-	case errors.Is(err, tensor.ErrArenaBudget):
-		// The run itself outgrew the budget mid-flight: overload, 503.
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrBodyTooLarge):
-		return http.StatusRequestEntityTooLarge
-	case errors.Is(err, context.Canceled):
-		// Client went away; 499 is the de-facto status for that (nginx).
-		return 499
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrShutdown), errors.Is(err, ErrBatcherClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, ErrNotRegistered):
-		return http.StatusNotFound
-	case errors.Is(err, ramiel.ErrInvalidFeeds):
-		// Bad feeds are a client error even when they slip past the HTTP
-		// layer's up-front validation (e.g. direct API use).
-		return http.StatusBadRequest
-	default:
-		return http.StatusInternalServerError
-	}
 }

@@ -19,7 +19,8 @@
 // execution totals from the executor, and a lock-striped ring of recent and
 // slow request spans. Handler exposes it over HTTP:
 //
-//	POST /v1/infer    — run inference (X-Request-ID echoes the span ID)
+//	POST /v1/infer    — run inference (InferHandler, shared with the fleet
+//	                    front; X-Request-ID echoes the span ID)
 //	GET  /v1/models   — registered models
 //	GET  /v1/stats    — counters, stage histograms, per-op time, arenas
 //	                    (?variants=1 per-batch-variant op time,
@@ -156,14 +157,6 @@ func (r *Registry) EnableTimeline(every, ring int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.tlEvery, r.tlRing = every, ring
-}
-
-// Registered reports whether a model name is known to the registry.
-func (r *Registry) Registered(model string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.sources[model]
-	return ok
 }
 
 // Register adds a model under the given name. Re-registering a name

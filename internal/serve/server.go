@@ -34,12 +34,10 @@ type Config struct {
 	// the wait budget tracks the model's p50 execution time (from the
 	// stage histograms) and the expected window-fill time comes from an
 	// EWMA of arrival gaps — flush almost immediately when arrivals are
-	// sparse, grow batches toward MaxBatch under load. FlushTimeout and
-	// MinFlush bound the chosen window; the static policy remains the
+	// sparse, grow batches toward MaxBatch under load. minFlush and
+	// FlushTimeout bound the chosen window; the static policy remains the
 	// manual fallback when this is off.
 	AdaptiveBatch bool
-	// MinFlush is the adaptive controller's window floor (default 50µs).
-	MinFlush time.Duration
 	// ModelTuning overrides MaxBatch/FlushTimeout for individual models;
 	// zero fields inherit the global values. Models absent from the map
 	// use the globals.
@@ -71,11 +69,9 @@ type Config struct {
 	// spans, exportable as Chrome trace-event JSON at GET /v1/timeline.
 	// Default 0 = off — unlike the request-level telemetry above, sampled
 	// runs allocate their span storage, so the recorder is opt-in and the
-	// serving hot path keeps its zero-allocation contract by default.
+	// serving hot path keeps its zero-allocation contract by default. Each
+	// program retains its timelineRing most recent sampled runs.
 	TimelineEvery int
-	// TimelineRing is how many sampled run timelines each program retains
-	// (default 4). Ignored when TimelineEvery is 0.
-	TimelineRing int
 	// MemBudgetBytes, when > 0, turns on memory governance: (1) requests
 	// are admitted only while the projected working set — arena in-use
 	// bytes plus the memory-plan estimates of admitted-but-unfinished
@@ -106,6 +102,13 @@ type Config struct {
 	Compile ramiel.Options
 }
 
+const (
+	// minFlush is the adaptive batching controller's window floor.
+	minFlush = 50 * time.Microsecond
+	// timelineRing is how many sampled run timelines each program retains.
+	timelineRing = 4
+)
+
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -119,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.FlushTimeout <= 0 {
 		c.FlushTimeout = 2 * time.Millisecond
 	}
-	if c.MinFlush <= 0 {
-		c.MinFlush = 50 * time.Microsecond
-	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
 	}
@@ -130,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SlowThreshold <= 0 {
 		c.SlowThreshold = 100 * time.Millisecond
-	}
-	if c.TimelineRing < 1 {
-		c.TimelineRing = 4
 	}
 	if c.WatchdogFactor == 0 {
 		c.WatchdogFactor = 20
@@ -195,6 +192,9 @@ type InferMeta struct {
 	// Exec is the session-run time on the worker (shared by all members of
 	// a coalesced batch).
 	Exec time.Duration
+	// Replica names where a multi-replica backend (the fleet front) ran the
+	// request, echoed as X-Fleet-Replica; empty from a single server.
+	Replica string
 }
 
 // Server is the serving runtime: registry + pool + per-model batchers.
@@ -239,7 +239,7 @@ func New(cfg Config) *Server {
 	}
 	reg := NewRegistry(cfg.Compile, cfg.Switched)
 	if cfg.TimelineEvery > 0 {
-		reg.EnableTimeline(cfg.TimelineEvery, cfg.TimelineRing)
+		reg.EnableTimeline(cfg.TimelineEvery, timelineRing)
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -392,7 +392,7 @@ func (s *Server) batcher(model string) *batcher {
 			// The controller reads the model's live exec-time histogram;
 			// with telemetry off the histogram is nil and the controller
 			// falls back to arrival-rate-only decisions.
-			adapt = newBatchAdapter(st.stages.Stage(obs.StageExec), s.cfg.MinFlush, flush, maxBatch)
+			adapt = newBatchAdapter(st.stages.Stage(obs.StageExec), minFlush, flush, maxBatch)
 		}
 		b = newBatcher(model, s.reg, s.pool, s.sessions, maxBatch, flush, s.cfg.Deadline, st, adapt, s.dog)
 		s.batchers[model] = b
@@ -407,12 +407,20 @@ func (s *Server) batcher(model string) *batcher {
 // path, propagates into the run itself: a cancelled or timed-out request
 // aborts its in-flight session run instead of computing to completion.
 // With no deadline set, the server default applies.
+//
+// Every refusal is decided here, in order, so each caller — HTTP, a fleet
+// replica, a benchmark — gets the same answer: unknown model, feeds that do
+// not match the model's signature or carry NaN/Inf (before the request can
+// reserve memory or join a micro-batch, so a bad request fails alone), then
+// memory admission.
 func (s *Server) Infer(ctx context.Context, model string, feeds ramiel.Env, noBatch bool) (ramiel.Env, InferMeta, error) {
 	start := time.Now()
 	// Reject unknown models before touching per-model state: junk traffic
-	// must not grow the stats map.
-	if !s.reg.Registered(model) {
-		return nil, InferMeta{}, fmt.Errorf("serve: model %q: %w", model, ErrNotRegistered)
+	// must not grow the stats map. A graph that fails to build is the
+	// model's failure and is counted below.
+	g, err := s.reg.Graph(model)
+	if errors.Is(err, ErrNotRegistered) {
+		return nil, InferMeta{}, err
 	}
 	id := s.reqID.Add(1)
 	st := s.modelStats(model)
@@ -435,22 +443,23 @@ func (s *Server) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 		outs      ramiel.Env
 		batchSize int
 		ts        stageTimes
-		err       error
 	)
-	// Memory-feasibility admission: shed in microseconds (one sentinel
-	// error, no allocation) when the projected working set exceeds the
-	// budget, instead of queueing work the arena will refuse anyway.
-	reserved, admitted := s.gov.admit(s, model)
-	if !admitted {
-		err = ErrMemoryPressure
-	} else {
-		if !s.cfg.NoFiniteCheck {
-			err = ramiel.CheckFiniteFeeds(feeds)
-		}
-		if err == nil {
+	if err == nil {
+		err = ramiel.ValidateFeeds(g, feeds)
+	}
+	if err == nil && !s.cfg.NoFiniteCheck {
+		err = ramiel.CheckFiniteFeeds(feeds)
+	}
+	if err == nil {
+		// Memory-feasibility admission: shed in microseconds when the
+		// projected working set exceeds the budget, instead of queueing
+		// work the arena will refuse anyway.
+		if reserved, admitted := s.gov.admit(s, model); admitted {
 			outs, batchSize, ts, err = s.dispatch(ctx, cancel, model, st, id, feeds, noBatch)
+			s.gov.release(reserved)
+		} else {
+			err = s.memoryShed(model, st)
 		}
-		s.gov.release(reserved)
 	}
 	total := time.Since(start)
 	meta := InferMeta{

@@ -49,6 +49,14 @@ const (
 	// CauseBodyTooLarge: the HTTP request body exceeded the configured cap
 	// (413) — rejected before JSON decoding allocated anything.
 	CauseBodyTooLarge
+	// The fleet tier's sheds (internal/fleet counts them per model; the
+	// labels live here so the whole stack has one cause enum):
+	// CauseInfeasible — predicted completion exceeds the request deadline;
+	// CauseQueueFull — the model's pending window is at its bound;
+	// CauseNoReplica — no healthy, ready replica to route to.
+	CauseInfeasible
+	CauseQueueFull
+	CauseNoReplica
 	numCauses
 )
 
@@ -77,14 +85,15 @@ func (c ErrorCause) String() string {
 		return "watchdog"
 	case CauseBodyTooLarge:
 		return "body_too_large"
+	case CauseInfeasible:
+		return "infeasible"
+	case CauseQueueFull:
+		return "queue_full"
+	case CauseNoReplica:
+		return "no_replica"
 	}
 	return "unknown"
 }
-
-// CauseOf classifies a serving error into its ErrorCause label — exported
-// for front ends (the fleet tier) that render serve errors with the same
-// taxonomy the daemon uses.
-func CauseOf(err error) ErrorCause { return causeOf(err) }
 
 // causeOf classifies a serving error. Deadline/cancel are checked first:
 // an expired batch surfaces as the bare context error even when the root
@@ -200,10 +209,6 @@ func (m *ModelStats) noteError(c ErrorCause) {
 		m.Errors.Add(1)
 	}
 }
-
-// Stages returns the model's stage-histogram set (nil when telemetry is
-// disabled); Record on it is nil-safe.
-func (m *ModelStats) Stages() *obs.StageSet { return m.stages }
 
 // ModelStatsSnapshot is the JSON view of ModelStats.
 type ModelStatsSnapshot struct {

@@ -20,22 +20,8 @@ import (
 // unchanged, so odd input behaves as it always has. DESIGN.md "Wire path"
 // has the buffer-ownership and bit-exactness rules.
 
-// RequestError is a /v1/infer request refused before dispatch: the status to
-// answer with, the cause label for the reply (CauseNone for plain 400s) and
-// the reason.
-type RequestError struct {
-	Status int
-	Cause  ErrorCause
-	Err    error
-}
-
-// Response is the JSON body the refusal is answered with.
-func (e *RequestError) Response() ErrorResponse {
-	return ErrorResponse{Error: e.Err.Error(), Cause: e.Cause.String()}
-}
-
-func badRequest(err error) *RequestError {
-	return &RequestError{Status: http.StatusBadRequest, Err: err}
+func badRequest(err error) *Refusal {
+	return &Refusal{Status: http.StatusBadRequest, Err: err}
 }
 
 // bodyPool holds request-body buffers between requests. It is the only place
@@ -46,9 +32,10 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // ReadInferRequest reads the body of a POST /v1/infer (at most maxBody bytes
 // when maxBody > 0), decodes it and checks what can be checked without the
 // model: a model name, and either inputs whose shapes match their data or a
-// seed. feeds is nil in seed mode. The body buffer is back in its pool when
-// this returns; the request and the feeds own all their memory.
-func ReadInferRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (req InferRequest, feeds ramiel.Env, rerr *RequestError) {
+// seed. feeds is nil in seed mode; a refused body comes back as a *Refusal.
+// The body buffer is back in its pool when this returns; the request and the
+// feeds own all their memory.
+func ReadInferRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (req InferRequest, feeds ramiel.Env, err error) {
 	buf := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(buf)
 	buf.Reset()
@@ -65,9 +52,9 @@ func ReadInferRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (re
 	if _, err := buf.ReadFrom(body); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return req, nil, &RequestError{
+			return req, nil, &Refusal{
 				Status: http.StatusRequestEntityTooLarge,
-				Cause:  CauseBodyTooLarge,
+				Cause:  CauseBodyTooLarge.String(),
 				Err:    fmt.Errorf("%w (limit %d bytes)", ErrBodyTooLarge, mbe.Limit),
 			}
 		}

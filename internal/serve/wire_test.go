@@ -236,7 +236,7 @@ func TestReadInferRequestOwnsItsMemory(t *testing.T) {
 		r := httptest.NewRequest(http.MethodPost, "/v1/infer", strings.NewReader(body))
 		req, feeds, rerr := ReadInferRequest(httptest.NewRecorder(), r, 1<<20)
 		if rerr != nil {
-			t.Fatal(rerr.Err)
+			t.Fatal(rerr)
 		}
 		return req, feeds
 	}
@@ -272,7 +272,7 @@ func TestReadInferRequestConcurrent(t *testing.T) {
 				r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
 				req, feeds, rerr := ReadInferRequest(httptest.NewRecorder(), r, 1<<20)
 				if rerr != nil {
-					t.Error(rerr.Err)
+					t.Error(rerr)
 					return
 				}
 				if req.Model != model || !reflect.DeepEqual(feeds["x"].Data(), want) {

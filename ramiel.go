@@ -50,7 +50,7 @@ type (
 	SimResult = exec.SimResult
 	// CloneOptions bounds the task-cloning pass.
 	CloneOptions = passes.CloneOptions
-	// Arena recycles tensor storage across runs (see Program.RunArena).
+	// Arena recycles tensor storage across runs (see WithArena).
 	Arena = tensor.Arena
 	// ArenaStats aggregates arena counters, shareable between arenas.
 	ArenaStats = tensor.ArenaStats
@@ -71,7 +71,7 @@ type (
 	CriticalPathReport = exec.CriticalPathReport
 )
 
-// NewArena creates an empty tensor arena for Program.RunArena. Keep it
+// NewArena creates an empty tensor arena for WithArena. Keep it
 // alive across runs (it is what makes steady-state inference allocation-
 // free); do not share it between concurrent runs.
 func NewArena() *Arena { return tensor.NewArena() }
@@ -238,46 +238,6 @@ func compile(g *Graph, opts Options) (*Program, error) {
 // NumClusters returns the plan's lane count.
 func (p *Program) NumClusters() int { return len(p.Plan.Lanes) }
 
-// Run executes the program in parallel (one goroutine per cluster) on the
-// plain heap path, with no cancellation.
-//
-// Deprecated: use a Session — p.NewSession(WithoutArena()) followed by
-// Session.Run(ctx, feeds) — which adds context cancellation and up-front
-// feed validation. Run remains as a thin one-shot-session wrapper and is
-// output-equivalent; it stays safe for concurrent calls on one Program
-// (each call runs its own throwaway session). One behavior tightening
-// rides along: like Session.Run, the wrappers now validate feeds up front
-// (Program.ValidateFeeds), so feeds with unknown names — previously
-// silently ignored — are rejected with a clear error, matching the HTTP
-// serving layer's long-standing contract.
-func (p *Program) Run(feeds Env) (Env, error) {
-	return p.NewSession(WithoutArena()).Run(context.Background(), feeds)
-}
-
-// RunArena executes the program with arena-backed tensor memory: kernel
-// outputs are allocated from a, and every intermediate is recycled into a
-// the moment its last consumer finishes, per the program's static memory
-// plan (internal/memplan). Graph outputs escape to the caller and are never
-// recycled. Concurrent RunArena calls on one Program are safe as long as
-// each passes its own arena; reusing an arena across sequential runs is
-// what makes steady-state serving allocation-free for intermediates.
-//
-// Deprecated: use a Session — p.NewSession(WithArena(a)) or the default
-// session-owned arena — and Session.Run(ctx, feeds).
-func (p *Program) RunArena(feeds Env, a *Arena) (Env, error) {
-	return p.NewSession(WithArena(a)).Run(context.Background(), feeds)
-}
-
-// RunProfiledArena is RunArena plus the per-lane busy/slack profile.
-//
-// Deprecated: use a Session with WithArena(a) and WithProfiling, then
-// Session.Profile after Session.Run.
-func (p *Program) RunProfiledArena(feeds Env, a *Arena) (Env, *Profile, error) {
-	s := p.NewSession(WithArena(a), WithProfiling())
-	out, err := s.Run(context.Background(), feeds)
-	return out, s.Profile(), err
-}
-
 // MemoryPlan returns the program's static memory plan: per-value liveness,
 // reuse slots, and (via Estimate with exec.ValueSizes) peak-memory
 // forecasts.
@@ -370,16 +330,6 @@ func (p *Program) costModel() cost.Model {
 		return p.opts.CostModel
 	}
 	return cost.DefaultModel()
-}
-
-// RunProfiled is Run plus the per-lane busy/slack profile.
-//
-// Deprecated: use a Session with WithoutArena and WithProfiling, then
-// Session.Profile after Session.Run.
-func (p *Program) RunProfiled(feeds Env) (Env, *Profile, error) {
-	s := p.NewSession(WithoutArena(), WithProfiling())
-	out, err := s.Run(context.Background(), feeds)
-	return out, s.Profile(), err
 }
 
 // RunSequential executes the program's graph on one goroutine — the

@@ -1,6 +1,7 @@
 package ramiel
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -26,7 +27,7 @@ func TestCompileAndRunSqueezenet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.Run(feeds)
+	got, err := prog.NewSession(WithoutArena()).Run(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestCompilePipelineVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		got, err := prog.Run(feeds)
+		got, err := prog.NewSession(WithoutArena()).Run(context.Background(), feeds)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -131,7 +132,7 @@ func TestHyperclusterEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hp.Run(feeds)
+		got, err := hp.NewSession(WithoutArena()).Run(context.Background(), feeds)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ type SessionOption func(*sessionConfig)
 // instead of creating its own. The session takes exclusive use of it while
 // running; sharing one arena between concurrently-running sessions is a
 // contract violation (see the Arena docs). WithArena(nil) is equivalent to
-// WithoutArena — matching the old RunArena(feeds, nil) heap-path contract.
+// WithoutArena.
 func WithArena(a *Arena) SessionOption {
 	return func(c *sessionConfig) {
 		if a == nil {
@@ -145,16 +145,18 @@ func (s *Session) Arena() *Arena { return s.arena }
 // Program returns the compiled program this session executes.
 func (s *Session) Program() *Program { return s.prog }
 
-// ValidateFeeds checks feeds against the program's declared inputs and
-// returns a single error naming every missing input, every shape mismatch,
-// and every unknown feed name — the same checks a run performs, surfaced
-// before any lane starts so a bad request never becomes a cryptic kernel
-// error. A nil return means a run of these feeds will find all its inputs.
-// The happy path allocates nothing.
-func (p *Program) ValidateFeeds(feeds Env) error {
+// ValidateFeeds checks feeds against g's declared inputs and returns a
+// single error naming every missing input, every shape mismatch, and every
+// unknown feed name — the same checks a run performs, surfaced before any
+// lane starts so a bad request never becomes a cryptic kernel error. It is
+// the one feed validator: sessions apply it to the program they run, the
+// serving layer to the model's graph before a request is admitted or joins
+// a micro-batch. A nil return means a run of these feeds will find all its
+// inputs. The happy path allocates nothing. Failures wrap ErrInvalidFeeds.
+func ValidateFeeds(g *Graph, feeds Env) error {
 	var missing, mismatched []string
 	matched := 0
-	for _, in := range p.Graph.Inputs {
+	for _, in := range g.Inputs {
 		t, ok := feeds[in.Name]
 		if !ok || t == nil {
 			missing = append(missing, in.Name)
@@ -168,8 +170,8 @@ func (p *Program) ValidateFeeds(feeds Env) error {
 	}
 	var unknown []string
 	if len(feeds) > matched {
-		declared := make(map[string]bool, len(p.Graph.Inputs))
-		for _, in := range p.Graph.Inputs {
+		declared := make(map[string]bool, len(g.Inputs))
+		for _, in := range g.Inputs {
 			declared[in.Name] = true
 		}
 		for name := range feeds {
@@ -192,8 +194,11 @@ func (p *Program) ValidateFeeds(feeds Env) error {
 	if len(mismatched) > 0 {
 		parts = append(parts, "shape mismatches: "+strings.Join(mismatched, "; "))
 	}
-	return fmt.Errorf("ramiel: %w for %q: %s", ErrInvalidFeeds, p.Graph.Name, strings.Join(parts, "; "))
+	return fmt.Errorf("ramiel: %w for %q: %s", ErrInvalidFeeds, g.Name, strings.Join(parts, "; "))
 }
+
+// ValidateFeeds is the package-level ValidateFeeds over the program's graph.
+func (p *Program) ValidateFeeds(feeds Env) error { return ValidateFeeds(p.Graph, feeds) }
 
 // CheckFiniteFeeds rejects feeds carrying NaN or ±Inf values. Non-finite
 // inputs propagate silently through the fused kernels and poison every

@@ -27,10 +27,11 @@ func compiledSqueezenet(t testing.TB, img int) (*ramiel.Program, ramiel.Env) {
 	return prog, ramiel.RandomInputs(g, 42)
 }
 
-// TestDeprecatedRunWrappersMatchSession asserts output-equivalence of the
-// old 2×2 run-method matrix against Session.Run — the deprecation contract:
-// the wrappers are thin session shims, not a parallel implementation.
-func TestDeprecatedRunWrappersMatchSession(t *testing.T) {
+// TestSessionArenaOptionsAgree: the allocator is a session option, not a
+// second implementation — the default session-owned arena, a caller-owned
+// arena and the heap path produce the same outputs, and WithArena(nil)
+// means the heap, not a throwaway arena per call.
+func TestSessionArenaOptionsAgree(t *testing.T) {
 	prog, feeds := compiledSqueezenet(t, 16)
 	ctx := context.Background()
 
@@ -38,50 +39,24 @@ func TestDeprecatedRunWrappersMatchSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(name string, got ramiel.Env, err error) {
-		t.Helper()
+	for name, opt := range map[string]ramiel.SessionOption{
+		"WithArena":      ramiel.WithArena(ramiel.NewArena()),
+		"WithoutArena":   ramiel.WithoutArena(),
+		"WithArena(nil)": ramiel.WithArena(nil),
+	} {
+		got, err := prog.NewSession(opt).Run(ctx, feeds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("%s returned %d outputs, session returned %d", name, len(got), len(want))
+			t.Fatalf("%s returned %d outputs, default session returned %d", name, len(got), len(want))
 		}
 		for k, w := range want {
 			if got[k] == nil || !got[k].Equal(w) {
-				t.Errorf("%s: output %q differs from Session.Run", name, k)
+				t.Errorf("%s: output %q differs from the default session", name, k)
 			}
 		}
 	}
-
-	got, err := prog.Run(feeds)
-	check("Run", got, err)
-
-	ar := ramiel.NewArena()
-	got, err = prog.RunArena(feeds, ar)
-	check("RunArena", got, err)
-
-	got, prof, err := prog.RunProfiled(feeds)
-	check("RunProfiled", got, err)
-	if prof == nil || len(prof.Lanes) != prog.NumClusters() {
-		t.Errorf("RunProfiled profile = %+v, want %d lanes", prof, prog.NumClusters())
-	}
-
-	got, prof, err = prog.RunProfiledArena(feeds, ar)
-	check("RunProfiledArena", got, err)
-	if prof == nil || len(prof.Lanes) != prog.NumClusters() {
-		t.Errorf("RunProfiledArena profile = %+v, want %d lanes", prof, prog.NumClusters())
-	}
-
-	// Sessions default to owning an arena; the arena-less session matches
-	// too (same function, different allocator).
-	got, err = prog.NewSession(ramiel.WithoutArena()).Run(ctx, feeds)
-	check("Session(WithoutArena)", got, err)
-
-	// The old Plan.RunArena contract accepted a nil arena as "heap run";
-	// the wrapper (and WithArena(nil)) must preserve that, not silently
-	// fabricate a throwaway arena per call.
-	got, err = prog.RunArena(feeds, nil)
-	check("RunArena(nil)", got, err)
 	if s := prog.NewSession(ramiel.WithArena(nil)); s.Arena() != nil {
 		t.Error("WithArena(nil) created an arena; want heap execution")
 	}
