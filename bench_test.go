@@ -16,8 +16,8 @@ import (
 )
 
 // benchOpts keeps the per-iteration cost of the table regenerators modest:
-// small images, single measurement rep, and a capped IOS DP.
-var benchOpts = bench.Opts{ImageSize: 32, Reps: 1, Cores: 12, IOSBlockCap: 12}
+// small images and a single measurement rep.
+var benchOpts = bench.Opts{ImageSize: 32, Reps: 1, Cores: 12}
 
 // runTable is the common driver: regenerate the table/figure b.N times and
 // report its size so the benchmark has a visible unit of work.
@@ -53,7 +53,6 @@ func BenchmarkFig14SwitchedHyper(b *testing.B)         { runTable(b, bench.Fig14
 func BenchmarkAblationMerge(b *testing.B)          { runTable(b, bench.AblationMerge) }
 func BenchmarkAblationEdgeCost(b *testing.B)       { runTable(b, bench.AblationEdgeCost) }
 func BenchmarkAblationCloneThreshold(b *testing.B) { runTable(b, bench.AblationCloneThreshold) }
-func BenchmarkAblationChanDepth(b *testing.B)      { runTable(b, bench.AblationChanDepth) }
 
 // Micro-benchmarks of the pipeline stages themselves (compile-time story:
 // LC must stay in the milliseconds while IOS explodes).
@@ -79,11 +78,9 @@ func benchCompile(b *testing.B, model string) {
 func BenchmarkIOSCompileSqueezenet(b *testing.B) {
 	g := models.MustBuild("squeezenet", models.Config{ImageSize: 32})
 	m := cost.DefaultModel()
-	opts := sched.DefaultIOSOptions()
-	opts.MaxBlockChains = 12
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sched.IOS(g, m, opts); err != nil {
+		if _, err := sched.IOS(g, m, sched.DefaultIOSOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

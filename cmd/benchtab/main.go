@@ -29,10 +29,9 @@ func main() {
 	img := flag.Int("img", 64, "image size for vision models")
 	reps := flag.Int("reps", 2, "measurement repetitions")
 	cores := flag.Int("cores", 12, "simulated core count")
-	iosCap := flag.Int("ioscap", 16, "IOS exact-DP block-size cap")
 	flag.Parse()
 
-	opts := bench.Opts{ImageSize: *img, Reps: *reps, Cores: *cores, IOSBlockCap: *iosCap}
+	opts := bench.Opts{ImageSize: *img, Reps: *reps, Cores: *cores}
 
 	type job struct {
 		name string
@@ -51,7 +50,6 @@ func main() {
 		{"ablation merge", bench.AblationMerge},
 		{"ablation edge cost", bench.AblationEdgeCost},
 		{"ablation clone threshold", bench.AblationCloneThreshold},
-		{"ablation chan depth", bench.AblationChanDepth},
 	}
 
 	var jobs []job

@@ -110,8 +110,9 @@ func main() {
 	if *timelineOut != "" && !*run {
 		log.Fatal("-timeline needs -run")
 	}
-	if *timelineOut != "" {
-		// Sample every run so the timed run in runAndVerify is captured.
+	if *run {
+		// Sample every run so the timed run in runAndVerify is captured: its
+		// timeline gives the printed slack and the -timeline export.
 		prog.EnableTimeline(1, 4)
 	}
 	did := false
@@ -218,16 +219,15 @@ func printReport(prog *ramiel.Program) {
 		log.Fatal(err)
 	}
 
-	// Static memory plan: liveness-driven buffer reuse and peak forecast
+	// Static memory plan: liveness-driven release schedule and peak forecast
 	// (sizes were recorded during the measurement run above, since shapes
 	// are not statically inferable in this IR).
 	if mp := prog.MemoryPlan(); mp != nil {
 		ms := mp.Summary()
-		fmt.Printf("  memory plan: %d managed values -> %d reuse slots (%d pinned outputs, %d dead)\n",
-			ms.Managed, ms.Slots, ms.Pinned, ms.ZeroUse)
+		fmt.Printf("  memory plan: %d managed values (%d dead on arrival)\n", ms.Managed, ms.ZeroUse)
 		est := mp.EstimateWithScratch(mm.ValueNumel, mm.ScratchNumel)
-		fmt.Printf("  memory estimate: peak live %s, slot arena %s, unreused total %s\n",
-			fmtBytes(est.PeakLiveBytes), fmtBytes(est.SlotBytes), fmtBytes(est.TotalBytes))
+		fmt.Printf("  memory estimate: peak live %s, unreused total %s\n",
+			fmtBytes(est.PeakLiveBytes), fmtBytes(est.TotalBytes))
 		if est.ScratchBytes > 0 {
 			fmt.Printf("  kernel scratch: up to %s per lane (im2col + GEMM packing)\n",
 				fmtBytes(est.ScratchBytes))
@@ -250,43 +250,62 @@ func printReport(prog *ramiel.Program) {
 func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) error {
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(prog.Graph, seed)
-	// One reusable session carries the run configuration (arena, profiling)
-	// across the warm-up and the timed run.
-	sopts := []ramiel.SessionOption{ramiel.WithProfiling()}
-	if !useArena {
-		sopts = append(sopts, ramiel.WithoutArena())
-	}
-	sess := prog.NewSession(sopts...)
-	// Warm both paths untimed so the printed speedup compares steady
-	// states: sequential vs parallel, not cold-start vs warm-arena.
-	if _, err := prog.RunSequential(feeds); err != nil {
-		return err
-	}
-	if _, err := sess.Run(ctx, feeds); err != nil {
-		return err
-	}
-	t0 := time.Now()
 	want, err := prog.RunSequential(feeds)
 	if err != nil {
 		return err
 	}
-	seq := time.Since(t0)
-	t0 = time.Now()
-	got, err := sess.Run(ctx, feeds)
+	// The speedup baseline is the same compiled graph on a one-lane plan,
+	// run through the same Session path (arena, prepacked weights, in-place
+	// ops) as the parallel plan. RunSequential, which runs on the heap and
+	// packs weights on every call, is only the correctness reference.
+	onePlan, err := exec.SequentialPlan(prog.Graph)
 	if err != nil {
 		return err
 	}
-	par := time.Since(t0)
-	prof := sess.Profile()
-	for k, w := range want {
-		if !got[k].AllClose(w, 1e-4, 1e-5) {
-			return fmt.Errorf("output %q differs between parallel and sequential run", k)
-		}
+	onePlan.PrepackWeights()
+	oneLane := &ramiel.Program{Graph: prog.Graph, Plan: onePlan}
+	// Both timed runs record a timeline, so they pay the same recording cost.
+	oneLane.EnableTimeline(1, 1)
+	var sopts []ramiel.SessionOption
+	if !useArena {
+		sopts = append(sopts, ramiel.WithoutArena())
 	}
-	fmt.Printf("  run: sequential %v, parallel %v (%.2fx on this host), outputs verified\n",
+	// timed warms the session untimed, so the printed speedup compares
+	// steady states rather than cold-start vs warm-arena, then times and
+	// verifies one run.
+	timed := func(s *ramiel.Session) (time.Duration, error) {
+		if _, err := s.Run(ctx, feeds); err != nil {
+			return 0, err
+		}
+		t0 := time.Now()
+		got, err := s.Run(ctx, feeds)
+		took := time.Since(t0)
+		if err != nil {
+			return 0, err
+		}
+		for k, w := range want {
+			if !got[k].AllClose(w, 1e-4, 1e-5) {
+				return 0, fmt.Errorf("output %q differs between the compiled plan and the sequential reference", k)
+			}
+		}
+		return took, nil
+	}
+	seq, err := timed(oneLane.NewSession(sopts...))
+	if err != nil {
+		return err
+	}
+	sess := prog.NewSession(sopts...)
+	par, err := timed(sess)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("  run: one lane %v, parallel %v (%.2fx on this host), outputs verified\n",
 		seq.Round(time.Microsecond), par.Round(time.Microsecond), float64(seq)/float64(par))
-	fmt.Printf("  profile: total slack %v across %d lanes\n",
-		prof.TotalSlack().Round(time.Microsecond), len(prof.Lanes))
+	if tl := prog.LastTimeline(); tl != nil {
+		fmt.Printf("  timeline: op time %v, slack (blocked on receives) %v across %d lanes\n",
+			time.Duration(tl.OpTimeNs()).Round(time.Microsecond),
+			time.Duration(tl.WaitTimeNs()).Round(time.Microsecond), tl.Lanes)
+	}
 	if ar := sess.Arena(); ar != nil {
 		st := ar.Stats().Snapshot()
 		hitRate := 0.0

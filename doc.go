@@ -26,9 +26,10 @@
 //
 // A Session bundles the run configuration — by default it owns a tensor
 // arena that recycles intermediate tensors across its runs (steady-state
-// inference allocates nothing per run), and WithProfiling records each
-// run's per-lane busy/slack profile (Session.Profile). Session.Run
-// validates feeds up front (ValidateFeeds) and honors its context:
+// inference allocates nothing per run; WithArena and WithoutArena choose
+// otherwise). What a run did is recorded on the Program, not the Session:
+// its op counters and, when enabled, its sampled timeline (both below).
+// Session.Run validates feeds up front (ValidateFeeds) and honors its context:
 // cancellation and deadlines abort an in-flight run cooperatively between
 // operator kernels, with no goroutine leaks and the arena left reusable.
 //

@@ -35,9 +35,11 @@ func main() {
 
 	// 3. Execute through a Session: one goroutine per cluster, channels
 	//    carry cross-cluster tensors; the session owns a tensor arena that
-	//    recycles intermediates across its runs and records a per-lane
-	//    profile. Verify against the sequential reference.
-	sess := prog.NewSession(ramiel.WithProfiling())
+	//    recycles intermediates across its runs, and the program's timeline
+	//    records where each lane spent the run. Verify against the
+	//    sequential reference.
+	prog.EnableTimeline(1, 1)
+	sess := prog.NewSession()
 	feeds := ramiel.RandomInputs(g, 42)
 	t0 := time.Now()
 	want, err := prog.RunSequential(feeds)
@@ -51,7 +53,6 @@ func main() {
 		log.Fatal(err)
 	}
 	par := time.Since(t0)
-	prof := sess.Profile()
 	for name, w := range want {
 		if !got[name].AllClose(w, 1e-4, 1e-5) {
 			log.Fatalf("output %q differs between parallel and sequential run", name)
@@ -60,5 +61,5 @@ func main() {
 	fmt.Printf("sequential %v, parallel %v — outputs identical\n",
 		seq.Round(time.Microsecond), par.Round(time.Microsecond))
 	fmt.Printf("communication slack across lanes: %v (hyperclustering exists to fill this)\n",
-		prof.TotalSlack().Round(time.Microsecond))
+		time.Duration(prog.LastTimeline().WaitTimeNs()).Round(time.Microsecond))
 }

@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	ramiel "repro"
 	"repro/internal/cost"
@@ -108,31 +106,4 @@ func AblationCloneThreshold(opts Opts) (string, error) {
 
 func cellFmt(clones int, sp float64) string {
 	return fmt.Sprintf("%d clones, %.2fx", clones, sp)
-}
-
-// AblationChanDepth measures real executor wall time across channel buffer
-// depths (DESIGN.md ablation 3). Pure wall-clock: depends on host cores.
-func AblationChanDepth(opts Opts) (string, error) {
-	h := newHarness(opts)
-	t := &tb{}
-	t.title("Ablation — Executor channel buffer depth (wall clock, this host)")
-	t.row("%-13s | %10s %10s %10s", "Model", "depth=1", "depth=4", "depth=16")
-	for _, name := range []string{"squeezenet", "googlenet"} {
-		c, err := h.model(name)
-		if err != nil {
-			return "", err
-		}
-		var cells []string
-		for _, depth := range []int{1, 4, 16} {
-			c.lc.Plan.ChanDepth = depth
-			_, prof, err := c.lc.Plan.Execute(context.Background(), c.feeds, nil)
-			if err != nil {
-				return "", err
-			}
-			cells = append(cells, prof.Wall.Round(10*time.Microsecond).String())
-		}
-		c.lc.Plan.ChanDepth = 1
-		t.row("%-13s | %10s %10s %10s", name, cells[0], cells[1], cells[2])
-	}
-	return t.String(), nil
 }

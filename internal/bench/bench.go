@@ -30,20 +30,17 @@ type Opts struct {
 	Reps int
 	// Cores is the simulated machine's core count (paper: 12).
 	Cores int
-	// IOSBlockCap bounds the IOS dynamic program's exact-DP block size.
-	IOSBlockCap int
 }
 
 // Default returns the options used by cmd/benchtab.
 func Default() Opts {
-	return Opts{ImageSize: 64, Reps: 2, Cores: 12, IOSBlockCap: 16}
+	return Opts{ImageSize: 64, Reps: 2, Cores: 12}
 }
 
 // modelCtx caches everything the tables need per model.
 type modelCtx struct {
-	name  string
-	g     *ramiel.Graph
-	feeds ramiel.Env
+	name string
+	g    *ramiel.Graph
 
 	lc       *ramiel.Program // plain linear clustering
 	lcNoMrg  *ramiel.Program // merge ablation
@@ -77,7 +74,7 @@ func (h *harness) model(name string) (*modelCtx, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &modelCtx{name: name, g: g, feeds: ramiel.RandomInputs(g, 1)}
+	c := &modelCtx{name: name, g: g}
 
 	// The paper's pipeline has no operator-fusion pass; compiling the
 	// table variants WithoutFusion keeps node counts, op granularity and

@@ -250,10 +250,8 @@ func Table8(opts Opts) (string, error) {
 		oursSp := c.measured.TotalMicros() / bestRes.Makespan
 		oursCT := c.best.CompileTime
 
-		iosOpts := sched.DefaultIOSOptions()
-		iosOpts.MaxBlockChains = opts.IOSBlockCap
 		iosStart := time.Now()
-		iosSched, err := sched.IOS(c.lc.Graph, c.measured, iosOpts)
+		iosSched, err := sched.IOS(c.lc.Graph, c.measured, sched.DefaultIOSOptions())
 		if err != nil {
 			return "", err
 		}

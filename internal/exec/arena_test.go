@@ -37,7 +37,7 @@ func TestRunArenaMatchesSequential(t *testing.T) {
 	plan := twoLanePlan(t, g)
 	ar := tensor.NewArena()
 	for i := 0; i < 5; i++ {
-		out, _, err := plan.Execute(context.Background(), feeds, ar)
+		out, err := plan.Execute(context.Background(), feeds, ar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,13 +66,13 @@ func TestRunArenaOutputNotRecycled(t *testing.T) {
 	g, feeds := smallGraph()
 	plan := twoLanePlan(t, g)
 	ar := tensor.NewArena()
-	first, _, err := plan.Execute(context.Background(), feeds, ar)
+	first, err := plan.Execute(context.Background(), feeds, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := append([]float32(nil), first["out"].Data()...)
 	for i := 0; i < 10; i++ {
-		if _, _, err := plan.Execute(context.Background(), feeds, ar); err != nil {
+		if _, err := plan.Execute(context.Background(), feeds, ar); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,13 +89,13 @@ func TestRunArenaSteadyState(t *testing.T) {
 	g, feeds := smallGraph()
 	plan := twoLanePlan(t, g)
 	ar := tensor.NewArena()
-	if _, _, err := plan.Execute(context.Background(), feeds, ar); err != nil {
+	if _, err := plan.Execute(context.Background(), feeds, ar); err != nil {
 		t.Fatal(err)
 	}
 	missesAfterWarm := ar.Stats().Misses.Load()
 	const runs = 20
 	for i := 0; i < runs; i++ {
-		if _, _, err := plan.Execute(context.Background(), feeds, ar); err != nil {
+		if _, err := plan.Execute(context.Background(), feeds, ar); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestRunArenaConcurrentIndependentArenas(t *testing.T) {
 			defer wg.Done()
 			ar := tensor.NewArena() // per-goroutine arena, reused across its runs
 			for j := 0; j < iters; j++ {
-				out, _, err := plan.Execute(context.Background(), feeds, ar)
+				out, err := plan.Execute(context.Background(), feeds, ar)
 				if err != nil {
 					t.Errorf("concurrent arena run: %v", err)
 					return
@@ -160,9 +160,9 @@ func TestRunArenaMixedWithPlainRuns(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		var out Env
 		if i%2 == 0 {
-			out, _, err = plan.Execute(context.Background(), feeds, ar)
+			out, err = plan.Execute(context.Background(), feeds, ar)
 		} else {
-			out, _, err = plan.Execute(context.Background(), feeds, nil)
+			out, err = plan.Execute(context.Background(), feeds, nil)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func TestRunArenaSharedValueAcrossLanes(t *testing.T) {
 	}
 	ar := tensor.NewArena()
 	for i := 0; i < 50; i++ {
-		out, _, err := plan.Execute(context.Background(), feeds, ar)
+		out, err := plan.Execute(context.Background(), feeds, ar)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestExecuteCancelledBeforeStart(t *testing.T) {
 	plan := twoLanePlan(t, g)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := plan.Execute(ctx, feeds, nil); !errors.Is(err, context.Canceled) {
+	if _, err := plan.Execute(ctx, feeds, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("Execute on cancelled ctx = %v, want context.Canceled", err)
 	}
 	if _, err := RunSequentialCtx(ctx, g, feeds); !errors.Is(err, context.Canceled) {
@@ -74,7 +74,7 @@ func TestExecuteCancelMidRun(t *testing.T) {
 			time.Sleep(500 * time.Microsecond)
 			cancel()
 		}()
-		_, _, err := plan.Execute(ctx, feeds, ar)
+		_, err := plan.Execute(ctx, feeds, ar)
 		cancel()
 		switch {
 		case err == nil:
@@ -107,7 +107,7 @@ func TestExecuteCancelMidRun(t *testing.T) {
 
 	// The arena a cancelled run used is reusable: a fresh uncancelled run
 	// on it still produces the reference output.
-	got, _, err := plan.Execute(context.Background(), feeds, ar)
+	got, err := plan.Execute(context.Background(), feeds, ar)
 	if err != nil {
 		t.Fatalf("run after cancellation: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestExecuteDeadlineExpiresMidRun(t *testing.T) {
 	plan, feeds := heavyChain(t, 120, 256)
 	for attempt := 0; attempt < 25; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-		_, _, err := plan.Execute(ctx, feeds, nil)
+		_, err := plan.Execute(ctx, feeds, nil)
 		cancel()
 		if err == nil {
 			continue // run beat the deadline; try again
@@ -155,7 +155,7 @@ func TestExecuteKernelErrorOutranksCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, _, execErr := plan.Execute(ctx, Env{"x": tensor.Zeros(1)}, nil)
+	_, execErr := plan.Execute(ctx, Env{"x": tensor.Zeros(1)}, nil)
 	if execErr == nil || errors.Is(execErr, context.Canceled) {
 		t.Fatalf("kernel failure reported as %v", execErr)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -89,7 +90,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.Execute(context.Background(), feeds, nil)
+	got, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +103,30 @@ func TestParallelProfileCountsMessages(t *testing.T) {
 	g, feeds := smallGraph()
 	ns := g.Nodes
 	plan, _ := NewPlan(g, [][]*graph.Node{{ns[0], ns[1], ns[3]}, {ns[2]}})
-	_, prof, err := plan.Execute(context.Background(), feeds, nil)
-	if err != nil {
+	plan.EnableTimeline(1, 1)
+	if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Lane 1 receives vr and sends vn; lane 0 receives vn.
-	if prof.Lanes[1].Recvs != 1 || prof.Lanes[1].Sends != 1 {
-		t.Errorf("lane1 sends/recvs = %d/%d", prof.Lanes[1].Sends, prof.Lanes[1].Recvs)
+	tl := plan.LastTimeline()
+	if tl == nil {
+		t.Fatal("sampled run left no timeline")
 	}
-	if prof.Lanes[0].Recvs != 1 {
-		t.Errorf("lane0 recvs = %d", prof.Lanes[0].Recvs)
+	var sends, waits [2]int
+	for _, s := range tl.Spans {
+		switch s.Kind {
+		case obs.SpanSend:
+			sends[s.Lane]++
+		case obs.SpanRecvWait:
+			waits[s.Lane]++
+		}
 	}
-	if prof.Wall <= 0 {
-		t.Error("no wall time recorded")
+	// Lane 0 sends vr and receives vn; lane 1 receives vr and sends vn.
+	if sends != [2]int{1, 1} || waits != [2]int{1, 1} {
+		t.Errorf("sends per lane %v, receive waits per lane %v; want [1 1] each", sends, waits)
 	}
-	_ = prof.TotalSlack() // must not panic
+	if tl.WallNs <= 0 || tl.WaitTimeNs() < 0 {
+		t.Errorf("wall %d ns, wait %d ns", tl.WallNs, tl.WaitTimeNs())
+	}
 }
 
 func TestParallelErrorPropagatesWithoutDeadlock(t *testing.T) {
@@ -132,7 +142,7 @@ func TestParallelErrorPropagatesWithoutDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = plan.Execute(context.Background(), Env{"x": tensor.Zeros(3)}, nil)
+	_, err = plan.Execute(context.Background(), Env{"x": tensor.Zeros(3)}, nil)
 	if err == nil {
 		t.Fatal("kernel failure not propagated")
 	}
@@ -151,16 +161,19 @@ func TestNewPlanOrderedRejectsDeadlock(t *testing.T) {
 	g.Outputs = []graph.ValueInfo{{Name: "vd"}}
 	ns := g.Nodes
 	// Lane0: [c, a] — c waits for b (lane1) which waits for a (lane0,
-	// behind c): deadlock.
-	if _, err := NewPlanOrdered(g, [][]*graph.Node{{ns[2], ns[0]}, {ns[1], ns[3]}}); err == nil {
+	// behind c): deadlock. The error names the node each lane is stuck at.
+	_, err := NewPlanOrdered(g, [][]*graph.Node{{ns[2], ns[0]}, {ns[1], ns[3]}})
+	if err == nil {
 		t.Error("deadlocking lane order accepted")
+	} else if !strings.Contains(err.Error(), "deadlock at [c b]") {
+		t.Errorf("error %q does not name the stuck nodes [c b]", err)
 	}
 	// Feasible order accepted and runs.
 	plan, err := NewPlanOrdered(g, [][]*graph.Node{{ns[0], ns[2]}, {ns[1], ns[3]}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := plan.Execute(context.Background(), Env{"x": tensor.FromSlice([]float32{1})}, nil)
+	out, err := plan.Execute(context.Background(), Env{"x": tensor.FromSlice([]float32{1})}, nil)
 	if err != nil || out["vd"] == nil {
 		t.Fatalf("run failed: %v", err)
 	}

@@ -66,7 +66,7 @@ func TestInPlaceArenaRunMatchesSequential(t *testing.T) {
 
 	ar := tensor.NewArena()
 	for run := 0; run < 3; run++ {
-		got, _, err := p.Execute(context.Background(), feeds, ar)
+		got, err := p.Execute(context.Background(), feeds, ar)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestInPlaceReducesArenaTraffic(t *testing.T) {
 			mem.drops = drops
 		}
 		ar := tensor.NewArena()
-		if _, _, err := p.Execute(context.Background(), feeds, ar); err != nil {
+		if _, err := p.Execute(context.Background(), feeds, ar); err != nil {
 			t.Fatal(err)
 		}
 		return ar.Stats().Snapshot().Gets

@@ -20,7 +20,7 @@ func TestPlanOpTotals(t *testing.T) {
 	}
 	const runs = 3
 	for i := 0; i < runs; i++ {
-		if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+		if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func TestPlanOpTotalsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+				if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -26,16 +26,12 @@ import (
 // the serving invariant (compile once, serve many). All routing
 // state shared between runs (lane membership, channel keys, per-node
 // send/receive schedules) is computed once and only read afterwards; each
-// run allocates its own channels and value environments. Mutating Graph,
-// Lanes or ChanDepth after the first Execute is not supported.
+// run allocates its own channels and value environments. Mutating Graph or
+// Lanes after the first Execute is not supported.
 type Plan struct {
 	Graph *graph.Graph
 	// Lanes lists each cluster's nodes in execution order.
 	Lanes [][]*graph.Node
-	// ChanDepth is the buffer depth of cross-lane channels (default 1;
-	// each channel carries exactly one tensor per run, so 1 suffices to
-	// make sends non-blocking).
-	ChanDepth int
 
 	// topo is the per-plan routing structure shared by all runs. It is
 	// built once on first use; building it is also what keeps concurrent
@@ -60,8 +56,8 @@ type Plan struct {
 	// always-on serving analogue of the offline MeasureCosts pass — live
 	// measured per-op costs for /v1/stats and profile-guided
 	// recompilation. Allocated once with the topology (dense node index,
-	// see planTopo.opIdx); the record path is two atomic adds per node on
-	// top of the per-node timing the profile already takes.
+	// see planTopo.opIdx); the record path is one kernel timing and two
+	// atomic adds per node.
 	opCount []atomic.Int64
 	opNs    []atomic.Int64
 
@@ -278,9 +274,10 @@ func (p *Plan) memory() *memState {
 	return p.mem
 }
 
-// MemoryPlan returns the plan's static memory plan (liveness, reuse slots,
-// peak estimates), building it on first use. Nil when the graph defies
-// analysis, which cannot happen for plans built by NewPlan/NewPlanOrdered.
+// MemoryPlan returns the plan's static memory plan (use counts, in-place
+// eligibility, peak estimates), building it on first use. Nil when the
+// graph defies analysis, which cannot happen for plans built by
+// NewPlan/NewPlanOrdered.
 func (p *Plan) MemoryPlan() *memplan.Plan {
 	if m := p.memory(); m != nil {
 		return m.plan
@@ -411,34 +408,14 @@ type message struct {
 	t     *tensor.Tensor
 }
 
-// laneStats accumulates the per-lane profile the paper's "profile
-// database" records: busy time computing vs slack time blocked on receives.
-type laneStats struct {
-	Busy  time.Duration
-	Slack time.Duration
-	Sends int
-	Recvs int
-	// doneOps counts this lane's completed nodes. Written only by the
-	// owning lane goroutine; read after wg.Wait (a happens-before edge),
-	// so no atomics are needed. It feeds the stall diagnostic attached to
-	// cancellation-class failures — see StallError.
-	doneOps int32
-}
-
-// Profile is the execution trace of one parallel run.
-type Profile struct {
-	Lanes []laneStats
-	Wall  time.Duration
-}
-
-// TotalSlack sums blocked-on-receive time across lanes; hyperclustering
-// (Section III-E) exists to fill exactly this.
-func (p *Profile) TotalSlack() time.Duration {
-	var s time.Duration
-	for _, l := range p.Lanes {
-		s += l.Slack
-	}
-	return s
+// laneRun is one lane's outcome of one run: its failure, if any, and how
+// many of its nodes completed — the position the stall diagnostic attached
+// to cancellation-class failures reports (see StallError). Written only by
+// the owning lane goroutine and read after wg.Wait (a happens-before edge),
+// so no atomics are needed.
+type laneRun struct {
+	err  error
+	done int
 }
 
 // NewPlan builds a Plan from cluster node lists, reordering each lane into
@@ -471,7 +448,7 @@ func NewPlan(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	if total != len(g.Nodes) {
 		return nil, fmt.Errorf("exec: lanes cover %d nodes, graph has %d", total, len(g.Nodes))
 	}
-	return &Plan{Graph: g, Lanes: sorted, ChanDepth: 1}, nil
+	return &Plan{Graph: g, Lanes: sorted}, nil
 }
 
 // NewPlanOrdered builds a Plan that preserves the given lane orders exactly
@@ -493,59 +470,13 @@ func NewPlanOrdered(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	if total != len(g.Nodes) {
 		return nil, fmt.Errorf("exec: lanes cover %d nodes, graph has %d", total, len(g.Nodes))
 	}
-	p := &Plan{Graph: g, Lanes: lanes, ChanDepth: 1}
-	if err := p.checkFeasible(); err != nil {
+	// A lane order that stalls a zero-cost simulation would deadlock the
+	// executor, so the plan is rejected.
+	p := &Plan{Graph: g, Lanes: lanes}
+	if _, err := Simulate(p, zeroCost{}); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// checkFeasible runs a zero-cost progress simulation: every lane advances
-// through its order whenever its next node's predecessors have executed.
-// If the system stalls, the executor would deadlock, so the plan is
-// rejected.
-func (p *Plan) checkFeasible() error {
-	done := make(map[*graph.Node]bool, len(p.Graph.Nodes))
-	idx := make([]int, len(p.Lanes))
-	remaining := 0
-	for _, lane := range p.Lanes {
-		remaining += len(lane)
-	}
-	for remaining > 0 {
-		progressed := false
-		for li, lane := range p.Lanes {
-			for idx[li] < len(lane) {
-				n := lane[idx[li]]
-				ready := true
-				for _, pred := range p.Graph.Predecessors(n) {
-					if !done[pred] {
-						ready = false
-						break
-					}
-				}
-				if !ready {
-					break
-				}
-				done[n] = true
-				idx[li]++
-				remaining--
-				progressed = true
-			}
-		}
-		if !progressed {
-			var stuck []string
-			for li, lane := range p.Lanes {
-				if idx[li] < len(lane) {
-					stuck = append(stuck, lane[idx[li]].Name)
-					if len(stuck) >= 4 {
-						break
-					}
-				}
-			}
-			return fmt.Errorf("exec: lane order would deadlock at %v", stuck)
-		}
-	}
-	return nil
 }
 
 func insertionSortByPos(ns []*graph.Node, pos map[*graph.Node]int) {
@@ -559,13 +490,14 @@ func insertionSortByPos(ns []*graph.Node, pos map[*graph.Node]int) {
 // Execute is the plan's one entry point: a parallel run under ctx — one
 // goroutine per lane, a channel per cross-lane (value, consumer-lane) pair,
 // mirroring the paper's Algorithm 4 runtime of queue.put/queue.get message
-// passing between Python processes — returning the graph outputs and the
-// per-lane busy/slack profile.
+// passing between Python processes — returning the graph outputs. What the
+// run did is recorded by the plan's op counters (OpTotals) and, on a
+// sampled run, its timeline (EnableTimeline).
 //
 // With a non-nil ar every kernel output is allocated from the arena and each
 // intermediate's storage goes back to it the moment its statically-known
-// last consumer finishes (the reuse plan of internal/memplan); graph outputs
-// escape to the caller as ordinary heap-owned tensors. Concurrent runs must
+// last consumer finishes (the release schedule of internal/memplan); graph
+// outputs escape to the caller as ordinary heap-owned tensors. Concurrent runs must
 // each pass their own (or a pooled, currently idle) arena; keeping one alive
 // across sequential runs is what makes steady-state inference allocation-
 // free for intermediates. A nil ar runs on the heap.
@@ -580,25 +512,21 @@ func insertionSortByPos(ns []*graph.Node, pos map[*graph.Node]int) {
 // flight when the run aborted are simply dropped to the garbage collector.
 // On cancellation the returned error is ctx.Err() (context.Canceled or
 // context.DeadlineExceeded), unwrapped, so callers can errors.Is it.
-func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *Profile, error) {
+func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	done := ctx.Done()
 	base, err := seedEnv(p.Graph, feeds)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	topo := p.topology()
 	pack := p.prepacked()
-	depth := p.ChanDepth
-	if depth < 1 {
-		depth = 1
-	}
 	// Timeline sampling decision for this run: cap stays nil on the default
 	// path (no recorder, or an unsampled run), and every record site below
 	// is a nil-safe no-op then — the hot loop's zero-allocation contract.
@@ -623,14 +551,15 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 	// One channel per (produced value, consuming lane) pair, freshly
 	// allocated per run so concurrent runs never share messages. The
 	// producer sends once; the consumer receives once and caches it in its
-	// local environment, so multiple local consumers are satisfied.
+	// local environment, so multiple local consumers are satisfied. One
+	// message per channel per run means a one-slot buffer never blocks a
+	// send.
 	chans := make(map[chanKey]chan message, len(topo.keys))
 	for _, key := range topo.keys {
-		chans[key] = make(chan message, depth)
+		chans[key] = make(chan message, 1)
 	}
 
-	profile := &Profile{Lanes: make([]laneStats, len(p.Lanes))}
-	errs := make([]error, len(p.Lanes))
+	runs := make([]laneRun, len(p.Lanes))
 	var (
 		outMu   sync.Mutex
 		outVals = make(Env, len(p.Graph.Outputs))
@@ -640,7 +569,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 	abort := make(chan struct{})
 	var abortOnce sync.Once
 	fail := func(li int, err error) {
-		errs[li] = err
+		runs[li].err = err
 		abortOnce.Do(func() { close(abort) })
 	}
 	var wg sync.WaitGroup
@@ -664,7 +593,6 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 					fail(li, &PanicError{Value: r, Stack: debug.Stack()})
 				}
 			}()
-			stats := &profile.Lanes[li]
 			// Lane-local environment: shared read-only base + local values.
 			env := make(Env, len(lane)*2)
 			for ni, n := range lane {
@@ -694,14 +622,18 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 						fail(li, fmt.Errorf("exec: lane %d: no channel for %q", li, src.name))
 						return
 					}
-					waitStart := time.Now()
+					// Wait time is only recorded into a sampled timeline, so
+					// an unsampled run takes no timestamps here.
+					var waitStart time.Time
+					if rec != nil {
+						waitStart = time.Now()
+					}
 					select {
 					case msg := <-ch:
-						wait := time.Since(waitStart)
-						stats.Slack += wait
-						stats.Recvs++
 						env[msg.value] = msg.t
-						rec.Wait(li, src.from, src.name, waitStart, wait)
+						if rec != nil {
+							rec.Wait(li, src.from, src.name, waitStart, time.Since(waitStart))
+						}
 					case <-abort:
 						return
 					case <-done: // nil (blocks forever) without a cancelable ctx
@@ -716,10 +648,8 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 					return
 				}
 				busy := time.Since(busyStart)
-				stats.Busy += busy
-				// Accumulate the plan's per-node execution counters (the
-				// timing above is already taken for the profile; this adds
-				// two lock-free atomic ops and no allocation).
+				// Accumulate the plan's per-node execution counters: two
+				// lock-free atomic ops and no allocation.
 				idx := topo.opIdx[li][ni]
 				p.opCount[idx].Add(1)
 				p.opNs[idx].Add(int64(busy))
@@ -728,7 +658,6 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 				for _, dst := range topo.outs[n] {
 					for _, cl := range dst.lanes {
 						chans[chanKey{dst.name, cl}] <- message{dst.name, env[dst.name]}
-						stats.Sends++
 						if rec != nil {
 							rec.Send(li, cl, dst.name, time.Now())
 						}
@@ -751,7 +680,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 						}
 					}
 				}
-				stats.doneOps = int32(ni + 1)
+				runs[li].done = ni + 1
 			}
 		}(li, lane)
 	}
@@ -760,8 +689,8 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 	// reason is the root cause even if the caller also gave up waiting.
 	// Pure cancellations surface as the bare ctx error.
 	var runErr error
-	for li, err := range errs {
-		switch {
+	for li, r := range runs {
+		switch err := r.err; {
 		case err == nil:
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			if runErr == nil {
@@ -777,11 +706,11 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 	if runErr != nil {
 		// Cancellation-class aborts carry the stall diagnostic: which op
 		// each unfinished lane was at when the run unwound. This is the
-		// runtime twin of checkFeasible's compile-time stuck list, and it
+		// runtime twin of NewPlanOrdered's compile-time stuck list, and it
 		// rides the error into logs and /v1/trace spans. Allocation happens
 		// only on this already-failed path.
 		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-			if stuck := p.stuckAt(profile); len(stuck) > 0 {
+			if stuck := p.stuckAt(runs); len(stuck) > 0 {
 				runErr = &StallError{Err: runErr, Stuck: stuck}
 			}
 		}
@@ -794,12 +723,11 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 		// A failed sampled run still commits its partial timeline (marked
 		// incomplete): seeing where lanes stopped is diagnostic signal.
 		rec.Commit(time.Since(start), false)
-		return nil, nil, runErr
+		return nil, runErr
 	}
 
-	final := make(Env, len(p.Graph.Outputs))
-	for k, v := range outVals {
-		final[k] = v
+	// Every lane has exited, so outVals is the caller's from here on.
+	for _, v := range outVals {
 		// Node-produced graph outputs escape to the caller: drop them from
 		// the arena's working-set accounting so long-lived arenas report
 		// the real steady-state footprint, not a per-request ratchet.
@@ -808,15 +736,14 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, *
 		}
 	}
 	for _, o := range p.Graph.Outputs {
-		if _, ok := final[o.Name]; !ok {
+		if _, ok := outVals[o.Name]; !ok {
 			if t, ok := base[o.Name]; ok {
-				final[o.Name] = t // output aliased to an input/initializer
+				outVals[o.Name] = t // output aliased to an input/initializer
 				continue
 			}
-			return nil, nil, fmt.Errorf("exec: graph output %q was not produced", o.Name)
+			return nil, fmt.Errorf("exec: graph output %q was not produced", o.Name)
 		}
 	}
-	profile.Wall = time.Since(start)
-	rec.Commit(profile.Wall, true)
-	return final, profile, nil
+	rec.Commit(time.Since(start), true)
+	return outVals, nil
 }

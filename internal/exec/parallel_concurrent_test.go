@@ -40,7 +40,7 @@ func TestPlanRunConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				out, _, err := plan.Execute(context.Background(), feeds, nil)
+				out, err := plan.Execute(context.Background(), feeds, nil)
 				if err != nil {
 					errs <- err
 					return
@@ -59,8 +59,8 @@ func TestPlanRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestPlanRunProfiledConcurrent does the same through the profiled path,
-// which additionally shares the per-plan topology with plain Run.
+// TestPlanRunProfiledConcurrent runs a one-lane plan from many goroutines:
+// the runs share the per-plan topology and op counters.
 func TestPlanRunProfiledConcurrent(t *testing.T) {
 	g, feeds := smallGraph()
 	plan, err := NewPlan(g, [][]*graph.Node{g.Nodes})
@@ -73,7 +73,7 @@ func TestPlanRunProfiledConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+				if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 					t.Error(err)
 					return
 				}

@@ -45,7 +45,7 @@ func TestPlanPrepacksConstantWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.Execute(context.Background(), feeds, nil)
+	got, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPlanPrepacksConstantWeights(t *testing.T) {
 	}
 	// Arena runs share the same packed table.
 	ar := tensor.NewArena()
-	got2, _, err := plan.Execute(context.Background(), feeds, ar)
+	got2, err := plan.Execute(context.Background(), feeds, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestPrepackSkipsFeedableInitializers(t *testing.T) {
 	// And the override actually takes effect.
 	wOverride := r.RandTensor(4, 6)
 	feeds := Env{"x": r.RandTensor(2, 4), "W": wOverride}
-	got, _, err := plan.Execute(context.Background(), feeds, nil)
+	got, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,16 +30,6 @@ func RunSequential(g *graph.Graph, feeds Env) (Env, error) {
 // observed between operator kernels, mirroring the parallel executor's
 // cooperative unwind, and surfaces as the bare ctx error.
 func RunSequentialCtx(ctx context.Context, g *graph.Graph, feeds Env) (Env, error) {
-	env, err := runAllSequential(ctx, g, feeds)
-	if err != nil {
-		return nil, err
-	}
-	return collectOutputs(g, env)
-}
-
-// runAllSequential executes every node in topological order and returns
-// the full value environment.
-func runAllSequential(ctx context.Context, g *graph.Graph, feeds Env) (Env, error) {
 	order, err := g.TopoSort()
 	if err != nil {
 		return nil, err
@@ -56,27 +46,7 @@ func runAllSequential(ctx context.Context, g *graph.Graph, feeds Env) (Env, erro
 			return nil, err
 		}
 	}
-	return env, nil
-}
-
-// ValueSizes executes g sequentially with feeds and records the element
-// count of every node-produced value. Shapes are not statically inferable
-// in this IR, so one reference execution is how the memory planner's peak
-// estimates (memplan.Plan.Estimate) get their sizes.
-func ValueSizes(g *graph.Graph, feeds Env) (map[string]int, error) {
-	env, err := runAllSequential(context.Background(), g, feeds)
-	if err != nil {
-		return nil, err
-	}
-	sizes := make(map[string]int)
-	for _, n := range g.Nodes {
-		for _, out := range n.Outputs {
-			if t, ok := env[out]; ok {
-				sizes[out] = t.Numel()
-			}
-		}
-	}
-	return sizes, nil
+	return collectOutputs(g, env)
 }
 
 // seedEnv builds the initial value environment from initializers + feeds.

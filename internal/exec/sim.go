@@ -63,7 +63,15 @@ func Simulate(p *Plan, m cost.Model) (SimResult, error) {
 			}
 		}
 		if !progressed {
-			return SimResult{}, fmt.Errorf("exec: simulation stalled with %d nodes left (cross-lane cycle in lane order?)", remaining)
+			// Every lane waits on another lane's later node: name the nodes
+			// the lanes are stuck at (up to four).
+			var stuck []string
+			for li, lane := range p.Lanes {
+				if idx[li] < len(lane) && len(stuck) < 4 {
+					stuck = append(stuck, lane[idx[li]].Name)
+				}
+			}
+			return SimResult{}, fmt.Errorf("exec: lane order would deadlock at %v (%d nodes left)", stuck, remaining)
 		}
 	}
 	var makespan float64
@@ -105,5 +113,12 @@ func SequentialPlan(g *graph.Graph) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Graph: g, Lanes: [][]*graph.Node{order}, ChanDepth: 1}, nil
+	return &Plan{Graph: g, Lanes: [][]*graph.Node{order}}, nil
 }
+
+// zeroCost prices every node and message at zero: Simulate under it is the
+// pure progress check NewPlanOrdered uses to reject deadlocking lane orders.
+type zeroCost struct{}
+
+func (zeroCost) NodeCost(*graph.Node) float64 { return 0 }
+func (zeroCost) EdgeCost() float64            { return 0 }

@@ -50,11 +50,11 @@ func (e *StallError) Unwrap() error { return e.Err }
 // stuckAt lists up to four lanes that had not finished their order when the
 // run aborted, each with the node it stopped before. Call only after every
 // lane goroutine has exited (wg.Wait provides the happens-before edge for
-// the unsynchronized doneOps reads).
-func (p *Plan) stuckAt(profile *Profile) []StuckOp {
+// the unsynchronized position reads).
+func (p *Plan) stuckAt(runs []laneRun) []StuckOp {
 	var stuck []StuckOp
 	for li, lane := range p.Lanes {
-		d := int(profile.Lanes[li].doneOps)
+		d := runs[li].done
 		if d >= len(lane) {
 			continue
 		}

@@ -19,7 +19,7 @@ func TestCancelledRunCarriesStallDiagnostic(t *testing.T) {
 			time.Sleep(500 * time.Microsecond)
 			cancel()
 		}()
-		_, _, err := plan.Execute(ctx, feeds, nil)
+		_, err := plan.Execute(ctx, feeds, nil)
 		cancel()
 		if err == nil {
 			continue // run beat the cancel; try again
@@ -54,7 +54,7 @@ func TestDeadlineRunCarriesStallDiagnostic(t *testing.T) {
 	plan, feeds := heavyChain(t, 120, 256)
 	for attempt := 0; attempt < 25; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
-		_, _, err := plan.Execute(ctx, feeds, nil)
+		_, err := plan.Execute(ctx, feeds, nil)
 		cancel()
 		if err == nil {
 			continue
@@ -79,7 +79,7 @@ func TestDeadlineRunCarriesStallDiagnostic(t *testing.T) {
 func TestKernelErrorCarriesNoStallWrap(t *testing.T) {
 	g, feeds := smallGraph()
 	plan := twoLanePlan(t, g)
-	if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+	if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 		t.Fatalf("clean run failed: %v", err)
 	}
 }

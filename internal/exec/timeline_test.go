@@ -16,7 +16,7 @@ func TestPlanTimelineCapture(t *testing.T) {
 	plan := twoLanePlan(t, g)
 	tl := plan.EnableTimeline(1, 4)
 	for i := 0; i < 3; i++ {
-		if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+		if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +65,7 @@ func TestPlanTimelineCapture(t *testing.T) {
 
 	// Off by default elsewhere: a fresh plan records nothing.
 	fresh := twoLanePlan(t, g)
-	if _, _, err := fresh.Execute(context.Background(), feeds, nil); err != nil {
+	if _, err := fresh.Execute(context.Background(), feeds, nil); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.LastTimeline() != nil {
@@ -73,7 +73,7 @@ func TestPlanTimelineCapture(t *testing.T) {
 	}
 	// And DisableTimeline stops sampling.
 	plan.DisableTimeline()
-	if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+	if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tl.Runs() != 3 {
@@ -88,7 +88,7 @@ func TestCriticalPathFromTimeline(t *testing.T) {
 	g, feeds := smallGraph()
 	plan := twoLanePlan(t, g)
 	plan.EnableTimeline(1, 2)
-	if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+	if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := plan.LastTimeline()
@@ -137,7 +137,7 @@ func TestPlanCalibrate(t *testing.T) {
 		t.Fatalf("calibration before any run: %+v", c)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
+		if _, err := plan.Execute(context.Background(), feeds, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,7 +153,7 @@ func TestHyperclusterPlanRunsCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Execute(context.Background(), feeds, nil)
+		got, err := plan.Execute(context.Background(), feeds, nil)
 		if err != nil {
 			t.Fatalf("switched=%v: %v", switched, err)
 		}

@@ -1,9 +1,11 @@
-// Package memplan computes static memory-reuse plans for compiled parallel
+// Package memplan computes static memory plans for compiled parallel
 // programs: given a plan's dataflow graph and cluster lanes, it derives the
 // liveness of every intermediate tensor value (definition point, last
 // consumer across all lanes), seeds the reference counts the executor uses
-// to return dead intermediates to a run's arena, assigns values to reusable
-// buffer slots, and estimates the program's peak tensor memory.
+// to return dead intermediates to a run's arena, proves which nodes may
+// write their output over their first input, and estimates the program's
+// peak tensor memory. Buffer placement is the arena's: the plan assigns no
+// offsets or reuse slots.
 //
 // The plan is the serving-runtime analogue of a TFLite-style arena planner,
 // adapted to Ramiel's compile-once/serve-many contract (see internal/exec's
@@ -36,7 +38,7 @@ const Unmanaged = -1
 // In a parallel execution lanes overlap, so positions order events only
 // per dependency chain; the executor's reference counts — not these
 // positions — decide the actual release moment. The intervals drive the
-// static slot assignment and the peak estimate.
+// peak estimate.
 type Interval struct {
 	Def     int
 	LastUse int
@@ -44,7 +46,7 @@ type Interval struct {
 
 // Plan is the immutable static memory plan of one compiled program.
 type Plan struct {
-	// index maps each managed value name to its dense slot in Uses/Refs
+	// index maps each managed value name to its dense index in uses/live
 	// order. Values absent here are unmanaged.
 	index map[string]int
 	// names is the inverse of index.
@@ -55,17 +57,6 @@ type Plan struct {
 	uses []int32
 	// live[i] is the value's liveness interval.
 	live []Interval
-	// lastConsumer[i] names the last consuming node (empty for zero-use
-	// values).
-	lastConsumer []string
-	// slot[i] is the reuse slot the value maps to: values with disjoint
-	// intervals share a slot.
-	slot []int
-	// slots is the number of distinct reuse slots.
-	slots int
-	// pinned counts produced values excluded from management because they
-	// are graph outputs.
-	pinned int
 	// consumesIn0 names the nodes whose first input is provably dead the
 	// moment the node completes (managed, exactly one consuming occurrence
 	// globally — this node's), and that produce exactly one output. Such a
@@ -105,7 +96,6 @@ func Build(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	for _, n := range order {
 		for _, out := range n.Outputs {
 			if g.IsGraphOutput(out) {
-				p.pinned++
 				continue
 			}
 			if _, dup := p.index[out]; dup {
@@ -117,10 +107,9 @@ func Build(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 		}
 	}
 	p.uses = make([]int32, len(p.names))
-	p.lastConsumer = make([]string, len(p.names))
 
-	// Pass 2: count uses and find last consumers. Duplicate input names on
-	// one node (e.g. Add(x, x)) count once per occurrence, matching the
+	// Pass 2: count uses and find last uses. Duplicate input names on one
+	// node (e.g. Add(x, x)) count once per occurrence, matching the
 	// executor's one-decrement-per-occurrence discipline.
 	for _, n := range order {
 		for _, in := range n.Inputs {
@@ -129,9 +118,8 @@ func Build(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 				continue
 			}
 			p.uses[i]++
-			if pos[n] >= p.live[i].LastUse {
+			if pos[n] > p.live[i].LastUse {
 				p.live[i].LastUse = pos[n]
-				p.lastConsumer[i] = n.Name
 			}
 		}
 	}
@@ -151,7 +139,6 @@ func Build(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 		}
 	}
 
-	p.assignSlots(order, g)
 	return p, nil
 }
 
@@ -160,61 +147,6 @@ func Build(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 // anywhere is this node's single consumption of it, so the buffer is dead
 // the instant the node completes and ownership can transfer to the output.
 func (p *Plan) CanWriteInPlace(node string) bool { return p.consumesIn0[node] }
-
-// assignSlots maps values to reuse slots by linear scan over the schedule:
-// at each node, outputs claim slots while the node's dying inputs release
-// theirs afterwards — outputs and inputs of one node are live
-// simultaneously (the kernel reads the inputs while writing the outputs),
-// so a node's outputs never reuse the slot of its own dying inputs.
-func (p *Plan) assignSlots(order []*graph.Node, g *graph.Graph) {
-	p.slot = make([]int, len(p.names))
-	for i := range p.slot {
-		p.slot[i] = Unmanaged
-	}
-	remaining := append([]int32(nil), p.uses...)
-	var freeSlots []int
-	for _, n := range order {
-		for _, out := range n.Outputs {
-			i, ok := p.index[out]
-			if !ok {
-				continue
-			}
-			if l := len(freeSlots); l > 0 {
-				p.slot[i] = freeSlots[l-1]
-				freeSlots = freeSlots[:l-1]
-			} else {
-				p.slot[i] = p.slots
-				p.slots++
-			}
-		}
-		// Zero-use outputs die immediately after their defining node.
-		for _, out := range n.Outputs {
-			if i, ok := p.index[out]; ok && p.uses[i] == 0 {
-				freeSlots = append(freeSlots, p.slot[i])
-			}
-		}
-		for _, in := range n.Inputs {
-			i, ok := p.index[in]
-			if !ok {
-				continue
-			}
-			remaining[i]--
-			if remaining[i] == 0 {
-				freeSlots = append(freeSlots, p.slot[i])
-			}
-		}
-	}
-}
-
-// SlotOf returns the reuse slot of a value, or Unmanaged for values the
-// executor must not release (graph inputs, initializers, graph outputs).
-func (p *Plan) SlotOf(value string) int {
-	i, ok := p.index[value]
-	if !ok {
-		return Unmanaged
-	}
-	return p.slot[i]
-}
 
 // IndexOf returns the dense managed-value index of a value, or Unmanaged.
 func (p *Plan) IndexOf(value string) int {
@@ -227,14 +159,6 @@ func (p *Plan) IndexOf(value string) int {
 
 // Managed returns the number of managed values.
 func (p *Plan) Managed() int { return len(p.names) }
-
-// Pinned returns the number of produced values excluded from management
-// because they are graph outputs.
-func (p *Plan) Pinned() int { return p.pinned }
-
-// Slots returns the number of distinct reuse slots — the static estimate
-// of how many simultaneously-live intermediate buffers a run needs.
-func (p *Plan) Slots() int { return p.slots }
 
 // InitialRefs returns a fresh copy of the per-value use counts, ready to
 // be decremented by one run of the executor.
@@ -251,16 +175,6 @@ func (p *Plan) UseCount(value string) int {
 	return int(p.uses[i])
 }
 
-// LivenessOf returns the liveness interval and last consumer of a managed
-// value; ok is false for unmanaged values.
-func (p *Plan) LivenessOf(value string) (iv Interval, lastConsumer string, ok bool) {
-	i, found := p.index[value]
-	if !found {
-		return Interval{}, "", false
-	}
-	return p.live[i], p.lastConsumer[i], true
-}
-
 // Estimate is a static memory forecast for one run, in bytes, computed
 // from per-value element counts (4 bytes per element).
 type Estimate struct {
@@ -268,10 +182,6 @@ type Estimate struct {
 	// managed values over the schedule — the lower bound any allocator
 	// needs.
 	PeakLiveBytes int64
-	// SlotBytes sums each reuse slot's largest resident value — the
-	// footprint of a slot-based arena, and a close upper bound on what the
-	// executor's free-list arena holds at steady state.
-	SlotBytes int64
 	// TotalBytes sums every managed value — what a run would allocate with
 	// no reuse at all.
 	TotalBytes int64
@@ -285,10 +195,10 @@ type Estimate struct {
 }
 
 // Estimate computes the forecast from per-value element counts (as
-// produced by exec.ValueSizes). Values missing from sizes count as zero.
+// recorded by exec.MeasureCosts in MeasuredModel.ValueNumel). Values
+// missing from sizes count as zero.
 func (p *Plan) Estimate(sizes map[string]int) Estimate {
 	var e Estimate
-	slotMax := make([]int64, p.slots)
 	// Sweep positions: events ordered by Def; a value is live on [Def,
 	// LastUse]. Peak via prefix sums over position deltas.
 	type delta struct{ pos, bytes int64 }
@@ -296,14 +206,8 @@ func (p *Plan) Estimate(sizes map[string]int) Estimate {
 	for i, name := range p.names {
 		b := 4 * int64(sizes[name])
 		e.TotalBytes += b
-		if s := p.slot[i]; s >= 0 && b > slotMax[s] {
-			slotMax[s] = b
-		}
 		deltas = append(deltas, delta{int64(p.live[i].Def), b})
 		deltas = append(deltas, delta{int64(p.live[i].LastUse) + 1, -b})
-	}
-	for _, m := range slotMax {
-		e.SlotBytes += m
 	}
 	// Positions are small dense ints; accumulate per position.
 	byPos := map[int64]int64{}
@@ -343,14 +247,12 @@ func (p *Plan) EstimateWithScratch(sizes map[string]int, scratch map[string]int)
 // Summary is the compact report of a plan, for logs and CLIs.
 type Summary struct {
 	Managed int `json:"managed_values"`
-	Pinned  int `json:"pinned_values"`
-	Slots   int `json:"slots"`
 	ZeroUse int `json:"zero_use_values"`
 }
 
 // Summary reports the plan's headline numbers.
 func (p *Plan) Summary() Summary {
-	s := Summary{Managed: len(p.names), Pinned: p.pinned, Slots: p.slots}
+	s := Summary{Managed: len(p.names)}
 	for _, u := range p.uses {
 		if u == 0 {
 			s.ZeroUse++

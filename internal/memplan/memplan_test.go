@@ -36,37 +36,24 @@ func TestChainLivenessAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "a" and "b" are managed; "out" is pinned; "in" is a graph input.
+	// "a" and "b" are managed; "out" (the graph output) and "in" (a graph
+	// input) are not.
 	if p.Managed() != 2 {
 		t.Fatalf("managed = %d, want 2", p.Managed())
 	}
-	if p.Pinned() != 1 {
-		t.Fatalf("pinned = %d, want 1 (the graph output)", p.Pinned())
-	}
-	if p.SlotOf("out") != Unmanaged || p.SlotOf("in") != Unmanaged {
+	if p.IndexOf("out") != Unmanaged || p.IndexOf("in") != Unmanaged {
 		t.Fatal("graph input/output must be unmanaged")
 	}
-	iv, last, ok := p.LivenessOf("a")
-	if !ok || last != "B" {
-		t.Fatalf("a: last consumer %q, want B", last)
-	}
-	if iv.Def != 0 || iv.LastUse != 1 {
+	// "a" is defined by A (position 0) and dies at B (position 1).
+	if iv := p.live[p.IndexOf("a")]; iv.Def != 0 || iv.LastUse != 1 {
 		t.Fatalf("a: interval %+v, want [0,1]", iv)
 	}
 	if p.UseCount("a") != 1 || p.UseCount("b") != 1 {
 		t.Fatal("chain values must have one use each")
 	}
-	// "a" dies when B runs, so "b" (defined at B) cannot share its slot —
-	// B's output is claimed while "a" is still live. A 3-node chain still
-	// needs only 2 slots because "a"'s slot frees before C defines "out"
-	// (pinned) ... here there are only two managed values and they overlap
-	// at B, so 2 slots.
-	if p.Slots() != 2 {
-		t.Fatalf("slots = %d, want 2", p.Slots())
-	}
 }
 
-func TestLongChainSlotReuse(t *testing.T) {
+func TestLongChainPeakLive(t *testing.T) {
 	g := graph.New("chain5")
 	g.Inputs = []graph.ValueInfo{{Name: "in"}}
 	g.Outputs = []graph.ValueInfo{{Name: "out"}}
@@ -81,18 +68,13 @@ func TestLongChainSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Four managed values but only two ever live at once (each op's input
-	// and output): the plan must converge to 2 slots, not 4.
+	// and output): the peak is two buffers, not four.
 	if p.Managed() != 4 {
 		t.Fatalf("managed = %d, want 4", p.Managed())
 	}
-	if p.Slots() != 2 {
-		t.Fatalf("slots = %d, want 2 (ping-pong reuse)", p.Slots())
-	}
-	// Disjoint-lifetime values share: v0 dies at position 1, v2 is defined
-	// at position 2.
-	if p.SlotOf("v0") != p.SlotOf("v2") {
-		t.Fatalf("v0 slot %d, v2 slot %d: disjoint lifetimes must share",
-			p.SlotOf("v0"), p.SlotOf("v2"))
+	e := p.Estimate(map[string]int{"v0": 100, "v1": 100, "v2": 100, "v3": 100})
+	if e.TotalBytes != 1600 || e.PeakLiveBytes != 800 {
+		t.Fatalf("total %d, peak %d; want 1600 and 800 (two live buffers)", e.TotalBytes, e.PeakLiveBytes)
 	}
 }
 
@@ -104,9 +86,9 @@ func TestDiamondUseCounts(t *testing.T) {
 	if p.UseCount("a") != 2 {
 		t.Fatalf("a uses = %d, want 2 (B and C)", p.UseCount("a"))
 	}
-	_, last, _ := p.LivenessOf("a")
-	if last != "C" {
-		t.Fatalf("a last consumer = %q, want C (later in topo order)", last)
+	// A, B, C, D take positions 0-3: "a" lives until C, the later consumer.
+	if iv := p.live[p.IndexOf("a")]; iv.LastUse != 2 {
+		t.Fatalf("a last use at %d, want 2 (C, later in topo order)", iv.LastUse)
 	}
 	refs := p.InitialRefs()
 	if len(refs) != 3 {
@@ -149,9 +131,9 @@ func TestZeroUseValue(t *testing.T) {
 	if p.UseCount("dead") != 0 {
 		t.Fatalf("dead uses = %d, want 0", p.UseCount("dead"))
 	}
-	iv, last, ok := p.LivenessOf("dead")
-	if !ok || last != "" || iv.Def != iv.LastUse {
-		t.Fatalf("dead liveness = %+v %q, want dead-on-arrival", iv, last)
+	i := p.IndexOf("dead")
+	if i == Unmanaged || p.live[i].Def != p.live[i].LastUse {
+		t.Fatalf("dead index %d, want a managed dead-on-arrival value", i)
 	}
 	if s := p.Summary(); s.ZeroUse != 1 {
 		t.Fatalf("summary zero-use = %d, want 1", s.ZeroUse)
@@ -182,9 +164,6 @@ func TestEstimate(t *testing.T) {
 	// a and b overlap at node B, both live: peak 800.
 	if e.PeakLiveBytes != 800 {
 		t.Fatalf("peak = %d, want 800", e.PeakLiveBytes)
-	}
-	if e.SlotBytes != 800 {
-		t.Fatalf("slot bytes = %d, want 800 (2 slots x 400)", e.SlotBytes)
 	}
 	if e.ScratchBytes != 0 {
 		t.Fatalf("plain Estimate must not include scratch, got %d", e.ScratchBytes)
@@ -220,40 +199,28 @@ func TestRandomGraphsConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Invariants: every managed value has a slot; slots < managed+1;
-		// refs length matches; pinned + managed == total produced values.
-		produced := 0
+		// Invariants: every produced value is managed unless it is a graph
+		// output; refs length matches; a value's interval is empty exactly
+		// when nothing consumes it.
+		produced, outputs := 0, 0
 		for _, n := range g.Nodes {
 			produced += len(n.Outputs)
+			for _, out := range n.Outputs {
+				if g.IsGraphOutput(out) {
+					outputs++
+				}
+			}
 		}
-		if p.Managed()+p.Pinned() != produced {
-			t.Fatalf("managed %d + pinned %d != produced %d", p.Managed(), p.Pinned(), produced)
-		}
-		if p.Slots() > p.Managed() {
-			t.Fatalf("slots %d > managed %d", p.Slots(), p.Managed())
+		if p.Managed()+outputs != produced {
+			t.Fatalf("managed %d + graph outputs %d != produced %d", p.Managed(), outputs, produced)
 		}
 		if len(p.InitialRefs()) != p.Managed() {
 			t.Fatal("refs length mismatch")
 		}
-		// Slot-sharing values must have disjoint lifetimes.
-		bySlot := map[int][]string{}
-		for _, n := range g.Nodes {
-			for _, out := range n.Outputs {
-				if s := p.SlotOf(out); s != Unmanaged {
-					bySlot[s] = append(bySlot[s], out)
-				}
-			}
-		}
-		for s, names := range bySlot {
-			for i := 0; i < len(names); i++ {
-				for j := i + 1; j < len(names); j++ {
-					a, _, _ := p.LivenessOf(names[i])
-					b, _, _ := p.LivenessOf(names[j])
-					if a.Def <= b.LastUse && b.Def <= a.LastUse {
-						t.Fatalf("slot %d holds overlapping %q %+v and %q %+v",
-							s, names[i], a, names[j], b)
-					}
-				}
+		for i, name := range p.names {
+			iv := p.live[i]
+			if iv.Def > iv.LastUse || (p.uses[i] == 0) != (iv.Def == iv.LastUse) {
+				t.Fatalf("%q: interval %+v with %d uses", name, iv, p.uses[i])
 			}
 		}
 	}

@@ -88,7 +88,7 @@ func (r *RunTimeline) OpTimeNs() int64 {
 }
 
 // WaitTimeNs sums the duration of every recv-wait span — the run's total
-// blocked-on-message time across lanes (the profile's slack).
+// blocked-on-message time across lanes (the run's slack).
 func (r *RunTimeline) WaitTimeNs() int64 {
 	var t int64
 	for _, s := range r.Spans {

@@ -1,9 +1,9 @@
-// Package sched implements the comparison schedulers of the evaluation:
-// an IOS-style dynamic-programming inter-operator scheduler (Ding et al.,
+// Package sched implements the comparison scheduler of the evaluation: an
+// IOS-style dynamic-programming inter-operator scheduler (Ding et al.,
 // MLSys 2021), reproduced in-repo so Table VIII's compile-time-versus-
-// runtime trade-off can be measured, and a classic earliest-finish-time
-// list scheduler. Both consume the same graphs and cost model as the
-// paper's Linear Clustering, and both emit exec-compatible lane plans.
+// runtime trade-off can be measured. It consumes the same graphs and cost
+// model as the paper's Linear Clustering and emits exec-compatible lane
+// plans.
 package sched
 
 import (
@@ -13,74 +13,15 @@ import (
 	"repro/internal/graph"
 )
 
-// chainNode is a contracted linear chain of operator nodes: IOS groups
-// operator sequences, so DP states range over chains instead of single
-// operators, exactly like the original's "operator group" notion.
+// chainNode is a linear chain of operator nodes — one operator, or a run
+// contracted by contractBlock (the original's "operator group" notion);
+// DP states range over chainNodes.
 type chainNode struct {
 	id    int
 	nodes []*graph.Node
 	cost  float64
 	succs []*chainNode
 	preds []*chainNode
-}
-
-// contractChains merges maximal single-in/single-out chains of the graph
-// into chainNodes, returning them in topological order.
-func contractChains(g *graph.Graph, m cost.Model) ([]*chainNode, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	owner := make(map[*graph.Node]*chainNode, len(order))
-	var chains []*chainNode
-	for _, n := range order {
-		// Extend the predecessor's chain when n has exactly one
-		// predecessor which has exactly one successor.
-		preds := g.Predecessors(n)
-		if len(preds) == 1 && len(g.Successors(preds[0])) == 1 {
-			c := owner[preds[0]]
-			c.nodes = append(c.nodes, n)
-			c.cost += m.NodeCost(n)
-			owner[n] = c
-			continue
-		}
-		c := &chainNode{id: len(chains), nodes: []*graph.Node{n}, cost: m.NodeCost(n)}
-		chains = append(chains, c)
-		owner[n] = c
-	}
-	// Wire chain-level adjacency (dedup).
-	for _, c := range chains {
-		seen := map[*chainNode]bool{c: true}
-		last := c.nodes[len(c.nodes)-1]
-		for _, s := range g.Successors(last) {
-			sc := owner[s]
-			if !seen[sc] {
-				seen[sc] = true
-				c.succs = append(c.succs, sc)
-				sc.preds = append(sc.preds, c)
-			}
-		}
-		// Mid-chain nodes can also have extra successors when contraction
-		// grouped through a node with multiple consumers; by construction
-		// they cannot (only single-successor preds were absorbed), except
-		// the last node handled above — but a mid node may feed a node in
-		// another chain if that consumer had multiple preds. Cover it:
-		for _, n := range c.nodes[:len(c.nodes)-1] {
-			for _, s := range g.Successors(n) {
-				sc := owner[s]
-				if sc != c && !seen[sc] {
-					seen[sc] = true
-					c.succs = append(c.succs, sc)
-					sc.preds = append(sc.preds, c)
-				}
-			}
-		}
-	}
-	for _, c := range chains {
-		sort.Slice(c.succs, func(i, j int) bool { return c.succs[i].id < c.succs[j].id })
-		sort.Slice(c.preds, func(i, j int) bool { return c.preds[i].id < c.preds[j].id })
-	}
-	return chains, nil
 }
 
 // blocks splits the chain DAG at synchronization points — chains that every

@@ -14,27 +14,15 @@ type IOSOptions struct {
 	// MaxStageWidth caps how many groups one stage may run in parallel
 	// (the device's core budget in IOS).
 	MaxStageWidth int
-	// MaxBlockChains caps exact-DP block size; larger blocks fall back to
-	// chain contraction and finally width-limited beam expansion, keeping
-	// worst-case compile time bounded.
-	MaxBlockChains int
-	// OperatorGranularity, when true (the default via DefaultIOSOptions),
-	// runs the DP over individual operators like the published IOS rather
-	// than over contracted chains — the source of its compile cost.
-	OperatorGranularity bool
-	// MaxStatesPerBlock caps DP state visits per block before falling back
-	// to the greedy beam (0 = unlimited).
+	// MaxStatesPerBlock caps the DP work per block — memoised states plus
+	// the stage subsets they enumerate — before the block falls back to
+	// the greedy beam (0 = unlimited).
 	MaxStatesPerBlock int
 }
 
 // DefaultIOSOptions mirrors a 12-core target like the paper's Xeon.
 func DefaultIOSOptions() IOSOptions {
-	return IOSOptions{
-		MaxStageWidth:       12,
-		MaxBlockChains:      18,
-		OperatorGranularity: true,
-		MaxStatesPerBlock:   200000,
-	}
+	return IOSOptions{MaxStageWidth: 12, MaxStatesPerBlock: 200000}
 }
 
 // Stage is one step of an IOS schedule: a set of chain groups executed in
@@ -78,34 +66,25 @@ func (s *Schedule) Lanes() [][]*graph.Node {
 	return lanes
 }
 
-// IOS runs the inter-operator-scheduler dynamic program: contract chains,
-// split into blocks, and within each block explore stage decompositions of
-// the ready frontier with memoization, choosing the stage split minimizing
-// total makespan. It reproduces the published algorithm's structure —
-// optimal within its search space, at a compile cost that grows steeply
-// with block width — which is precisely the trade-off Table VIII measures
-// against linear clustering.
+// IOS runs the inter-operator-scheduler dynamic program: split the
+// operator DAG into blocks, and within each block explore stage
+// decompositions of the ready frontier with memoization, choosing the stage
+// split minimizing total makespan. It reproduces the published algorithm's
+// structure — optimal within its search space, at a compile cost that grows
+// steeply with block width — which is precisely the trade-off Table VIII
+// measures against linear clustering.
 func IOS(g *graph.Graph, m cost.Model, opts IOSOptions) (*Schedule, error) {
 	start := time.Now()
 	if opts.MaxStageWidth < 1 {
 		opts.MaxStageWidth = 1
 	}
-	if opts.MaxBlockChains < 2 {
-		opts.MaxBlockChains = 2
-	}
-	var chains []*chainNode
-	var err2 error
-	if opts.OperatorGranularity {
-		chains, err2 = operatorChains(g, m)
-	} else {
-		chains, err2 = contractChains(g, m)
-	}
-	if err2 != nil {
-		return nil, err2
+	chains, err := operatorChains(g, m)
+	if err != nil {
+		return nil, err
 	}
 	sched := &Schedule{}
 	for _, block := range blocks(chains) {
-		stages, states, err := scheduleBlock(block, m, opts)
+		stages, states, err := scheduleBlock(block, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -119,27 +98,20 @@ func IOS(g *graph.Graph, m cost.Model, opts IOSOptions) (*Schedule, error) {
 	return sched, nil
 }
 
-// scheduleBlock runs the exact subset DP when the block is small enough,
-// otherwise a greedy-beam variant over the same transition structure. At
-// operator granularity blocks are counted in operators, so the DP cap
-// admits realistic CNN modules (tens of operators) whose downward-closed
-// state space is what makes IOS expensive.
-func scheduleBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, error) {
-	limit := opts.MaxBlockChains
-	if opts.OperatorGranularity {
-		limit = 62 // bitmask DP bound
+// scheduleBlock runs the exact subset DP over the block's operators, whose
+// downward-closed state space is what makes IOS expensive. A block too wide
+// for the DP's 64-bit state mask has its linear runs contracted (IOS's
+// operator grouping) first; only when even the contracted block is too wide
+// does the greedy beam take over.
+func scheduleBlock(block []*chainNode, opts IOSOptions) ([]Stage, int, error) {
+	const maxDP = 62 // bitmask DP bound
+	if len(block) <= maxDP {
+		return dpBlock(block, opts)
 	}
-	if len(block) <= limit {
-		return dpBlock(block, m, opts)
+	if contracted := contractBlock(block); len(contracted) <= maxDP {
+		return dpBlock(contracted, opts)
 	}
-	// Too wide for the exact operator-level DP: contract linear runs
-	// inside the block (IOS's operator grouping) and retry; only when even
-	// the contracted block is too wide does the greedy beam take over.
-	contracted := contractBlock(block)
-	if len(contracted) < len(block) && len(contracted) <= 62 {
-		return dpBlock(contracted, m, opts)
-	}
-	return beamBlock(block, m, opts)
+	return beamBlock(block, opts)
 }
 
 // contractBlock merges maximal single-successor/single-predecessor runs of
@@ -205,11 +177,11 @@ func contractBlock(block []*chainNode) []*chainNode {
 // dpBlock: state = bitmask of executed chains (downward closed); value =
 // minimal remaining makespan; transition = execute one "stage": any
 // antichain subset of currently ready chains, up to MaxStageWidth groups.
-func dpBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, error) {
+// Every state visit and every enumerated subset counts against the block's
+// work budget; once it is spent the DP stops enumerating and the block
+// falls back to the greedy beam.
+func dpBlock(block []*chainNode, opts IOSOptions) ([]Stage, int, error) {
 	n := len(block)
-	if n > 62 {
-		return beamBlock(block, m, opts)
-	}
 	idx := make(map[*chainNode]int, n)
 	for i, c := range block {
 		idx[c] = i
@@ -226,9 +198,11 @@ func dpBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, e
 	full := uint64(1)<<uint(n) - 1
 	memo := map[uint64]float64{full: 0}
 	choice := map[uint64]uint64{}
-	states := 0
-	budget := opts.MaxStatesPerBlock
-	aborted := false
+	states, work := 0, 0
+	spent := func() bool {
+		work++
+		return opts.MaxStatesPerBlock > 0 && work > opts.MaxStatesPerBlock
+	}
 
 	var solve func(done uint64) float64
 	solve = func(done uint64) float64 {
@@ -236,8 +210,7 @@ func dpBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, e
 			return v
 		}
 		states++
-		if budget > 0 && states > budget {
-			aborted = true
+		if spent() {
 			memo[done] = 0
 			return 0
 		}
@@ -262,6 +235,9 @@ func dpBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, e
 		// mutually independent.
 		limit := 1 << uint(len(ready))
 		for sub := 1; sub < limit; sub++ {
+			if spent() {
+				break // the partial result is discarded below
+			}
 			if popcount(uint(sub)) > opts.MaxStageWidth {
 				continue
 			}
@@ -286,12 +262,12 @@ func dpBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, e
 		return best
 	}
 	solve(0)
-	if aborted {
-		// State budget exhausted: the exact DP is intractable for this
+	if opts.MaxStatesPerBlock > 0 && work > opts.MaxStatesPerBlock {
+		// Work budget exhausted: the exact DP is intractable for this
 		// block (exactly the regime where the published IOS burns its 90
 		// minutes); fall back to the greedy beam, keeping the states
 		// counter as the work record.
-		stages, extra, err := beamBlock(block, m, opts)
+		stages, extra, err := beamBlock(block, opts)
 		return stages, states + extra, err
 	}
 
@@ -321,7 +297,7 @@ func dpBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, e
 // beamBlock handles blocks too wide for exact DP: at each step it takes
 // all ready chains (up to MaxStageWidth, heaviest first) as one stage —
 // the greedy corner of the same search space.
-func beamBlock(block []*chainNode, m cost.Model, opts IOSOptions) ([]Stage, int, error) {
+func beamBlock(block []*chainNode, opts IOSOptions) ([]Stage, int, error) {
 	done := map[*chainNode]bool{}
 	remaining := len(block)
 	inBlock := map[*chainNode]bool{}

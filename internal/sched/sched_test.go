@@ -48,10 +48,11 @@ func itoa(i int) string {
 
 func TestContractChainsMergesLinearRuns(t *testing.T) {
 	g := widePara(3, 4)
-	chains, err := contractChains(g, cost.DefaultModel())
+	ops, err := operatorChains(g, cost.DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
+	chains := contractBlock(ops)
 	// src, 3 branch chains, join = 5 chains.
 	if len(chains) != 5 {
 		t.Fatalf("got %d chains, want 5", len(chains))
@@ -87,7 +88,7 @@ func TestBlocksSplitAtSyncPoints(t *testing.T) {
 	g.AddNode("d", "Conv", []string{"v2"}, []string{"vd"}, nil)
 	g.AddNode("end", "Add", []string{"vc", "vd"}, []string{"out"}, nil)
 	g.Outputs = []graph.ValueInfo{{Name: "out"}}
-	chains, err := contractChains(g, cost.DefaultModel())
+	chains, err := operatorChains(g, cost.DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestIOSLanesExecutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := plan.Execute(context.Background(), feeds, nil)
+	got, err := plan.Execute(context.Background(), feeds, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +184,12 @@ func TestIOSLanesExecutable(t *testing.T) {
 }
 
 func TestIOSBeamFallbackOnWideBlocks(t *testing.T) {
-	g := widePara(25, 1) // one block with 27 chains > MaxBlockChains
+	// One block whose 25 ready operators give the root state 2^25 stage
+	// subsets: the DP spends its work budget and the block falls back to
+	// the greedy beam.
+	g := widePara(25, 1)
 	m := cost.DefaultModel()
-	opts := DefaultIOSOptions()
-	opts.MaxBlockChains = 10
-	sched, err := IOS(g, m, opts)
+	sched, err := IOS(g, m, DefaultIOSOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,45 +219,6 @@ func TestIOSCompileCostGrowsWithWidth(t *testing.T) {
 	if s8.StatesExplored <= s4.StatesExplored*2 {
 		t.Errorf("DP states: width4=%d width8=%d — not superlinear",
 			s4.StatesExplored, s8.StatesExplored)
-	}
-}
-
-func TestListScheduleBasics(t *testing.T) {
-	g := widePara(4, 3)
-	m := cost.DefaultModel()
-	sched, lanes, err := ListSchedule(g, m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Makespan >= cost.GraphCost(g, m) {
-		t.Errorf("list makespan %v not below sequential", sched.Makespan)
-	}
-	total := 0
-	for _, lane := range lanes {
-		total += len(lane)
-	}
-	if total != len(g.Nodes) {
-		t.Errorf("lanes cover %d of %d", total, len(g.Nodes))
-	}
-	plan, err := exec.NewPlan(g, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = plan
-	if _, _, err := ListSchedule(g, m, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
-func TestListScheduleSingleLaneIsSequential(t *testing.T) {
-	g := widePara(3, 2)
-	m := cost.DefaultModel()
-	sched, _, err := ListSchedule(g, m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sched.Makespan != cost.GraphCost(g, m) {
-		t.Errorf("1-lane makespan %v != total %v", sched.Makespan, cost.GraphCost(g, m))
 	}
 }
 

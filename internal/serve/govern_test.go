@@ -394,7 +394,9 @@ func TestGovernanceOffHotPath(t *testing.T) {
 		})
 	}
 	off, on := measure(base), measure(gov)
-	if on > off+0.5 {
+	// Under the race detector sync.Pool drops items at random, so the two
+	// counts differ by chance; the requests above still run under -race.
+	if !raceEnabled && on > off+0.5 {
 		t.Errorf("governance adds allocations to the hot path: %.1f with vs %.1f without", on, off)
 	}
 }

@@ -44,8 +44,6 @@ type (
 	CostModel = cost.Model
 	// Metrics is the potential-parallelism report of Table I.
 	Metrics = cost.Metrics
-	// Profile is a parallel execution trace with per-lane slack.
-	Profile = exec.Profile
 	// SimResult is a simulated-makespan report.
 	SimResult = exec.SimResult
 	// CloneOptions bounds the task-cloning pass.
@@ -238,14 +236,14 @@ func compile(g *Graph, opts Options) (*Program, error) {
 // NumClusters returns the plan's lane count.
 func (p *Program) NumClusters() int { return len(p.Plan.Lanes) }
 
-// MemoryPlan returns the program's static memory plan: per-value liveness,
-// reuse slots, and (via Estimate with exec.ValueSizes) peak-memory
-// forecasts.
+// MemoryPlan returns the program's static memory plan: per-value use
+// counts and liveness, in-place eligibility, and (via MemoryEstimate)
+// peak-memory forecasts.
 func (p *Program) MemoryPlan() *memplan.Plan { return p.Plan.MemoryPlan() }
 
 // MemoryEstimate forecasts the program's peak arena working set for one
-// run: PeakLiveBytes (simultaneously-live intermediates under the static
-// reuse plan) plus ScratchBytes (the largest single-kernel transient, e.g.
+// run: PeakLiveBytes (simultaneously-live intermediates over the static
+// schedule) plus ScratchBytes (the largest single-kernel transient, e.g.
 // an im2col patch matrix). Tensor shapes are not statically inferable, so
 // the sizes come from one deterministic sequential sizing run — the first
 // call costs about one sequential inference; the result is memoized.

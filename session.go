@@ -24,9 +24,8 @@ var ErrInvalidFeeds = errors.New("invalid feeds")
 
 // sessionConfig is the resolved NewSession configuration.
 type sessionConfig struct {
-	arena     *Arena
-	noArena   bool
-	profiling bool
+	arena   *Arena
+	noArena bool
 }
 
 // SessionOption configures NewSession.
@@ -56,43 +55,35 @@ func WithoutArena() SessionOption {
 	return func(c *sessionConfig) { c.noArena = true; c.arena = nil }
 }
 
-// WithProfiling records each run's per-lane busy/slack profile, retrievable
-// via Session.Profile after the run.
-func WithProfiling() SessionOption {
-	return func(c *sessionConfig) { c.profiling = true }
-}
-
 // Session is a reusable execution handle over a compiled Program: it
-// bundles the run configuration — an arena for tensor recycling (on by
-// default) and the profiling toggle — so the execution API is one method,
-// Session.Run, instead of a matrix of Run variants.
+// bundles the run configuration — an arena for tensor recycling, on by
+// default — so the execution API is one method, Session.Run, instead of a
+// matrix of Run variants. What a run did is recorded on the Program: its
+// op counters (OpTotals) and, when enabled, its sampled timeline
+// (EnableTimeline).
 //
-// A Session is a single-goroutine handle: its state (arena free lists, last
-// profile) carries across sequential runs, which is exactly what makes
-// steady-state inference allocation-free, so two goroutines must not share
-// one. Overlapping Run calls are detected and fail with ErrSessionBusy.
-// The Program underneath stays shareable: any number of Sessions may run
-// the same Program concurrently (the serving invariant).
+// A Session is a single-goroutine handle: its state (arena free lists)
+// carries across sequential runs, which is exactly what makes steady-state
+// inference allocation-free, so two goroutines must not share one.
+// Overlapping Run calls are detected and fail with ErrSessionBusy. The
+// Program underneath stays shareable: any number of Sessions may run the
+// same Program concurrently (the serving invariant).
 type Session struct {
-	prog      *Program
-	arena     *Arena
-	profiling bool
+	prog  *Program
+	arena *Arena
 	// running detects concurrent misuse of the single-goroutine handle.
 	running atomic.Bool
-	// lastProfile is only written between running transitions, so plain
-	// access is safe under the single-goroutine contract.
-	lastProfile *Profile
 }
 
 // NewSession creates an execution handle for the program. By default the
 // session owns a fresh arena, so intermediate tensors are recycled across
-// its runs; see WithArena, WithoutArena and WithProfiling.
+// its runs; see WithArena and WithoutArena.
 func (p *Program) NewSession(opts ...SessionOption) *Session {
 	var cfg sessionConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &Session{prog: p, profiling: cfg.profiling}
+	s := &Session{prog: p}
 	switch {
 	case cfg.noArena:
 	case cfg.arena != nil:
@@ -124,19 +115,8 @@ func (s *Session) Run(ctx context.Context, feeds Env) (Env, error) {
 	if err := s.prog.ValidateFeeds(feeds); err != nil {
 		return nil, err
 	}
-	out, prof, err := s.prog.Plan.Execute(ctx, feeds, s.arena)
-	if err != nil {
-		return nil, err
-	}
-	if s.profiling {
-		s.lastProfile = prof
-	}
-	return out, nil
+	return s.prog.Plan.Execute(ctx, feeds, s.arena)
 }
-
-// Profile returns the most recent run's per-lane busy/slack profile, or nil
-// when the session was created without WithProfiling or has not run yet.
-func (s *Session) Profile() *Profile { return s.lastProfile }
 
 // Arena returns the session's arena, or nil when created WithoutArena.
 // Useful for reading its stats; do not pass it to another running session.

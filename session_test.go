@@ -62,33 +62,6 @@ func TestSessionArenaOptionsAgree(t *testing.T) {
 	}
 }
 
-// TestSessionProfileToggle: Profile returns nil without WithProfiling and
-// the last run's lanes with it.
-func TestSessionProfileToggle(t *testing.T) {
-	prog, feeds := compiledSqueezenet(t, 16)
-	ctx := context.Background()
-
-	plain := prog.NewSession()
-	if _, err := plain.Run(ctx, feeds); err != nil {
-		t.Fatal(err)
-	}
-	if plain.Profile() != nil {
-		t.Error("Profile non-nil without WithProfiling")
-	}
-
-	profiled := prog.NewSession(ramiel.WithProfiling())
-	if profiled.Profile() != nil {
-		t.Error("Profile non-nil before first run")
-	}
-	if _, err := profiled.Run(ctx, feeds); err != nil {
-		t.Fatal(err)
-	}
-	prof := profiled.Profile()
-	if prof == nil || len(prof.Lanes) != prog.NumClusters() || prof.Wall <= 0 {
-		t.Errorf("profile after run = %+v, want %d lanes and positive wall", prof, prog.NumClusters())
-	}
-}
-
 // TestValidateFeeds: every class of bad feed is named in one clear error
 // before any lane starts.
 func TestValidateFeeds(t *testing.T) {

@@ -69,8 +69,7 @@ func TestTimelineOffZeroAllocs(t *testing.T) {
 // TestTimelineChromeTraceAcceptance is the PR's acceptance check: the
 // exported trace of a bundled model is valid Chrome trace-event JSON and
 // its per-op durations sum to within 10% of the run's measured execution
-// busy time (the per-lane Busy totals the profiler records for the same
-// run).
+// busy time (the growth of the program's op counters over the same run).
 func TestTimelineChromeTraceAcceptance(t *testing.T) {
 	g, err := ramiel.BuildModel("squeezenet", ramiel.ModelConfig{ImageSize: 16})
 	if err != nil {
@@ -81,20 +80,27 @@ func TestTimelineChromeTraceAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog.EnableTimeline(1, 2)
-	sess := prog.NewSession(ramiel.WithProfiling())
+	sess := prog.NewSession()
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(g, 1)
 	// Warm once so the measured run reuses the arena steady state.
 	if _, err := sess.Run(ctx, feeds); err != nil {
 		t.Fatal(err)
 	}
+	opNs := func() (ns int64) {
+		for _, o := range prog.OpTotals() {
+			ns += o.TotalNs
+		}
+		return ns
+	}
+	before := opNs()
 	if _, err := sess.Run(ctx, feeds); err != nil {
 		t.Fatal(err)
 	}
-	prof := sess.Profile()
+	busy := time.Duration(opNs() - before)
 	tl := prog.LastTimeline()
-	if prof == nil || tl == nil {
-		t.Fatal("missing profile or timeline")
+	if tl == nil {
+		t.Fatal("missing timeline")
 	}
 
 	data, err := tl.ChromeTrace(g.Name)
@@ -135,12 +141,8 @@ func TestTimelineChromeTraceAcceptance(t *testing.T) {
 			opEvents, len(prog.Graph.Nodes))
 	}
 
-	// The profiler's per-lane Busy sums the same kernel timings the
-	// timeline records span-by-span; the two views of the run must agree.
-	var busy time.Duration
-	for _, l := range prof.Lanes {
-		busy += l.Busy
-	}
+	// The op counters accumulate the same kernel timings the timeline
+	// records span-by-span; the two views of the run must agree.
 	opTime := time.Duration(opUs * float64(time.Microsecond))
 	diff := opTime - busy
 	if diff < 0 {
