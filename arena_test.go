@@ -96,7 +96,7 @@ func TestConcurrentArenaRunsShareProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := ramiel.Compile(g, ramiel.WithEagerMemPlan())
+	prog, err := ramiel.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}

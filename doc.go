@@ -20,8 +20,8 @@
 //	outs, _ := sess.Run(ctx, ramiel.RandomInputs(g, 42))
 //
 // Compile takes functional options (WithPrune, WithClone, WithCostModel,
-// WithEagerMemPlan, WithoutMerge, WithoutFusion — operator fusion is on by
-// default); CompileWithOptions accepts the same configuration as an
+// WithoutMerge, WithoutFusion — operator fusion is on by default);
+// CompileWithOptions accepts the same configuration as an
 // Options struct for callers that carry it as data.
 //
 // A Session bundles the run configuration — by default it owns a tensor

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cost"
-	"repro/internal/obs"
+	"repro/internal/graph"
 )
 
 // OpCalibration is one operator type's row of a calibration report: how the
@@ -80,7 +80,6 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 	if m == nil {
 		m = cost.DefaultModel()
 	}
-	topo := p.topology()
 	type nodeMeas struct {
 		meanUs float64
 		wt     float64
@@ -92,12 +91,7 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		sumUs  float64
 		sumWt  float64
 	)
-	for i, n := range topo.opNodes {
-		c := p.opCount[i].Load()
-		if c == 0 {
-			continue
-		}
-		ns := p.opNs[i].Load()
+	p.eachOp(func(n *graph.Node, c, ns int64) {
 		meanUs := float64(ns) / float64(c) / 1e3
 		if meanUs < 0.05 {
 			meanUs = 0.05 // same floor as MeasureCosts: dispatch is never free
@@ -117,7 +111,7 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		oc.TotalNs += ns
 		oc.MeanUs += meanUs // per-node mean sum, replaced by the true mean below
 		oc.StaticWt += wt   // per-node weight sum, likewise
-	}
+	})
 	if len(nodes) == 0 {
 		return nil
 	}
@@ -220,37 +214,4 @@ func ranks(v []float64) []float64 {
 		i = j + 1
 	}
 	return r
-}
-
-// TimelineOpTotals aggregates one sampled run's op spans by operator type —
-// the single-run analogue of the plan's lifetime OpTotals, for reports that
-// want "this run" rather than "since compile".
-func TimelineOpTotals(r *obs.RunTimeline, opOf func(node string) string) []obs.OpTotal {
-	if r == nil {
-		return nil
-	}
-	agg := map[string]obs.OpTotal{}
-	for _, s := range r.Spans {
-		if s.Kind != obs.SpanOp {
-			continue
-		}
-		op := s.Op
-		if op == "" && opOf != nil {
-			op = opOf(s.Name)
-		}
-		t := agg[op]
-		t.Op = op
-		t.Count++
-		t.TotalNs += s.DurNs
-		agg[op] = t
-	}
-	if len(agg) == 0 {
-		return nil
-	}
-	out := make([]obs.OpTotal, 0, len(agg))
-	for _, t := range agg {
-		out = append(out, t)
-	}
-	obs.SortOpTotals(out)
-	return out
 }

@@ -58,7 +58,6 @@ func (p *Plan) CriticalPathFromTimeline(r *obs.RunTimeline, m cost.Model) (*Crit
 	if m == nil {
 		m = cost.DefaultModel()
 	}
-	topo := p.topology()
 	// Index the run's op spans by node, and link each to its lane
 	// predecessor. Spans arrive grouped by lane in per-lane time order.
 	type spanAt struct {
@@ -66,11 +65,13 @@ func (p *Plan) CriticalPathFromTimeline(r *obs.RunTimeline, m cost.Model) (*Crit
 		node     *graph.Node
 		lanePrev *graph.Node
 	}
-	nodeByName := make(map[string]*graph.Node, len(topo.opNodes))
-	for _, n := range topo.opNodes {
-		nodeByName[n.Name] = n
+	nodeByName := make(map[string]*graph.Node, len(p.Graph.Nodes))
+	for _, lane := range p.Lanes {
+		for _, n := range lane {
+			nodeByName[n.Name] = n
+		}
 	}
-	at := make(map[*graph.Node]*spanAt, len(topo.opNodes))
+	at := make(map[*graph.Node]*spanAt, len(nodeByName))
 	lastOnLane := make(map[int32]*graph.Node, r.Lanes)
 	var end *spanAt
 	for _, s := range r.Spans {

@@ -48,13 +48,9 @@ func TestInPlaceArenaRunMatchesSequential(t *testing.T) {
 	}
 
 	p := planFor(t, g)
-	mem := p.memory()
-	if mem == nil {
-		t.Fatal("no memory state")
-	}
 	marked := 0
-	for _, on := range mem.inplace {
-		if on {
+	for i := range p.table().lanes[0] {
+		if p.table().lanes[0][i].inplace {
 			marked++
 		}
 	}
@@ -101,28 +97,14 @@ func TestInPlaceReducesArenaTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if disableInPlace {
-			mem := p.memory()
-			rebuilt := make(map[*graph.Node]bool, len(mem.inplace))
-			drops := make(map[*graph.Node][]memDrop, len(mem.drops))
-			for n, ds := range mem.drops {
-				drops[n] = ds
-			}
-			for _, lane := range p.Lanes {
-				for _, n := range lane {
-					if !mem.inplace[n] {
-						continue
-					}
-					rebuilt[n] = false
-					// Restore the drop the in-place schedule elided.
-					if i := mem.plan.IndexOf(n.Inputs[0]); i >= 0 {
-						drops[n] = append([]memDrop{{i, n.Inputs[0]}}, drops[n]...)
-					}
+			steps := p.table().lanes[0]
+			for i := range steps {
+				if s := &steps[i]; s.inplace {
+					// Restore the release the in-place schedule elided.
+					s.inplace = false
+					s.release = append([]int32{s.in[0]}, s.release...)
 				}
 			}
-			for n := range rebuilt {
-				mem.inplace[n] = false
-			}
-			mem.drops = drops
 		}
 		ar := tensor.NewArena()
 		if _, err := p.Execute(context.Background(), feeds, ar); err != nil {

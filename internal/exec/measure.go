@@ -123,7 +123,7 @@ func MeasureCostsCtx(ctx context.Context, g *graph.Graph, feeds Env, reps int, e
 				}
 			}
 			t0 := time.Now()
-			if err := evalNode(g, n, env, nil, nil, false); err != nil {
+			if err := evalNode(n, env); err != nil {
 				return nil, fmt.Errorf("exec: measuring %s: %w", n.Name, err)
 			}
 			acc[n.Name] += float64(time.Since(t0)) / float64(time.Microsecond)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,43 +24,25 @@ import (
 //
 // Concurrency contract: once built, a Plan is immutable and Execute may be
 // called from any number of goroutines simultaneously on the same Plan —
-// the serving invariant (compile once, serve many). All routing
-// state shared between runs (lane membership, channel keys, per-node
-// send/receive schedules) is computed once and only read afterwards; each
-// run allocates its own channels and value environments. Mutating Graph or
-// Lanes after the first Execute is not supported.
+// the serving invariant (compile once, serve many). Everything a run needs
+// that depends only on the plan (value slots, per-lane steps, hand-offs,
+// the release schedule) lives in the run table, built once on first use
+// and only read afterwards; each run owns its frame, ready channels and
+// reference counts. Mutating Graph or Lanes after the first Execute is not
+// supported.
 type Plan struct {
 	Graph *graph.Graph
 	// Lanes lists each cluster's nodes in execution order.
 	Lanes [][]*graph.Node
 
-	// topo is the per-plan routing structure shared by all runs. It is
-	// built once on first use; building it is also what keeps concurrent
-	// runs off the Graph's lazily-built producer/consumer indexes.
-	topoOnce sync.Once
-	topo     *planTopo
-
-	// mem is the static memory plan plus per-node release schedule, built
-	// once like topo and consulted only by arena-backed runs.
-	memOnce sync.Once
-	mem     *memState
+	tableOnce sync.Once
+	tbl       *runTable
 
 	// pack is the compile-time-packed constant-weight table (ops.Prepacked
-	// per GEMM-shaped node with constant operands), built once like topo;
-	// every run reuses the same packed panels.
+	// per GEMM-shaped node with constant operands), built once — by Compile,
+	// or else with the run table; every run reuses the same packed panels.
 	packOnce sync.Once
 	pack     map[*graph.Node]*ops.Prepacked
-
-	// opCount/opNs are the plan's per-node execution counters: kernel
-	// invocations and cumulative kernel nanoseconds, accumulated across
-	// every run of the plan for the lifetime of the plan. They are the
-	// always-on serving analogue of the offline MeasureCosts pass — live
-	// measured per-op costs for /v1/stats and profile-guided
-	// recompilation. Allocated once with the topology (dense node index,
-	// see planTopo.opIdx); the record path is one kernel timing and two
-	// atomic adds per node.
-	opCount []atomic.Int64
-	opNs    []atomic.Int64
 
 	// tl is the plan's optional execution-timeline flight recorder (see
 	// EnableTimeline): when set, one run in N is sampled into per-op spans
@@ -92,198 +75,176 @@ func (p *Plan) Timeline() *obs.Timeline { return p.tl.Load() }
 // recording is disabled or nothing has been sampled yet.
 func (p *Plan) LastTimeline() *obs.RunTimeline { return p.tl.Load().Last() }
 
-// chanKey identifies one cross-lane channel: a produced value and the lane
-// consuming it.
-type chanKey struct {
-	value string
-	lane  int
+// runTable is the run-invariant half of Execute, the static routing of the
+// paper's Algorithm 4: every value name is a dense slot, and every lane is a
+// list of steps that name their inputs, outputs, cross-lane hand-offs and
+// arena releases by slot. It is built once per plan on first use and only
+// read afterwards (apart from the steps' op counters); a run copies the
+// template into its own frame and walks its lane's steps without a single
+// name or node lookup.
+type runTable struct {
+	// names maps each slot back to its value name (timeline records and
+	// error text).
+	names []string
+	// template holds one entry per slot with every referenced initializer
+	// already in place; each run starts from a copy of it.
+	template []*tensor.Tensor
+	// inputs and outputs are the slots of Graph.Inputs and Graph.Outputs,
+	// by position. escapes marks the outputs a node produces: they leave
+	// the run's arena accounting when the run hands them to the caller.
+	inputs, outputs []int32
+	escapes         []bool
+	// refs seeds an arena run's per-slot reference counts: a managed
+	// value's use count from the memory plan, or 1 for a zero-use value its
+	// producer releases, so every managed value is released by exactly one
+	// code path; 0 for unmanaged slots. Nil when the graph defies memory
+	// analysis — arena runs then allocate from the arena but never recycle.
+	refs []int32
+	mem  *memplan.Plan
+	// cross lists the slots of the cross-lane values: a run makes one ready
+	// channel per value, closed by its producer and waited on by every
+	// consuming lane.
+	cross []int32
+	// width is the longest input list of any node: each lane's per-run
+	// input scratch.
+	width int
+	lanes [][]step
 }
 
-// inputSrc describes where one node input comes from at run time. Inputs
-// produced earlier in the node's own lane need no action (evalNode finds
-// them in the lane environment) and are omitted.
-type inputSrc struct {
-	name string
-	// remote: receive from the producing lane's channel. Otherwise the
-	// value is a graph input or initializer, bound from the run's base
-	// environment.
-	remote bool
-	// from is the producing lane of a remote input (wait-span attribution
-	// for the timeline recorder); 0 and meaningless when remote is false.
+// step is one node's entry in its lane's run schedule.
+type step struct {
+	node    *graph.Node
+	in, out []int32
+	// wait lists the cross-lane inputs this lane first reads at this step;
+	// publish lists this node's outputs that other lanes read.
+	wait, publish []handoff
+	// release lists the slots whose reference count drops when the node
+	// completes: one per managed input occurrence, plus one per zero-use
+	// output. An in-place node's first input is absent — its buffer lives
+	// on as the output and is released when the output dies.
+	release []int32
+	pack    *ops.Prepacked
+	// inplace marks nodes executed via ops.RunInPlace on arena runs: the
+	// memory plan proves their first input dies with them
+	// (memplan.CanWriteInPlace) and the kernel layer has an in-place path
+	// (ops.CanRunInPlace).
+	inplace bool
+	// calls/ns are the plan's always-on execution counters for this node:
+	// kernel invocations and cumulative kernel nanoseconds across every run
+	// of the plan — the live analogue of the offline MeasureCosts pass,
+	// read by OpTotals and Calibrate.
+	calls, ns atomic.Int64
+}
+
+// handoff is one cross-lane value at one end of its transfer: the value's
+// slot, the producing lane (wait side) and the consuming lanes (publish
+// side).
+type handoff struct {
+	slot int32
 	from int
+	to   []int
 }
 
-// outputDst describes what to do with one node output beyond storing it in
-// the lane environment: the remote lanes to send it to and whether it is a
-// graph output to capture.
-type outputDst struct {
-	name        string
-	lanes       []int
-	graphOutput bool
+// table returns the plan's run table, building it on first use; building
+// it is also what keeps concurrent runs off the Graph's lazily-built
+// producer/consumer indexes.
+func (p *Plan) table() *runTable {
+	p.tableOnce.Do(p.buildTable)
+	return p.tbl
 }
 
-// planTopo is the run-invariant routing structure of a Plan: everything a
-// run needs that depends only on the plan itself. Hoisting it makes
-// Plan.Execute cheap to call per request and safe to call concurrently (the
-// graph's lazy indexes are only touched here, under the plan's once guard).
-type planTopo struct {
-	laneOf map[*graph.Node]int
-	// keys lists every cross-lane channel a run must allocate.
-	keys []chanKey
-	// ins/outs give each node its receive and send schedule. Nodes with
-	// nothing to do are absent.
-	ins  map[*graph.Node][]inputSrc
-	outs map[*graph.Node][]outputDst
-	// opIdx gives each node (by lane and lane position) its dense index
-	// into the plan's op counters, and opNodes maps that index back to the
-	// node — precomputed so the lane hot loop records without a map lookup.
-	opIdx   [][]int32
-	opNodes []*graph.Node
-}
-
-// topology returns the plan's routing structure, building it on first use.
-func (p *Plan) topology() *planTopo {
-	p.topoOnce.Do(func() {
-		t := &planTopo{
-			laneOf: make(map[*graph.Node]int, len(p.Graph.Nodes)),
-			ins:    map[*graph.Node][]inputSrc{},
-			outs:   map[*graph.Node][]outputDst{},
+func (p *Plan) buildTable() {
+	g := p.Graph
+	// A graph the memory planner cannot analyze (never one NewPlan has
+	// validated) still runs: with a nil plan nothing is released or run in
+	// place, so the error has no other use.
+	mp, _ := memplan.Build(g, p.Lanes)
+	rt := &runTable{lanes: make([][]step, len(p.Lanes)), mem: mp}
+	slotOf := map[string]int32{}
+	slot := func(name string) int32 {
+		s, ok := slotOf[name]
+		if !ok {
+			s = int32(len(rt.names))
+			slotOf[name] = s
+			rt.names = append(rt.names, name)
 		}
-		t.opIdx = make([][]int32, len(p.Lanes))
-		for li, lane := range p.Lanes {
-			t.opIdx[li] = make([]int32, len(lane))
-			for ni, n := range lane {
-				t.laneOf[n] = li
-				t.opIdx[li][ni] = int32(len(t.opNodes))
-				t.opNodes = append(t.opNodes, n)
+		return s
+	}
+	laneOf := make(map[*graph.Node]int, len(g.Nodes))
+	for li, lane := range p.Lanes {
+		for _, n := range lane {
+			laneOf[n] = li
+		}
+	}
+	managed := func(name string) bool { return mp != nil && mp.IndexOf(name) != memplan.Unmanaged }
+	pack := p.prepacked()
+
+	for _, in := range g.Inputs {
+		rt.inputs = append(rt.inputs, slot(in.Name))
+	}
+	for li, lane := range p.Lanes {
+		steps := make([]step, len(lane))
+		waited := map[int32]bool{}
+		for ni, n := range lane {
+			s := &steps[ni]
+			s.node, s.pack = n, pack[n]
+			s.inplace = mp != nil && ops.CanRunInPlace(n.OpType) && mp.CanWriteInPlace(n.Name)
+			rt.width = max(rt.width, len(n.Inputs))
+			for ii, in := range n.Inputs {
+				sl := slot(in)
+				s.in = append(s.in, sl)
+				if prod := g.Producer(in); prod != nil && laneOf[prod] != li && !waited[sl] {
+					waited[sl] = true
+					s.wait = append(s.wait, handoff{slot: sl, from: laneOf[prod]})
+				}
+				if managed(in) && !(s.inplace && ii == 0) {
+					s.release = append(s.release, sl)
+				}
 			}
-		}
-		p.opCount = make([]atomic.Int64, len(t.opNodes))
-		p.opNs = make([]atomic.Int64, len(t.opNodes))
-		seenKey := map[chanKey]bool{}
-		for li, lane := range p.Lanes {
-			for _, n := range lane {
-				for _, in := range n.Inputs {
-					prod := p.Graph.Producer(in)
-					switch {
-					case prod == nil:
-						// Graph input or initializer: bind from base env.
-						t.ins[n] = append(t.ins[n], inputSrc{name: in})
-					case t.laneOf[prod] != li:
-						t.ins[n] = append(t.ins[n], inputSrc{name: in, remote: true, from: t.laneOf[prod]})
-						key := chanKey{in, li}
-						if !seenKey[key] {
-							seenKey[key] = true
-							t.keys = append(t.keys, key)
-						}
+			for _, out := range n.Outputs {
+				sl := slot(out)
+				s.out = append(s.out, sl)
+				h := handoff{slot: sl}
+				for _, c := range g.Consumers(out) {
+					if cl := laneOf[c]; cl != li && !slices.Contains(h.to, cl) {
+						h.to = append(h.to, cl)
 					}
 				}
-				for _, outName := range n.Outputs {
-					dst := outputDst{name: outName, graphOutput: p.Graph.IsGraphOutput(outName)}
-					sentTo := map[int]bool{}
-					for _, c := range p.Graph.Consumers(outName) {
-						if cl := t.laneOf[c]; cl != li && !sentTo[cl] {
-							sentTo[cl] = true
-							dst.lanes = append(dst.lanes, cl)
-						}
-					}
-					if len(dst.lanes) > 0 || dst.graphOutput {
-						t.outs[n] = append(t.outs[n], dst)
-					}
+				if len(h.to) > 0 {
+					s.publish = append(s.publish, h)
+					rt.cross = append(rt.cross, sl)
+				}
+				if managed(out) && mp.UseCount(out) == 0 {
+					s.release = append(s.release, sl)
 				}
 			}
 		}
-		p.topo = t
-	})
-	return p.topo
-}
+		rt.lanes[li] = steps
+	}
+	for i, o := range g.Outputs {
+		rt.outputs = append(rt.outputs, slot(o.Name))
+		first := !slices.Contains(rt.outputs[:i], rt.outputs[i])
+		rt.escapes = append(rt.escapes, first && g.Producer(o.Name) != nil)
+	}
 
-// memDrop is one reference-count decrement owed when a node completes: the
-// managed value's dense index in the run's refs array, and its name (to
-// find the tensor in the completing lane's environment).
-type memDrop struct {
-	idx   int
-	value string
-}
-
-// memState is the run-invariant arena-release schedule derived from the
-// static memory plan (internal/memplan): per node, which managed values
-// lose a reference when that node finishes. Like planTopo it is computed
-// once per plan and only read afterwards; each run owns a mutable copy of
-// refs0.
-type memState struct {
-	plan *memplan.Plan
-	// refs0 seeds each run's reference counts. Zero-use values are seeded
-	// with 1 and dropped by their own producer, so every managed value is
-	// released by exactly one code path.
-	refs0 []int32
-	// drops lists the decrements owed at each node's completion: one per
-	// managed input occurrence, plus one per zero-use output.
-	drops map[*graph.Node][]memDrop
-	// inplace marks nodes executed via ops.RunInPlace: the memory plan
-	// proves their first input dies with them (memplan.CanWriteInPlace)
-	// and the kernel layer has an in-place path (ops.CanRunInPlace). The
-	// input buffer's ownership transfers to the output, so no drop is
-	// scheduled for it — it is released when the output dies.
-	inplace map[*graph.Node]bool
-}
-
-// memory returns the plan's release schedule, building it on first use.
-// A nil result (analysis failure) disables releasing; arena runs then
-// still allocate from the arena but never recycle — safe, just slower.
-// NewPlan-validated plans always analyze cleanly.
-func (p *Plan) memory() *memState {
-	p.memOnce.Do(func() {
-		mp, err := memplan.Build(p.Graph, p.Lanes)
-		if err != nil {
-			return
+	rt.template = make([]*tensor.Tensor, len(rt.names))
+	if mp != nil {
+		rt.refs = make([]int32, len(rt.names))
+	}
+	for s, name := range rt.names {
+		rt.template[s] = g.Initializers[name]
+		if managed(name) {
+			rt.refs[s] = int32(max(mp.UseCount(name), 1))
 		}
-		m := &memState{
-			plan:    mp,
-			refs0:   mp.InitialRefs(),
-			drops:   make(map[*graph.Node][]memDrop, len(p.Graph.Nodes)),
-			inplace: make(map[*graph.Node]bool),
-		}
-		for _, lane := range p.Lanes {
-			for _, n := range lane {
-				// In-place execution needs both the liveness proof and a
-				// kernel path. It composes with the prepack table: a
-				// FusedElementwise node with a decoded stage program runs
-				// via ops.RunPrepackedInPlace (weight-packed ops are never
-				// in-place capable).
-				inplace := ops.CanRunInPlace(n.OpType) && mp.CanWriteInPlace(n.Name)
-				m.inplace[n] = inplace
-				for ii, in := range n.Inputs {
-					if inplace && ii == 0 {
-						continue // ownership transfers to the output
-					}
-					if i := mp.IndexOf(in); i >= 0 {
-						m.drops[n] = append(m.drops[n], memDrop{i, in})
-					}
-				}
-				for _, out := range n.Outputs {
-					if i := mp.IndexOf(out); i >= 0 && mp.UseCount(out) == 0 {
-						m.refs0[i] = 1
-						m.drops[n] = append(m.drops[n], memDrop{i, out})
-					}
-				}
-			}
-		}
-		p.mem = m
-	})
-	return p.mem
+	}
+	p.tbl = rt
 }
 
 // MemoryPlan returns the plan's static memory plan (use counts, in-place
-// eligibility, peak estimates), building it on first use. Nil when the
-// graph defies analysis, which cannot happen for plans built by
+// eligibility, peak estimates), building the run table on first use. Nil
+// when the graph defies analysis, which cannot happen for plans built by
 // NewPlan/NewPlanOrdered.
-func (p *Plan) MemoryPlan() *memplan.Plan {
-	if m := p.memory(); m != nil {
-		return m.plan
-	}
-	return nil
-}
+func (p *Plan) MemoryPlan() *memplan.Plan { return p.table().mem }
 
 // packKey identifies one distinct packing: the weight tensor plus the
 // attributes that shape its packed layout. Hyperclustered graphs
@@ -316,14 +277,12 @@ func (p *Plan) prepacked() map[*graph.Node]*ops.Prepacked {
 				continue
 			}
 			constIn := make([]*tensor.Tensor, len(n.Inputs))
-			any := false
 			for i, name := range n.Inputs {
 				if t := p.Graph.Initializers[name]; t != nil && !p.Graph.IsGraphInput(name) {
 					constIn[i] = t
-					any = true
 				}
 			}
-			if !any || len(constIn) < 2 || constIn[1] == nil {
+			if len(constIn) < 2 || constIn[1] == nil {
 				continue
 			}
 			key := packKey{
@@ -378,19 +337,14 @@ func (p *Plan) PrepackWeights() (nodes int, bytes int64) {
 // Safe to call concurrently with runs; a snapshot racing active lanes may
 // miss their in-flight nodes.
 func (p *Plan) OpTotals() []obs.OpTotal {
-	topo := p.topology()
 	agg := make(map[string]obs.OpTotal)
-	for i, n := range topo.opNodes {
-		c := p.opCount[i].Load()
-		if c == 0 {
-			continue
-		}
+	p.eachOp(func(n *graph.Node, calls, ns int64) {
 		t := agg[n.OpType]
 		t.Op = n.OpType
-		t.Count += c
-		t.TotalNs += p.opNs[i].Load()
+		t.Count += calls
+		t.TotalNs += ns
 		agg[n.OpType] = t
-	}
+	})
 	if len(agg) == 0 {
 		return nil
 	}
@@ -402,10 +356,17 @@ func (p *Plan) OpTotals() []obs.OpTotal {
 	return out
 }
 
-// message is one cross-cluster tensor transfer.
-type message struct {
-	value string
-	t     *tensor.Tensor
+// eachOp calls f, in lane order, for every node that has executed at least
+// once, with its cumulative invocations and kernel nanoseconds.
+func (p *Plan) eachOp(f func(n *graph.Node, calls, ns int64)) {
+	for _, steps := range p.table().lanes {
+		for i := range steps {
+			s := &steps[i]
+			if calls := s.calls.Load(); calls > 0 {
+				f(s.node, calls, s.ns.Load())
+			}
+		}
+	}
 }
 
 // laneRun is one lane's outcome of one run: its failure, if any, and how
@@ -416,6 +377,12 @@ type message struct {
 type laneRun struct {
 	err  error
 	done int
+}
+
+// isCancel reports a cancellation-class failure: the run's context was
+// cancelled or its deadline expired.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // NewPlan builds a Plan from cluster node lists, reordering each lane into
@@ -430,23 +397,13 @@ func NewPlan(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	for i, n := range order {
 		pos[n] = i
 	}
-	seen := map[*graph.Node]bool{}
-	total := 0
 	sorted := make([][]*graph.Node, len(lanes))
 	for i, lane := range lanes {
-		cp := append([]*graph.Node(nil), lane...)
-		insertionSortByPos(cp, pos)
-		sorted[i] = cp
-		for _, n := range cp {
-			if seen[n] {
-				return nil, fmt.Errorf("exec: node %s appears in multiple lanes", n.Name)
-			}
-			seen[n] = true
-			total++
-		}
+		sorted[i] = slices.Clone(lane)
+		slices.SortFunc(sorted[i], func(a, b *graph.Node) int { return pos[a] - pos[b] })
 	}
-	if total != len(g.Nodes) {
-		return nil, fmt.Errorf("exec: lanes cover %d nodes, graph has %d", total, len(g.Nodes))
+	if err := checkPartition(g, sorted); err != nil {
+		return nil, err
 	}
 	return &Plan{Graph: g, Lanes: sorted}, nil
 }
@@ -456,19 +413,8 @@ func NewPlan(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 // that the lanes partition the graph and that executing each lane in its
 // stated order cannot deadlock across lanes.
 func NewPlanOrdered(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
-	seen := map[*graph.Node]bool{}
-	total := 0
-	for _, lane := range lanes {
-		for _, n := range lane {
-			if seen[n] {
-				return nil, fmt.Errorf("exec: node %s appears in multiple lanes", n.Name)
-			}
-			seen[n] = true
-			total++
-		}
-	}
-	if total != len(g.Nodes) {
-		return nil, fmt.Errorf("exec: lanes cover %d nodes, graph has %d", total, len(g.Nodes))
+	if err := checkPartition(g, lanes); err != nil {
+		return nil, err
 	}
 	// A lane order that stalls a zero-cost simulation would deadlock the
 	// executor, so the plan is rejected.
@@ -479,20 +425,29 @@ func NewPlanOrdered(g *graph.Graph, lanes [][]*graph.Node) (*Plan, error) {
 	return p, nil
 }
 
-func insertionSortByPos(ns []*graph.Node, pos map[*graph.Node]int) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && pos[ns[j]] < pos[ns[j-1]]; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
+// checkPartition verifies that the lanes cover every node of g exactly once.
+func checkPartition(g *graph.Graph, lanes [][]*graph.Node) error {
+	seen := map[*graph.Node]bool{}
+	for _, lane := range lanes {
+		for _, n := range lane {
+			if seen[n] {
+				return fmt.Errorf("exec: node %s appears in multiple lanes", n.Name)
+			}
+			seen[n] = true
 		}
 	}
+	if len(seen) != len(g.Nodes) {
+		return fmt.Errorf("exec: lanes cover %d nodes, graph has %d", len(seen), len(g.Nodes))
+	}
+	return nil
 }
 
 // Execute is the plan's one entry point: a parallel run under ctx — one
-// goroutine per lane, a channel per cross-lane (value, consumer-lane) pair,
-// mirroring the paper's Algorithm 4 runtime of queue.put/queue.get message
-// passing between Python processes — returning the graph outputs. What the
-// run did is recorded by the plan's op counters (OpTotals) and, on a
-// sampled run, its timeline (EnableTimeline).
+// goroutine per lane walking its steps over a shared frame of value slots,
+// one ready channel per cross-lane value, mirroring the paper's Algorithm 4
+// runtime of queue.put/queue.get message passing between Python processes —
+// returning the graph outputs. What the run did is recorded by the plan's op
+// counters (OpTotals) and, on a sampled run, its timeline (EnableTimeline).
 //
 // With a non-nil ar every kernel output is allocated from the arena and each
 // intermediate's storage goes back to it the moment its statically-known
@@ -521,49 +476,46 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 		return nil, err
 	}
 	done := ctx.Done()
-	base, err := seedEnv(p.Graph, feeds)
-	if err != nil {
-		return nil, err
+	rt := p.table()
+	// The run's frame: one tensor per value slot, initializers already in
+	// place. Each lane writes only the slots its nodes produce and reads
+	// another lane's slot only after that value's ready channel closes.
+	frame := append([]*tensor.Tensor(nil), rt.template...)
+	for i, in := range p.Graph.Inputs {
+		t, err := feedFor(in, feeds)
+		if err != nil {
+			return nil, err
+		}
+		frame[rt.inputs[i]] = t
 	}
-	topo := p.topology()
-	pack := p.prepacked()
-	// Timeline sampling decision for this run: cap stays nil on the default
+	// Timeline sampling decision for this run: rec stays nil on the default
 	// path (no recorder, or an unsampled run), and every record site below
 	// is a nil-safe no-op then — the hot loop's zero-allocation contract.
 	rec := p.tl.Load().StartRun(len(p.Lanes))
 
-	// Arena mode: a private copy of the memory plan's reference counts.
-	// Lane goroutines decrement the counts of a node's managed inputs once
-	// the node completes; whoever performs a value's final decrement owns
-	// the release. alloc is the allocator handed to every kernel.
+	// Arena mode: a private copy of the reference counts. Lane goroutines
+	// decrement the counts of a node's managed inputs once the node
+	// completes; whoever performs a value's final decrement owns the
+	// release. alloc is the allocator handed to every kernel.
 	var (
-		mem   *memState
 		refs  []int32
 		alloc tensor.Allocator
 	)
 	if ar != nil {
 		alloc = ar
-		if mem = p.memory(); mem != nil {
-			refs = append([]int32(nil), mem.refs0...)
-		}
+		refs = slices.Clone(rt.refs)
 	}
 
-	// One channel per (produced value, consuming lane) pair, freshly
-	// allocated per run so concurrent runs never share messages. The
-	// producer sends once; the consumer receives once and caches it in its
-	// local environment, so multiple local consumers are satisfied. One
-	// message per channel per run means a one-slot buffer never blocks a
-	// send.
-	chans := make(map[chanKey]chan message, len(topo.keys))
-	for _, key := range topo.keys {
-		chans[key] = make(chan message, 1)
+	// One ready channel per cross-lane value, freshly made per run so
+	// concurrent runs never share signals: the producer closes it once the
+	// value is in its slot, which releases every consuming lane at once.
+	ready := make([]chan struct{}, len(rt.names))
+	for _, sl := range rt.cross {
+		ready[sl] = make(chan struct{})
 	}
+	scratch := make([]*tensor.Tensor, rt.width*len(rt.lanes))
 
 	runs := make([]laneRun, len(p.Lanes))
-	var (
-		outMu   sync.Mutex
-		outVals = make(Env, len(p.Graph.Outputs))
-	)
 	// abort is closed on the first lane failure so blocked receivers in
 	// other lanes unblock instead of deadlocking.
 	abort := make(chan struct{})
@@ -573,9 +525,9 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 		abortOnce.Do(func() { close(abort) })
 	}
 	var wg sync.WaitGroup
-	for li, lane := range p.Lanes {
+	for li, steps := range rt.lanes {
 		wg.Add(1)
-		go func(li int, lane []*graph.Node) {
+		go func(li int, steps []step) {
 			defer wg.Done()
 			// A panicking kernel must not take the process down. Registered
 			// after wg.Done so it runs first: the failure is recorded (and
@@ -593,9 +545,9 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 					fail(li, &PanicError{Value: r, Stack: debug.Stack()})
 				}
 			}()
-			// Lane-local environment: shared read-only base + local values.
-			env := make(Env, len(lane)*2)
-			for ni, n := range lane {
+			in := scratch[li*rt.width : (li+1)*rt.width]
+			for si := range steps {
+				s := &steps[si]
 				// Observe cancellation between ops: one non-blocking poll per
 				// node, so an aborted run stops within a kernel's duration.
 				if done != nil {
@@ -606,33 +558,18 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 					default:
 					}
 				}
-				// Bind base values and receive remote inputs not yet local.
-				for _, src := range topo.ins[n] {
-					if _, ok := env[src.name]; ok {
-						continue
-					}
-					if !src.remote {
-						if t, ok := base[src.name]; ok {
-							env[src.name] = t
-						}
-						continue // else evalNode reports the missing input
-					}
-					ch := chans[chanKey{src.name, li}]
-					if ch == nil {
-						fail(li, fmt.Errorf("exec: lane %d: no channel for %q", li, src.name))
-						return
-					}
-					// Wait time is only recorded into a sampled timeline, so
-					// an unsampled run takes no timestamps here.
+				// Wait for the remote inputs this lane has not seen yet. Wait
+				// time is only recorded into a sampled timeline, so an
+				// unsampled run takes no timestamps here.
+				for _, w := range s.wait {
 					var waitStart time.Time
 					if rec != nil {
 						waitStart = time.Now()
 					}
 					select {
-					case msg := <-ch:
-						env[msg.value] = msg.t
+					case <-ready[w.slot]:
 						if rec != nil {
-							rec.Wait(li, src.from, src.name, waitStart, time.Since(waitStart))
+							rec.Wait(li, w.from, rt.names[w.slot], waitStart, time.Since(waitStart))
 						}
 					case <-abort:
 						return
@@ -642,47 +579,51 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 					}
 				}
 				busyStart := time.Now()
-				inplace := refs != nil && mem.inplace[n]
-				if err := evalNode(p.Graph, n, env, alloc, pack[n], inplace); err != nil {
+				args := in[:len(s.in)]
+				for i, sl := range s.in {
+					if args[i] = frame[sl]; args[i] == nil {
+						fail(li, fmt.Errorf("exec: node %s: input %q not available", s.node.Name, rt.names[sl]))
+						return
+					}
+				}
+				outs, err := runKernel(s.node, args, alloc, s.pack, refs != nil && s.inplace)
+				if err != nil {
 					fail(li, err)
 					return
+				}
+				for i, sl := range s.out {
+					frame[sl] = outs[i]
 				}
 				busy := time.Since(busyStart)
 				// Accumulate the plan's per-node execution counters: two
 				// lock-free atomic ops and no allocation.
-				idx := topo.opIdx[li][ni]
-				p.opCount[idx].Add(1)
-				p.opNs[idx].Add(int64(busy))
-				rec.Op(li, n.Name, n.OpType, busyStart, busy)
-				// Send outputs needed by remote lanes; capture graph outputs.
-				for _, dst := range topo.outs[n] {
-					for _, cl := range dst.lanes {
-						chans[chanKey{dst.name, cl}] <- message{dst.name, env[dst.name]}
-						if rec != nil {
-							rec.Send(li, cl, dst.name, time.Now())
+				s.calls.Add(1)
+				s.ns.Add(int64(busy))
+				rec.Op(li, s.node.Name, s.node.OpType, busyStart, busy)
+				for _, h := range s.publish {
+					close(ready[h.slot])
+					if rec != nil {
+						for _, cl := range h.to {
+							rec.Send(li, cl, rt.names[h.slot], time.Now())
 						}
-					}
-					if dst.graphOutput {
-						outMu.Lock()
-						outVals[dst.name] = env[dst.name]
-						outMu.Unlock()
 					}
 				}
 				// Release the node's dead inputs (and dead-on-arrival
 				// outputs) back to the run's arena. This runs after the
-				// sends: a node's own outputs still carry their consumers'
-				// references, so only values whose global count reaches
-				// zero here — no reader left in any lane — are recycled.
+				// publishes: a node's own outputs still carry their
+				// consumers' references, so only values whose global count
+				// reaches zero here — no reader left in any lane — are
+				// recycled.
 				if refs != nil {
-					for _, d := range mem.drops[n] {
-						if atomic.AddInt32(&refs[d.idx], -1) == 0 {
-							tensor.ReleaseData(ar, env[d.value])
+					for _, sl := range s.release {
+						if atomic.AddInt32(&refs[sl], -1) == 0 {
+							tensor.ReleaseData(ar, frame[sl])
 						}
 					}
 				}
-				runs[li].done = ni + 1
+				runs[li].done = si + 1
 			}
-		}(li, lane)
+		}(li, steps)
 	}
 	wg.Wait()
 	// Kernel failures outrank cancellation: a lane that died for a real
@@ -690,17 +631,12 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 	// Pure cancellations surface as the bare ctx error.
 	var runErr error
 	for li, r := range runs {
-		switch err := r.err; {
-		case err == nil:
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			if runErr == nil {
-				runErr = err
-			}
-		default:
-			runErr = fmt.Errorf("exec: lane %d failed: %w", li, err)
-		}
-		if runErr != nil && !errors.Is(runErr, context.Canceled) && !errors.Is(runErr, context.DeadlineExceeded) {
+		if r.err != nil && !isCancel(r.err) {
+			runErr = fmt.Errorf("exec: lane %d failed: %w", li, r.err)
 			break
+		}
+		if runErr == nil {
+			runErr = r.err
 		}
 	}
 	if runErr != nil {
@@ -709,7 +645,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 		// runtime twin of NewPlanOrdered's compile-time stuck list, and it
 		// rides the error into logs and /v1/trace spans. Allocation happens
 		// only on this already-failed path.
-		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
+		if isCancel(runErr) {
 			if stuck := p.stuckAt(runs); len(stuck) > 0 {
 				runErr = &StallError{Err: runErr, Stuck: stuck}
 			}
@@ -726,22 +662,19 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 		return nil, runErr
 	}
 
-	// Every lane has exited, so outVals is the caller's from here on.
-	for _, v := range outVals {
+	// Every lane has exited, so the frame is the caller's from here on.
+	outVals := make(Env, len(rt.outputs))
+	for i, sl := range rt.outputs {
+		name := p.Graph.Outputs[i].Name
+		if frame[sl] == nil {
+			return nil, fmt.Errorf("exec: graph output %q was not produced", name)
+		}
+		outVals[name] = frame[sl]
 		// Node-produced graph outputs escape to the caller: drop them from
 		// the arena's working-set accounting so long-lived arenas report
 		// the real steady-state footprint, not a per-request ratchet.
-		if ar != nil {
-			ar.NoteEscape(v.Data())
-		}
-	}
-	for _, o := range p.Graph.Outputs {
-		if _, ok := outVals[o.Name]; !ok {
-			if t, ok := base[o.Name]; ok {
-				outVals[o.Name] = t // output aliased to an input/initializer
-				continue
-			}
-			return nil, fmt.Errorf("exec: graph output %q was not produced", o.Name)
+		if ar != nil && rt.escapes[i] {
+			ar.NoteEscape(frame[sl].Data())
 		}
 	}
 	rec.Commit(time.Since(start), true)

@@ -42,7 +42,7 @@ func RunSequentialCtx(ctx context.Context, g *graph.Graph, feeds Env) (Env, erro
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := evalNode(g, n, env, nil, nil, false); err != nil {
+		if err := evalNode(n, env); err != nil {
 			return nil, err
 		}
 	}
@@ -56,28 +56,31 @@ func seedEnv(g *graph.Graph, feeds Env) (Env, error) {
 		env[name] = t
 	}
 	for _, in := range g.Inputs {
-		t, ok := feeds[in.Name]
-		if !ok {
-			return nil, fmt.Errorf("exec: missing feed for graph input %q", in.Name)
-		}
-		if in.Shape != nil && len(in.Shape) > 0 && !t.Shape().Equal(in.Shape) {
-			return nil, fmt.Errorf("exec: feed %q has shape %v, graph declares %v", in.Name, t.Shape(), in.Shape)
+		t, err := feedFor(in, feeds)
+		if err != nil {
+			return nil, err
 		}
 		env[in.Name] = t
 	}
 	return env, nil
 }
 
-// evalNode runs one node's kernel against env, storing its outputs. The
-// allocator (nil = heap) reaches every kernel output allocation, so an
-// arena-backed run recycles intermediate storage. pp carries the node's
-// compile-time-packed constant weights (plan runs); nil means the ordinary
-// registry kernel, which packs at call time and computes identical values.
-// inplace (arena runs only) means the memory plan proved the node's first
-// input dies here: the kernel writes the output into the input's buffer
-// (ops.RunInPlace), and the executor schedules no release for the input —
-// its storage lives on as the output.
-func evalNode(g *graph.Graph, n *graph.Node, env Env, a tensor.Allocator, pp *ops.Prepacked, inplace bool) error {
+// feedFor returns the feed for one graph input, checked against the
+// declared shape.
+func feedFor(in graph.ValueInfo, feeds Env) (*tensor.Tensor, error) {
+	t, ok := feeds[in.Name]
+	if !ok {
+		return nil, fmt.Errorf("exec: missing feed for graph input %q", in.Name)
+	}
+	if in.Shape != nil && len(in.Shape) > 0 && !t.Shape().Equal(in.Shape) {
+		return nil, fmt.Errorf("exec: feed %q has shape %v, graph declares %v", in.Name, t.Shape(), in.Shape)
+	}
+	return t, nil
+}
+
+// evalNode runs one node's kernel on the heap against env, storing its
+// outputs: the name-keyed reference interpreter's step.
+func evalNode(n *graph.Node, env Env) error {
 	inputs := make([]*tensor.Tensor, len(n.Inputs))
 	for i, name := range n.Inputs {
 		t, ok := env[name]
@@ -86,6 +89,26 @@ func evalNode(g *graph.Graph, n *graph.Node, env Env, a tensor.Allocator, pp *op
 		}
 		inputs[i] = t
 	}
+	outs, err := runKernel(n, inputs, nil, nil, false)
+	if err != nil {
+		return err
+	}
+	for i, name := range n.Outputs {
+		env[name] = outs[i]
+	}
+	return nil
+}
+
+// runKernel dispatches one node's kernel on its bound inputs. The allocator
+// (nil = heap) reaches every kernel output allocation, so an arena-backed
+// run recycles intermediate storage. pp carries the node's compile-time-
+// packed constant weights (plan runs); nil means the ordinary registry
+// kernel, which packs at call time and computes identical values. inplace
+// (arena runs only) means the memory plan proved the node's first input
+// dies here: the kernel writes the output into the input's buffer
+// (ops.RunInPlace), and the executor schedules no release for the input —
+// its storage lives on as the output.
+func runKernel(n *graph.Node, inputs []*tensor.Tensor, a tensor.Allocator, pp *ops.Prepacked, inplace bool) ([]*tensor.Tensor, error) {
 	var outs []*tensor.Tensor
 	var err error
 	switch {
@@ -98,21 +121,18 @@ func evalNode(g *graph.Graph, n *graph.Node, env Env, a tensor.Allocator, pp *op
 	default:
 		kernel, kerr := ops.LookupAlloc(n.OpType)
 		if kerr != nil {
-			return fmt.Errorf("exec: node %s: %w", n.Name, kerr)
+			return nil, fmt.Errorf("exec: node %s: %w", n.Name, kerr)
 		}
 		outs, err = kernel(inputs, n.Attrs, a)
 	}
 	if err != nil {
-		return fmt.Errorf("exec: node %s: %w", n.Name, err)
+		return nil, fmt.Errorf("exec: node %s: %w", n.Name, err)
 	}
 	if len(outs) < len(n.Outputs) {
-		return fmt.Errorf("exec: node %s: kernel returned %d outputs, graph declares %d",
+		return nil, fmt.Errorf("exec: node %s: kernel returned %d outputs, graph declares %d",
 			n.Name, len(outs), len(n.Outputs))
 	}
-	for i, name := range n.Outputs {
-		env[name] = outs[i]
-	}
-	return nil
+	return outs, nil
 }
 
 func collectOutputs(g *graph.Graph, env Env) (Env, error) {

@@ -93,7 +93,7 @@ func (q *queuedReplica) Infer(ctx context.Context, model string, feeds ramiel.En
 // p99_shed_us (the microsecond-rejection contract), p99_ok_ms (what
 // accepted requests experience — bounded by the pending window with
 // admission on, by the client timeout without), and the ok/shed/timeout
-// split. CI records them in BENCH_fleet.json.
+// split, reported as custom benchmark metrics.
 func BenchmarkFleetAdmission(b *testing.B) {
 	const (
 		service  = 2 * time.Millisecond // per-request service time, 1 worker each

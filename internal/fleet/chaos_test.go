@@ -143,8 +143,7 @@ func TestChaosSoak(t *testing.T) {
 		fi.InjectedErrors(), fi.InjectedDrops(), snap.Retries, snap.RetryWins, snap.Hedges, snap.HedgeWins, okP99)
 }
 
-// BenchmarkFleetChaos is the CI chaos benchmark behind BENCH_chaos.json:
-// queued replicas at capacity with the ring owner injecting errors and
+// BenchmarkFleetChaos is the fleet's chaos benchmark: queued replicas at capacity with the ring owner injecting errors and
 // flapping, retries + hedging + breakers armed. The recorded metrics are
 // the failure-handling story in numbers — ok/shed/timeout/error split,
 // retry and hedge counts, and the p99 accepted requests experienced while

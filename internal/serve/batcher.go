@@ -190,7 +190,7 @@ func (b *batcher) runBatch(jobs []*inferJob) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.deadline)
 	defer cancel()
 
-	prog, err := b.reg.Program(b.model, n)
+	e, err := b.reg.entry(b.model, n)
 	if err != nil {
 		b.failAll(jobs, flushT, Timing{}, err)
 		return
@@ -211,7 +211,7 @@ func (b *batcher) runBatch(jobs []*inferJob) {
 		// watchdog reuses it, so a wedged batch degrades one window, not a
 		// worker slot. The kill fails every member with cause "watchdog".
 		slot := b.dog.begin(b.model, b.stats, dogID, cancel)
-		outs, err := b.sessions.run(runCtx, prog, feeds)
+		outs, err := b.sessions.run(runCtx, e, feeds)
 		if b.dog.end(slot) && err != nil {
 			err = fmt.Errorf("%w: %w", ErrWatchdogKilled, err)
 		}

@@ -86,6 +86,10 @@ type programEntry struct {
 	ready chan struct{}
 	prog  *ramiel.Program
 	err   error
+	// sessions pools the program's warm *ramiel.Session values (see
+	// sessionSource). The entry owns the pool, so dropping the program from
+	// the cache drops its sessions and their arenas with it.
+	sessions sync.Pool
 }
 
 // graphEntry is the singleflight slot for building a model's graph.
@@ -240,28 +244,39 @@ func (r *Registry) Graph(model string) (*ramiel.Graph, error) {
 	return e.graph, nil
 }
 
-// Program returns the compiled program for (model, batch) under the
-// registry's options, compiling it at most once per key. batch == 1 yields
-// the base Ramiel plan; batch > 1 yields the hyperclustered variant derived
-// from the base plan's clustering, so the base is compiled (once) too.
 // key builds the cache key for a (model, batch) variant under the
 // registry's options.
 func (r *Registry) key(model string, batch int) programKey {
 	return programKey{model, batch, r.switched && batch > 1, r.optsFP}
 }
 
+// Program returns the compiled program for (model, batch) under the
+// registry's options, compiling it at most once per key. batch == 1 yields
+// the base Ramiel plan; batch > 1 yields the hyperclustered variant derived
+// from the base plan's clustering, so the base is compiled (once) too.
 func (r *Registry) Program(model string, batch int) (*ramiel.Program, error) {
+	e, err := r.entry(model, batch)
+	if err != nil {
+		return nil, err
+	}
+	return e.prog, nil
+}
+
+// entry is Program returning the cache entry, whose session pool the
+// serving paths borrow from.
+func (r *Registry) entry(model string, batch int) (*programEntry, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("serve: batch must be >= 1, got %d", batch)
 	}
-	return r.get(model, batch, true)
+	e := r.get(model, batch, true)
+	return e, e.err
 }
 
 // get is the singleflight cache core. count separates client traffic
 // (counted in hit/miss stats) from internal derivations — compiling a
 // batch-n variant fetches the base program without pretending a request
 // hit the cache.
-func (r *Registry) get(model string, batch int, count bool) (*ramiel.Program, error) {
+func (r *Registry) get(model string, batch int, count bool) *programEntry {
 	key := r.key(model, batch)
 	r.mu.Lock()
 	e, ok := r.programs[key]
@@ -271,7 +286,7 @@ func (r *Registry) get(model string, batch int, count bool) (*ramiel.Program, er
 			r.stats.CacheHits.Add(1)
 		}
 		<-e.ready
-		return e.prog, e.err
+		return e
 	}
 	e = &programEntry{ready: make(chan struct{})}
 	r.programs[key] = e
@@ -290,7 +305,7 @@ func (r *Registry) get(model string, batch int, count bool) (*ramiel.Program, er
 		}
 		r.mu.Unlock()
 	}
-	return e.prog, e.err
+	return e
 }
 
 // compile builds the requested variant (called outside the registry lock).
@@ -329,11 +344,11 @@ func (r *Registry) compileVariant(model string, batch int) (*ramiel.Program, err
 		}
 		return prog, nil
 	}
-	base, err := r.get(model, 1, false)
-	if err != nil {
-		return nil, err
+	base := r.get(model, 1, false)
+	if base.err != nil {
+		return nil, base.err
 	}
-	prog, err := base.Hypercluster(batch, r.switched)
+	prog, err := base.prog.Hypercluster(batch, r.switched)
 	if err != nil {
 		return nil, fmt.Errorf("serve: hyperclustering %q batch %d: %w: %w", model, batch, ErrCompile, err)
 	}

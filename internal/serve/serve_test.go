@@ -7,10 +7,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	ramiel "repro"
 	"repro/internal/graph"
@@ -124,6 +126,37 @@ func TestServerInferMatchesSequential(t *testing.T) {
 	}
 	if !outs["out"].Equal(want["out"]) {
 		t.Error("served output differs from sequential reference")
+	}
+}
+
+// TestReRegisterReleasesPrograms: re-registering a model drops its compiled
+// programs from the cache, and nothing else the server keeps — the warm
+// session pool above all, whose sessions hold the program, its prepacked
+// weights and their arenas — may keep a dropped program reachable.
+func TestReRegisterReleasesPrograms(t *testing.T) {
+	s := New(Config{Workers: 2, MaxBatch: 1})
+	defer s.Close(context.Background())
+	var served []weak.Pointer[ramiel.Program]
+	for i := 0; i < 5; i++ {
+		s.RegisterGraph("tiny", tinyModel())
+		if _, _, err := s.Infer(context.Background(), "tiny", tinyFeeds(1), false); err != nil {
+			t.Fatal(err)
+		}
+		served = append(served, weak.Make(s.Registry().Peek("tiny", 1)))
+	}
+	// A sync.Pool keeps what it holds through one more collection (its
+	// victim cache), so collect until that has passed.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+	}
+	live := 0
+	for _, w := range served {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	if live != 1 {
+		t.Errorf("%d of %d served programs (and their session pools) still reachable, want 1", live, len(served))
 	}
 }
 

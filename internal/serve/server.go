@@ -232,11 +232,6 @@ type Server struct {
 // New creates a serving runtime and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	if !cfg.NoArena {
-		// Arena runs consult the memory plan; build it at warm/compile
-		// time rather than on the first request.
-		cfg.Compile.EagerMemPlan = true
-	}
 	reg := NewRegistry(cfg.Compile, cfg.Switched)
 	if cfg.TimelineEvery > 0 {
 		reg.EnableTimeline(cfg.TimelineEvery, timelineRing)
@@ -543,7 +538,7 @@ func (s *Server) dispatch(ctx context.Context, cancel context.CancelFunc, model 
 		}
 		return b.submit(ctx, feeds)
 	}
-	prog, err := s.reg.Program(model, 1)
+	e, err := s.reg.entry(model, 1)
 	if err != nil {
 		return nil, 0, stageTimes{}, err
 	}
@@ -552,7 +547,7 @@ func (s *Server) dispatch(ctx context.Context, cancel context.CancelFunc, model 
 		// slot table size) and costs a table scan plus atomics — no
 		// allocation on the hot path.
 		slot := s.dog.begin(model, st, id, cancel)
-		outs, err := s.sessions.run(runCtx, prog, feeds)
+		outs, err := s.sessions.run(runCtx, e, feeds)
 		if s.dog.end(slot) && err != nil {
 			err = fmt.Errorf("%w: %w", ErrWatchdogKilled, err)
 		}

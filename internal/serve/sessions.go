@@ -4,15 +4,15 @@ import (
 	"context"
 	"errors"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 
 	ramiel "repro"
 	"repro/internal/tensor"
 )
 
-// sessionSource keeps warm ramiel.Sessions alive across requests, one
-// sync.Pool of sessions per compiled program variant. A request borrows a
+// sessionSource keeps warm ramiel.Sessions alive across requests in the
+// sync.Pool each cached program variant's registry entry owns, so the
+// sessions go when the program leaves the cache. A request borrows a
 // session for the duration of its run, so a session (and the arena it
 // owns) is never shared by two concurrent runs — the single-goroutine
 // Session contract — yet its arena free lists survive from request to
@@ -37,43 +37,31 @@ type sessionSource struct {
 	// (see run): dropping the session hands its parked free lists to the
 	// GC, which is exactly the relief a budget breach asks for.
 	budgetDrops atomic.Int64
-	// pools maps *ramiel.Program to its *sync.Pool of *ramiel.Session.
-	// Entries live as long as the registry's program cache keeps the
-	// program reachable, so growth is bounded by (model, batch) variants.
-	pools sync.Map
 }
 
 func newSessionSource(arena bool) *sessionSource {
 	return &sessionSource{arena: arena}
 }
 
-// poolFor returns (creating on first use) the session pool for a program.
-func (s *sessionSource) poolFor(prog *ramiel.Program) *sync.Pool {
-	if p, ok := s.pools.Load(prog); ok {
-		return p.(*sync.Pool)
-	}
-	p := &sync.Pool{New: func() any {
+// run executes the entry's program under ctx with a session borrowed from
+// the entry's pool, making one when the pool is empty.
+func (s *sessionSource) run(ctx context.Context, e *programEntry, feeds ramiel.Env) (outs ramiel.Env, err error) {
+	sess, _ := e.sessions.Get().(*ramiel.Session)
+	if sess == nil {
 		if s.arena {
-			return prog.NewSession(ramiel.WithArena(tensor.NewArenaWithStats(&s.stats)))
+			sess = e.prog.NewSession(ramiel.WithArena(tensor.NewArenaWithStats(&s.stats)))
+		} else {
+			sess = e.prog.NewSession(ramiel.WithoutArena())
 		}
-		return prog.NewSession(ramiel.WithoutArena())
-	}}
-	actual, _ := s.pools.LoadOrStore(prog, p)
-	return actual.(*sync.Pool)
-}
-
-// run executes the program with a borrowed session under ctx.
-func (s *sessionSource) run(ctx context.Context, prog *ramiel.Program, feeds ramiel.Env) (outs ramiel.Env, err error) {
-	pool := s.poolFor(prog)
-	sess := pool.Get().(*ramiel.Session)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			// Kernel panics are already recovered inside the executor's
 			// lane goroutines and surface as ordinary errors with the
 			// arena unwound, so a panic crossing Run means session-level
 			// state of unknown consistency: convert it to an error and
-			// drop the session instead of pooling it. The sync.Pool
-			// replaces it on the next Get.
+			// drop the session instead of pooling it; the next run
+			// makes a fresh one.
 			outs, err = nil, newPanicError(r, debug.Stack())
 			return
 		}
@@ -86,7 +74,7 @@ func (s *sessionSource) run(ctx context.Context, prog *ramiel.Program, feeds ram
 			s.budgetDrops.Add(1)
 			return
 		}
-		pool.Put(sess)
+		e.sessions.Put(sess)
 	}()
 	return sess.Run(ctx, feeds)
 }

@@ -2,8 +2,7 @@ package ramiel
 
 // CompileOption configures Compile. The zero configuration (no options)
 // runs the plain pipeline: default cost model, no pruning or cloning,
-// operator fusion on, cluster merging on, memory plan built lazily on the
-// first arena run.
+// operator fusion on, cluster merging on.
 type CompileOption func(*Options)
 
 // WithCostModel sets the static operator cost model driving clustering
@@ -42,13 +41,6 @@ func WithoutMerge() CompileOption {
 // escape hatch for debugging, ablations, and exact-unfused-rounding runs.
 func WithoutFusion() CompileOption {
 	return func(o *Options) { o.DisableFusion = true }
-}
-
-// WithEagerMemPlan builds the static memory plan (internal/memplan) during
-// Compile instead of lazily on the first arena-backed run, so serving pays
-// it at warm time. CompileTime then includes it.
-func WithEagerMemPlan() CompileOption {
-	return func(o *Options) { o.EagerMemPlan = true }
 }
 
 // Compile runs the Ramiel pipeline on a copy of g: optional pruning and

@@ -114,7 +114,7 @@ func SetIntraOpThreads(n int) { tensor.SetIntraOpThreads(n) }
 // CompileWithOptions. It exists for callers that carry the configuration as
 // data (the serving registry fingerprints it into program-cache keys); code
 // configuring a compile in place should use Compile with functional options
-// (WithPrune, WithClone, WithCostModel, WithEagerMemPlan, WithoutMerge).
+// (WithPrune, WithClone, WithCostModel, WithoutMerge, WithoutFusion).
 type Options struct {
 	// CostModel defaults to DefaultCostModel().
 	CostModel CostModel
@@ -133,10 +133,6 @@ type Options struct {
 	// by default — it is semantics-preserving to float rounding — and this
 	// is the escape hatch (WithoutFusion) for debugging and ablations.
 	DisableFusion bool
-	// EagerMemPlan builds the static memory plan (internal/memplan) during
-	// Compile instead of lazily on the first arena run, so serving pays it
-	// at warm time. CompileTime then includes it.
-	EagerMemPlan bool
 }
 
 // Program is a compiled parallel program: the (possibly optimized) graph,
@@ -223,9 +219,6 @@ func compile(g *Graph, opts Options) (*Program, error) {
 		return nil, fmt.Errorf("ramiel: planning: %w", err)
 	}
 	p.Plan = plan
-	if opts.EagerMemPlan {
-		plan.MemoryPlan()
-	}
 	// Pack constant GEMM/Conv weights once, now, so no Session.Run ever
 	// repacks them (the prepack pass; CompileTime includes it).
 	plan.PrepackWeights()
