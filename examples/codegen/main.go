@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strings"
 
 	ramiel "repro"
@@ -28,9 +29,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	out := "googlenet_parallel.go"
+	// The generated file is package main, so it gets a directory of its own:
+	// written next to other Go files it would break their package.
+	out := filepath.Join("googlenet_parallel", "main.go")
 	if len(os.Args) > 1 {
 		out = os.Args[1]
+	}
+	if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+		log.Fatal(err)
 	}
 	if err := os.WriteFile(out, []byte(src), 0o644); err != nil {
 		log.Fatal(err)
@@ -58,5 +64,5 @@ func main() {
 		}
 	}
 	fmt.Println("...")
-	fmt.Println("\nbuild it from the module root with: go build", out)
+	fmt.Println("\nrun it from the module root with: go run ./" + filepath.ToSlash(filepath.Dir(out)))
 }

@@ -25,7 +25,7 @@ func planFor(t *testing.T, g *graph.Graph) *Plan {
 }
 
 // TestInPlaceArenaRunMatchesSequential runs an elementwise-heavy graph
-// through the arena executor (which activates ops.RunInPlace on proved
+// through the arena executor (which runs bound kernels in place on proved
 // nodes) and checks outputs against the plain sequential reference, plus
 // that the release schedule actually marked nodes in-place and the arena
 // stays balanced across runs.

@@ -38,11 +38,11 @@ type Plan struct {
 	tableOnce sync.Once
 	tbl       *runTable
 
-	// pack is the compile-time-packed constant-weight table (ops.Prepacked
-	// per GEMM-shaped node with constant operands), built once — by Compile,
-	// or else with the run table; every run reuses the same packed panels.
-	packOnce sync.Once
-	pack     map[*graph.Node]*ops.Prepacked
+	// kernels holds every node's bound kernel (ops.Bind), with its constant
+	// weights packed, bound once — by Compile, or else with the run table;
+	// every run reuses the same bindings.
+	bindOnce sync.Once
+	kernels  map[*graph.Node]*ops.Bound
 
 	// tl is the plan's optional execution-timeline flight recorder (see
 	// EnableTimeline): when set, one run in N is sampled into per-op spans
@@ -123,11 +123,11 @@ type step struct {
 	// output. An in-place node's first input is absent — its buffer lives
 	// on as the output and is released when the output dies.
 	release []int32
-	pack    *ops.Prepacked
-	// inplace marks nodes executed via ops.RunInPlace on arena runs: the
+	// kernel is the node's bound kernel, the executor's one way to run it.
+	kernel *ops.Bound
+	// inplace marks nodes whose kernel runs in place on arena runs: the
 	// memory plan proves their first input dies with them
-	// (memplan.CanWriteInPlace) and the kernel layer has an in-place path
-	// (ops.CanRunInPlace).
+	// (memplan.CanWriteInPlace) and the binding has an in-place form.
 	inplace bool
 	// calls/ns are the plan's always-on execution counters for this node:
 	// kernel invocations and cumulative kernel nanoseconds across every run
@@ -177,7 +177,7 @@ func (p *Plan) buildTable() {
 		}
 	}
 	managed := func(name string) bool { return mp != nil && mp.IndexOf(name) != memplan.Unmanaged }
-	pack := p.prepacked()
+	kernels := p.bind()
 
 	for _, in := range g.Inputs {
 		rt.inputs = append(rt.inputs, slot(in.Name))
@@ -187,8 +187,8 @@ func (p *Plan) buildTable() {
 		waited := map[int32]bool{}
 		for ni, n := range lane {
 			s := &steps[ni]
-			s.node, s.pack = n, pack[n]
-			s.inplace = mp != nil && ops.CanRunInPlace(n.OpType) && mp.CanWriteInPlace(n.Name)
+			s.node, s.kernel = n, kernels[n]
+			s.inplace = mp != nil && s.kernel.InPlace() && mp.CanWriteInPlace(n.Name)
 			rt.width = max(rt.width, len(n.Inputs))
 			for ii, in := range n.Inputs {
 				sl := slot(in)
@@ -258,72 +258,62 @@ type packKey struct {
 	groups int
 }
 
-// prepacked returns the plan's constant-weight packing table, building it
-// on first use: every GEMM-shaped node whose weight operand is a graph
-// initializer gets its panels packed once, here, so no run ever repacks
-// them. Names that are also declared graph inputs are skipped — a feed
-// could override the initializer value there.
-func (p *Plan) prepacked() map[*graph.Node]*ops.Prepacked {
-	p.packOnce.Do(func() {
-		tbl := map[*graph.Node]*ops.Prepacked{}
+// bind returns every node's bound kernel, binding them on first use. A
+// weight operand is passed to ops.Bind as a constant only when it is a
+// graph initializer and not also a declared graph input — a feed could
+// override the initializer value there. Nodes sharing one packKey share
+// the first node's packing. An op with no kernel binds to one that fails
+// when its step runs.
+func (p *Plan) bind() map[*graph.Node]*ops.Bound {
+	p.bindOnce.Do(func() {
+		g := p.Graph
+		p.kernels = make(map[*graph.Node]*ops.Bound, len(g.Nodes))
 		shared := map[packKey]*ops.Prepacked{}
-		for _, n := range p.Graph.Nodes {
-			if n.OpType == "FusedElementwise" {
-				// No constant operands to pack — the prepared state is the
-				// decoded stage program, one per node (replicas are cheap).
-				if pp := ops.PrepackWeights(n.OpType, n.Attrs, make([]*tensor.Tensor, len(n.Inputs))); pp != nil {
-					tbl[n] = pp
-				}
-				continue
-			}
-			constIn := make([]*tensor.Tensor, len(n.Inputs))
+		for _, n := range g.Nodes {
+			consts := make([]*tensor.Tensor, len(n.Inputs))
 			for i, name := range n.Inputs {
-				if t := p.Graph.Initializers[name]; t != nil && !p.Graph.IsGraphInput(name) {
-					constIn[i] = t
+				if t := g.Initializers[name]; t != nil && !g.IsGraphInput(name) {
+					consts[i] = t
 				}
 			}
-			if len(constIn) < 2 || constIn[1] == nil {
-				continue
-			}
-			key := packKey{
-				op:     n.OpType,
-				weight: constIn[1],
-				transB: n.Attrs.Int("transB", 0) != 0,
-				groups: n.Attrs.Int("group", 1),
-			}
-			if pp, seen := shared[key]; seen {
-				if pp != nil {
-					tbl[n] = pp
+			var key packKey
+			if len(consts) >= 2 && consts[1] != nil {
+				key = packKey{
+					op:     n.OpType,
+					weight: consts[1],
+					transB: n.Attrs.Int("transB", 0) != 0,
+					groups: n.Attrs.Int("group", 1),
 				}
-				continue
 			}
-			pp := ops.PrepackWeights(n.OpType, n.Attrs, constIn)
-			shared[key] = pp
+			pp := shared[key]
 			if pp != nil {
-				tbl[n] = pp
+				consts[1] = nil // adopt the shared packing instead of packing again
 			}
+			b, _ := ops.Bind(n.OpType, n.Attrs, consts)
+			if pp != nil {
+				b.Packed = pp
+			} else if b.Packed != nil {
+				shared[key] = b.Packed
+			}
+			p.kernels[n] = b
 		}
-		p.pack = tbl
 	})
-	return p.pack
+	return p.kernels
 }
 
-// PrepackWeights builds the plan's compile-time prepack table (idempotent;
-// Compile calls it eagerly so Session.Run never pays it) and reports how
-// many nodes got packed weight operands and their total packed bytes.
-// FusedElementwise entries (decoded stage programs, no weight panels) are
-// excluded from the count.
+// PrepackWeights binds every node's kernel (idempotent; Compile calls it
+// eagerly so Session.Run never pays it) and reports how many nodes got
+// packed constant weights and their total packed bytes.
 func (p *Plan) PrepackWeights() (nodes int, bytes int64) {
-	tbl := p.prepacked()
-	seen := make(map[*ops.Prepacked]bool, len(tbl))
-	for _, pp := range tbl {
-		if !pp.HasWeights() {
+	seen := map[*ops.Prepacked]bool{}
+	for _, b := range p.bind() {
+		if b.Packed == nil {
 			continue
 		}
 		nodes++
-		if !seen[pp] {
-			seen[pp] = true
-			bytes += pp.Bytes() // replicas share one packing; count it once
+		if !seen[b.Packed] {
+			seen[b.Packed] = true
+			bytes += b.Packed.Bytes() // replicas share one packing; count it once
 		}
 	}
 	return nodes, bytes
@@ -586,7 +576,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 						return
 					}
 				}
-				outs, err := runKernel(s.node, args, alloc, s.pack, refs != nil && s.inplace)
+				outs, err := runKernel(s.node, s.kernel, args, alloc, refs != nil && s.inplace)
 				if err != nil {
 					fail(li, err)
 					return

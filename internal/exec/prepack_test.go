@@ -86,11 +86,11 @@ func TestPrepackSharedAcrossReplicas(t *testing.T) {
 	if nodes != 2 {
 		t.Fatalf("prepacked %d nodes, want 2", nodes)
 	}
-	tbl := plan.prepacked()
-	if tbl[g.Nodes[0]] != tbl[g.Nodes[1]] {
+	tbl := plan.bind()
+	if tbl[g.Nodes[0]].Packed != tbl[g.Nodes[1]].Packed {
 		t.Error("replicas of one weight got separate packings")
 	}
-	if want := tbl[g.Nodes[0]].Bytes(); bytes != want {
+	if want := tbl[g.Nodes[0]].Packed.Bytes(); bytes != want {
 		t.Errorf("bytes = %d, want %d (shared packing counted once)", bytes, want)
 	}
 }

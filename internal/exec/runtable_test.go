@@ -123,7 +123,7 @@ func TestExecuteEdgeCasesMatchReference(t *testing.T) {
 			if feeds == nil {
 				feeds = Env{"x": x}
 			}
-			if m := g.NodeByName("m"); m != nil && plan.prepacked()[m] != nil {
+			if m := g.NodeByName("m"); m != nil && plan.bind()[m].Packed != nil {
 				t.Error("prepacked a weight a feed can override")
 			}
 			want, seqErr := RunSequential(g, feeds)

@@ -78,8 +78,10 @@ func feedFor(in graph.ValueInfo, feeds Env) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// evalNode runs one node's kernel on the heap against env, storing its
-// outputs: the name-keyed reference interpreter's step.
+// evalNode binds one node's kernel with no constants and runs it on the
+// heap against env, storing its outputs: the name-keyed reference
+// interpreter's step. An unknown op's binding fails when run, with the
+// bind error.
 func evalNode(n *graph.Node, env Env) error {
 	inputs := make([]*tensor.Tensor, len(n.Inputs))
 	for i, name := range n.Inputs {
@@ -89,7 +91,8 @@ func evalNode(n *graph.Node, env Env) error {
 		}
 		inputs[i] = t
 	}
-	outs, err := runKernel(n, inputs, nil, nil, false)
+	k, _ := ops.Bind(n.OpType, n.Attrs, nil)
+	outs, err := runKernel(n, k, inputs, nil, false)
 	if err != nil {
 		return err
 	}
@@ -99,32 +102,15 @@ func evalNode(n *graph.Node, env Env) error {
 	return nil
 }
 
-// runKernel dispatches one node's kernel on its bound inputs. The allocator
-// (nil = heap) reaches every kernel output allocation, so an arena-backed
-// run recycles intermediate storage. pp carries the node's compile-time-
-// packed constant weights (plan runs); nil means the ordinary registry
-// kernel, which packs at call time and computes identical values. inplace
-// (arena runs only) means the memory plan proved the node's first input
-// dies here: the kernel writes the output into the input's buffer
-// (ops.RunInPlace), and the executor schedules no release for the input —
-// its storage lives on as the output.
-func runKernel(n *graph.Node, inputs []*tensor.Tensor, a tensor.Allocator, pp *ops.Prepacked, inplace bool) ([]*tensor.Tensor, error) {
-	var outs []*tensor.Tensor
-	var err error
-	switch {
-	case pp != nil && inplace:
-		outs, err = ops.RunPrepackedInPlace(n.OpType, inputs, n.Attrs, a, pp)
-	case pp != nil:
-		outs, err = ops.RunPrepacked(n.OpType, inputs, n.Attrs, a, pp)
-	case inplace:
-		outs, err = ops.RunInPlace(n.OpType, inputs, n.Attrs, a)
-	default:
-		kernel, kerr := ops.LookupAlloc(n.OpType)
-		if kerr != nil {
-			return nil, fmt.Errorf("exec: node %s: %w", n.Name, kerr)
-		}
-		outs, err = kernel(inputs, n.Attrs, a)
-	}
+// runKernel runs one node's bound kernel on its inputs — the executors'
+// one kernel call site. The allocator (nil = heap) reaches every kernel
+// output allocation, so an arena-backed run recycles intermediate storage.
+// inplace (arena runs only) means the memory plan proved the node's first
+// input dies here: the kernel writes the output into the input's buffer,
+// and the executor schedules no release for the input — its storage lives
+// on as the output.
+func runKernel(n *graph.Node, k *ops.Bound, inputs []*tensor.Tensor, a tensor.Allocator, inplace bool) ([]*tensor.Tensor, error) {
+	outs, err := k.Run(inputs, a, inplace)
 	if err != nil {
 		return nil, fmt.Errorf("exec: node %s: %w", n.Name, err)
 	}

@@ -61,8 +61,8 @@ type Plan struct {
 	// moment the node completes (managed, exactly one consuming occurrence
 	// globally — this node's), and that produce exactly one output. Such a
 	// node may write its output into the input's buffer; the executor
-	// combines this liveness proof with the kernel layer's capability check
-	// (ops.CanRunInPlace) to run elementwise glue in place.
+	// combines this liveness proof with the node's bound kernel having an
+	// in-place form (ops.Bound.InPlace) to run elementwise glue in place.
 	consumesIn0 map[string]bool
 }
 

@@ -5,6 +5,13 @@ import (
 	"repro/internal/tensor"
 )
 
+// convGEMMWorthy decides the im2col+GEMM lowering. It must depend only on
+// weight-derived dims so the compile-time prepack pass (which cannot see
+// activation sizes) makes the same call as the kernel.
+func convGEMMWorthy(mPerG, cg, kh, kw int) bool {
+	return mPerG >= 2 && cg*kh*kw >= 4
+}
+
 // Conv implements 2-D convolution over NCHW activations with OIHW weights,
 // optional bias, symmetric or ONNX-style padding and grouped channels.
 //
@@ -15,23 +22,9 @@ import (
 // by the filter matrix — prepacked at compile time when the weights are
 // graph constants. Degenerate shapes (depthwise and other tiny per-group
 // matrices) keep the direct loop, which also serves as the reference
-// implementation in tests.
-var Conv = onHeap(convK)
-
-func convK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	return convPacked(in, attrs, a, nil)
-}
-
-// convGEMMWorthy decides the im2col+GEMM lowering. It must depend only on
-// weight-derived dims so the compile-time prepack pass (which cannot see
-// activation sizes) makes the same call as the kernel.
-func convGEMMWorthy(mPerG, cg, kh, kw int) bool {
-	return mPerG >= 2 && cg*kh*kw >= 4
-}
-
-// convPacked is the shared kernel body; pw is non-nil (one PackedA per
-// group) when the compile-time prepack pass packed constant filters.
-func convPacked(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pw []*kernels.PackedA) ([]*tensor.Tensor, error) {
+// implementation in tests. pp is non-nil (one PackedA per group) when Bind
+// packed constant filters.
+func convK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) ([]*tensor.Tensor, error) {
 	if err := need("Conv", in, 2, 3); err != nil {
 		return nil, err
 	}
@@ -115,8 +108,8 @@ func convPacked(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pw []*kern
 				colMat = col
 			}
 			cSlice := od[(b*m+g*mPerG)*colN : (b*m+(g+1)*mPerG)*colN]
-			if pw != nil {
-				kernels.GemmPackedAEpi(pw[g], colN, colMat, colN, false, cSlice, a, epi)
+			if pp != nil {
+				kernels.GemmPackedAEpi(pp.A[g], colN, colMat, colN, false, cSlice, a, epi)
 			} else {
 				wg := wdata[g*mPerG*colK : (g+1)*mPerG*colK]
 				kernels.GemmEpi(1, mPerG, colN, colK, wg, colK, false, colMat, colN, false, cSlice, a, epi)
@@ -279,23 +272,17 @@ func pool2d(op string, kind poolKind, in []*tensor.Tensor, attrs Attrs, a tensor
 
 const negInf = float32(-3.4028234663852886e38)
 
-// MaxPool implements 2-D max pooling.
-var MaxPool = onHeap(maxPoolK)
-
+// maxPoolK implements 2-D max pooling.
 func maxPoolK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
 	return pool2d("MaxPool", poolMax, in, attrs, a)
 }
 
-// AveragePool implements 2-D average pooling.
-var AveragePool = onHeap(avgPoolK)
-
+// avgPoolK implements 2-D average pooling.
 func avgPoolK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
 	return pool2d("AveragePool", poolAvg, in, attrs, a)
 }
 
-// GlobalAveragePool averages each channel plane to 1x1.
-var GlobalAveragePool = onHeap(globalAvgPoolK)
-
+// globalAvgPoolK averages each channel plane to 1x1.
 func globalAvgPoolK(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("GlobalAveragePool", in, 1, 1); err != nil {
 		return nil, err

@@ -23,15 +23,15 @@ func inceptionConvCase(r *tensor.RNG) (x, w, bias *tensor.Tensor, attrs Attrs) {
 func BenchmarkConvIm2col(b *testing.B) {
 	r := tensor.NewRNG(7)
 	x, w, bias, attrs := inceptionConvCase(r)
-	pp := PrepackWeights("Conv", attrs, []*tensor.Tensor{nil, w, nil})
-	if pp == nil {
+	conv, _ := Bind("Conv", attrs, []*tensor.Tensor{nil, w, nil})
+	if conv.Packed == nil {
 		b.Fatal("inception conv not prepacked")
 	}
 	in := []*tensor.Tensor{x, w, bias}
 	ar := tensor.NewArena()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := RunPrepacked("Conv", in, attrs, ar, pp)
+		out, err := conv.Run(in, ar, false)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -76,7 +76,7 @@ func TestConvMatchesReference(t *testing.T) {
 			"pads":    []int{c.pad, c.pad, c.pad, c.pad},
 			"group":   c.groups,
 		}
-		got, err := Conv([]*tensor.Tensor{x, w, b}, attrs)
+		got, err := call("Conv", []*tensor.Tensor{x, w, b}, attrs)
 		if err != nil {
 			t.Fatalf("%+v: %v", c, err)
 		}
@@ -94,7 +94,7 @@ func TestConvAsymmetricPads(t *testing.T) {
 	x := r.RandTensor(1, 3, 9, 9)
 	w := r.RandTensor(5, 3, 3, 3)
 	attrs := Attrs{"pads": []int{2, 0, 1, 3}, "strides": []int{2, 1}}
-	got, err := Conv([]*tensor.Tensor{x, w}, attrs)
+	got, err := call("Conv", []*tensor.Tensor{x, w}, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestConvParallelEqualsSerial(t *testing.T) {
 	attrs := Attrs{"pads": []int{1, 1, 1, 1}}
 	var serial, parallel *tensor.Tensor
 	tensor.WithIntraOpThreads(1, func() {
-		out, err := Conv([]*tensor.Tensor{x, w}, attrs)
+		out, err := call("Conv", []*tensor.Tensor{x, w}, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		serial = out[0]
 	})
 	tensor.WithIntraOpThreads(8, func() {
-		out, err := Conv([]*tensor.Tensor{x, w}, attrs)
+		out, err := call("Conv", []*tensor.Tensor{x, w}, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,23 +132,23 @@ func TestConvParallelEqualsSerial(t *testing.T) {
 func TestConvErrors(t *testing.T) {
 	x := tensor.Zeros(1, 3, 8, 8)
 	w := tensor.Zeros(4, 3, 3, 3)
-	if _, err := Conv([]*tensor.Tensor{x}, nil); err == nil {
+	if _, err := call("Conv", []*tensor.Tensor{x}, nil); err == nil {
 		t.Error("missing weight accepted")
 	}
-	if _, err := Conv([]*tensor.Tensor{tensor.Zeros(3, 8, 8), w}, nil); err == nil {
+	if _, err := call("Conv", []*tensor.Tensor{tensor.Zeros(3, 8, 8), w}, nil); err == nil {
 		t.Error("3-D input accepted")
 	}
 	bad := tensor.Zeros(4, 2, 3, 3)
-	if _, err := Conv([]*tensor.Tensor{x, bad}, nil); err == nil {
+	if _, err := call("Conv", []*tensor.Tensor{x, bad}, nil); err == nil {
 		t.Error("channel mismatch accepted")
 	}
-	if _, err := Conv([]*tensor.Tensor{x, w, tensor.Zeros(5)}, nil); err == nil {
+	if _, err := call("Conv", []*tensor.Tensor{x, w, tensor.Zeros(5)}, nil); err == nil {
 		t.Error("bad bias accepted")
 	}
-	if _, err := Conv([]*tensor.Tensor{x, tensor.Zeros(4, 3, 9, 9)}, nil); err == nil {
+	if _, err := call("Conv", []*tensor.Tensor{x, tensor.Zeros(4, 3, 9, 9)}, nil); err == nil {
 		t.Error("kernel larger than input accepted without padding")
 	}
-	if _, err := Conv([]*tensor.Tensor{x, tensor.Zeros(5, 3, 3, 3)}, Attrs{"group": 2}); err == nil {
+	if _, err := call("Conv", []*tensor.Tensor{x, tensor.Zeros(5, 3, 3, 3)}, Attrs{"group": 2}); err == nil {
 		t.Error("non-divisible groups accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestMaxPoolBasic(t *testing.T) {
 		9, 10, 11, 12,
 		13, 14, 15, 16,
 	})
-	out, err := MaxPool([]*tensor.Tensor{x}, Attrs{"kernel_shape": []int{2, 2}, "strides": []int{2, 2}})
+	out, err := call("MaxPool", []*tensor.Tensor{x}, Attrs{"kernel_shape": []int{2, 2}, "strides": []int{2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMaxPoolBasic(t *testing.T) {
 
 func TestMaxPoolPadding(t *testing.T) {
 	x := tensor.New(tensor.Shape{1, 1, 2, 2}, []float32{-1, -2, -3, -4})
-	out, err := MaxPool([]*tensor.Tensor{x},
+	out, err := call("MaxPool", []*tensor.Tensor{x},
 		Attrs{"kernel_shape": []int{3, 3}, "strides": []int{1, 1}, "pads": []int{1, 1, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestMaxPoolPadding(t *testing.T) {
 
 func TestAveragePool(t *testing.T) {
 	x := tensor.New(tensor.Shape{1, 1, 2, 2}, []float32{1, 2, 3, 4})
-	out, err := AveragePool([]*tensor.Tensor{x}, Attrs{"kernel_shape": []int{2, 2}})
+	out, err := call("AveragePool", []*tensor.Tensor{x}, Attrs{"kernel_shape": []int{2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestAveragePool(t *testing.T) {
 		t.Fatalf("AveragePool = %v, want 2.5", out[0].Data()[0])
 	}
 	// count_include_pad distinguishes the divisor.
-	out2, err := AveragePool([]*tensor.Tensor{x},
+	out2, err := call("AveragePool", []*tensor.Tensor{x},
 		Attrs{"kernel_shape": []int{2, 2}, "pads": []int{1, 1, 0, 0}, "strides": []int{2, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestAveragePool(t *testing.T) {
 
 func TestGlobalAveragePool(t *testing.T) {
 	x := tensor.New(tensor.Shape{1, 2, 2, 2}, []float32{1, 2, 3, 4, 10, 20, 30, 40})
-	out, err := GlobalAveragePool([]*tensor.Tensor{x}, nil)
+	out, err := call("GlobalAveragePool", []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,13 +221,13 @@ func TestGlobalAveragePool(t *testing.T) {
 
 func TestPoolErrors(t *testing.T) {
 	x := tensor.Zeros(1, 1, 4, 4)
-	if _, err := MaxPool([]*tensor.Tensor{x}, Attrs{}); err == nil {
+	if _, err := call("MaxPool", []*tensor.Tensor{x}, Attrs{}); err == nil {
 		t.Error("missing kernel_shape accepted")
 	}
-	if _, err := MaxPool([]*tensor.Tensor{tensor.Zeros(4, 4)}, Attrs{"kernel_shape": []int{2, 2}}); err == nil {
+	if _, err := call("MaxPool", []*tensor.Tensor{tensor.Zeros(4, 4)}, Attrs{"kernel_shape": []int{2, 2}}); err == nil {
 		t.Error("2-D input accepted")
 	}
-	if _, err := GlobalAveragePool([]*tensor.Tensor{tensor.Zeros(4, 4)}, nil); err == nil {
+	if _, err := call("GlobalAveragePool", []*tensor.Tensor{tensor.Zeros(4, 4)}, nil); err == nil {
 		t.Error("GlobalAveragePool accepted 2-D input")
 	}
 }

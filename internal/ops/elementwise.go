@@ -9,8 +9,8 @@ import (
 // The elementwise kernels in this file are the memory-bound glue between
 // the GEMM-shaped heavy ops. They run as specialized slice loops — no
 // per-element function pointer — and the same loops back the fused-chain
-// kernel (fused.go) and the executor's in-place path (inplace.go), so
-// every way an activation can execute computes bit-identical values.
+// kernel (fused.go) and the bound unary ops' in-place form, so every way
+// an activation can execute computes bit-identical values.
 
 // uninitLike allocates an output tensor with t's shape whose contents the
 // caller fully overwrites, skipping the zero fill a recycled arena buffer
@@ -19,9 +19,10 @@ func uninitLike(a tensor.Allocator, t *tensor.Tensor) *tensor.Tensor {
 	return tensor.New(t.Shape(), tensor.AllocUninit(a, t.Numel()))
 }
 
-// Specialized unary slice loops. dst and src must be index-aligned and may
-// alias (dst == src is the in-place path).
+// Specialized unary slice loops, one per op. dst and src must be
+// index-aligned and may alias (dst == src is the in-place path).
 
+// reluLoop is Relu: max(x, 0).
 func reluLoop(dst, src []float32) {
 	// max keeps the loop branchless: random-sign activations mispredict a
 	// comparison ~50% of the time, which dominates a memory-bound sweep.
@@ -45,36 +46,43 @@ func clipLoop(dst, src []float32, lo, hi float32) {
 	}
 }
 
+// sigmoidLoop is Sigmoid: 1/(1+exp(-x)).
 func sigmoidLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
 	}
 }
 
+// tanhLoop is Tanh, the hyperbolic tangent.
 func tanhLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = float32(math.Tanh(float64(v)))
 	}
 }
 
+// expLoop is Exp: e^x.
 func expLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = float32(math.Exp(float64(v)))
 	}
 }
 
+// sqrtLoop is Sqrt, the square root (NaN for negative inputs, as ONNX).
 func sqrtLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = float32(math.Sqrt(float64(v)))
 	}
 }
 
+// erfLoop is Erf, the Gauss error function, the primitive BERT's GELU
+// decomposes to.
 func erfLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = float32(math.Erf(float64(v)))
 	}
 }
 
+// negLoop is Neg: -x.
 func negLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = -v
@@ -154,116 +162,50 @@ func parallelUnary(loop func(dst, src []float32), dst, src []float32) {
 	})
 }
 
-// unaryLoop builds an AllocKernel around a specialized slice loop.
-func unaryLoop(op string, loop func(dst, src []float32)) AllocKernel {
-	return func(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-		if err := need(op, in, 1, 1); err != nil {
-			return nil, err
-		}
-		out := uninitLike(a, in[0])
-		parallelUnary(loop, out.Data(), in[0].Data())
-		return []*tensor.Tensor{out}, nil
-	}
+// unaryOp binds a single-input elementwise op whose loop needs no
+// attributes.
+func unaryOp(op string, loop func(dst, src []float32)) binder {
+	return func(Attrs, []*tensor.Tensor) *Bound { return unaryBound(op, loop) }
 }
 
-// unary builds an AllocKernel applying f element-wise through a function
-// pointer. It is retained as the reference the devirtualized loops are
-// benchmarked against (BenchmarkReluIndirect) and as the builder for ops
-// whose per-element cost dwarfs the call (Pow).
-func unary(op string, f func(float32) float32) AllocKernel {
-	return func(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
+// unaryBound binds a single-input elementwise op around its slice loop: a
+// run sweeps in[0] into a fresh output or, in place, into in[0]'s own
+// buffer. A nil loop is Identity: a copy, so downstream mutation hazards
+// cannot arise, or in place nothing at all.
+func unaryBound(op string, loop func(dst, src []float32)) *Bound {
+	return &Bound{inPlace: true, run: func(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, inPlace bool) ([]*tensor.Tensor, error) {
 		if err := need(op, in, 1, 1); err != nil {
 			return nil, err
 		}
 		x := in[0]
-		out := tensor.ZerosLikeIn(a, x)
-		xd, od := x.Data(), out.Data()
-		tensor.ParallelRange(len(xd), 4096, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				od[i] = f(xd[i])
+		switch {
+		case inPlace:
+			if loop != nil {
+				parallelUnary(loop, x.Data(), x.Data())
 			}
-		})
+			return []*tensor.Tensor{tensor.New(x.Shape(), x.Data())}, nil
+		case loop == nil:
+			return []*tensor.Tensor{x.CloneIn(a)}, nil
+		}
+		out := uninitLike(a, x)
+		parallelUnary(loop, out.Data(), x.Data())
 		return []*tensor.Tensor{out}, nil
-	}
+	}}
 }
 
-// Relu is max(x, 0).
-var Relu = onHeap(reluK)
-
-var reluK = unaryLoop("Relu", reluLoop)
-
-// Sigmoid is 1/(1+exp(-x)).
-var Sigmoid = onHeap(sigmoidK)
-
-var sigmoidK = unaryLoop("Sigmoid", sigmoidLoop)
-
-// Tanh is the hyperbolic tangent.
-var Tanh = onHeap(tanhK)
-
-var tanhK = unaryLoop("Tanh", tanhLoop)
-
-// Exp is e^x.
-var Exp = onHeap(expK)
-
-var expK = unaryLoop("Exp", expLoop)
-
-// Sqrt is the square root (NaN for negative inputs, as ONNX).
-var Sqrt = onHeap(sqrtK)
-
-var sqrtK = unaryLoop("Sqrt", sqrtLoop)
-
-// Erf is the Gauss error function, the primitive BERT's GELU decomposes to.
-var Erf = onHeap(erfK)
-
-var erfK = unaryLoop("Erf", erfLoop)
-
-// Neg is -x.
-var Neg = onHeap(negK)
-
-var negK = unaryLoop("Neg", negLoop)
-
-// Identity passes its single input through unchanged (copied, so downstream
-// mutation hazards cannot arise).
-var Identity = onHeap(identityK)
-
-func identityK(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	if err := need("Identity", in, 1, 1); err != nil {
-		return nil, err
-	}
-	return []*tensor.Tensor{in[0].CloneIn(a)}, nil
-}
-
-// LeakyRelu is x for x>=0 else alpha*x (attribute alpha, default 0.01).
-var LeakyRelu = onHeap(leakyReluK)
-
-func leakyReluK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	if err := need("LeakyRelu", in, 1, 1); err != nil {
-		return nil, err
-	}
+// bindLeakyRelu binds LeakyRelu: x for x>=0 else alpha*x (attribute alpha,
+// default 0.01).
+func bindLeakyRelu(attrs Attrs, _ []*tensor.Tensor) *Bound {
 	alpha := float32(attrs.Float("alpha", 0.01))
-	out := uninitLike(a, in[0])
-	od, xd := out.Data(), in[0].Data()
-	tensor.ParallelRange(len(xd), 4096, func(lo, hi int) {
-		leakyReluLoop(od[lo:hi], xd[lo:hi], alpha)
-	})
-	return []*tensor.Tensor{out}, nil
+	return unaryBound("LeakyRelu", func(dst, src []float32) { leakyReluLoop(dst, src, alpha) })
 }
 
-// Clip bounds x to [min, max] given as attributes (ONNX opset-6 style).
-var Clip = onHeap(clipK)
-
-func clipK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	if err := need("Clip", in, 1, 1); err != nil {
-		return nil, err
-	}
+// bindClip binds Clip: x bounded to [min, max] given as attributes (ONNX
+// opset-6 style).
+func bindClip(attrs Attrs, _ []*tensor.Tensor) *Bound {
 	lo := float32(attrs.Float("min", -math.MaxFloat32))
 	hi := float32(attrs.Float("max", math.MaxFloat32))
-	out := uninitLike(a, in[0])
-	od, xd := out.Data(), in[0].Data()
-	tensor.ParallelRange(len(xd), 4096, func(l, h int) {
-		clipLoop(od[l:h], xd[l:h], lo, hi)
-	})
-	return []*tensor.Tensor{out}, nil
+	return unaryBound("Clip", func(dst, src []float32) { clipLoop(dst, src, lo, hi) })
 }
 
 // binaryLoops bundles the specialized sweeps of one binary operator: the
@@ -420,38 +362,26 @@ func broadcastStrides(s, out tensor.Shape) []int {
 	return strides
 }
 
-// Add is element-wise a+b with broadcasting.
-var Add = onHeap(addK)
-
+// addK is element-wise a+b with broadcasting.
 var addK = binaryFast("Add", addLoops)
 
-// Sub is element-wise a-b with broadcasting.
-var Sub = onHeap(subK)
-
+// subK is element-wise a-b with broadcasting.
 var subK = binaryFast("Sub", subLoops)
 
-// Mul is element-wise a*b with broadcasting.
-var Mul = onHeap(mulK)
-
+// mulK is element-wise a*b with broadcasting.
 var mulK = binaryFast("Mul", mulLoops)
 
-// Div is element-wise a/b with broadcasting.
-var Div = onHeap(divK)
-
+// divK is element-wise a/b with broadcasting.
 var divK = binaryFast("Div", divLoops)
 
-// Pow is element-wise a^b with broadcasting. The math.Pow call dominates,
+// powK is element-wise a^b with broadcasting. The math.Pow call dominates,
 // so it keeps the function-pointer builder.
-var Pow = onHeap(powK)
-
 var powK = binary("Pow", func(a, b float32) float32 {
 	return float32(math.Pow(float64(a), float64(b)))
 })
 
-// Softmax normalizes along the given axis (attribute "axis", default -1)
+// softmaxK normalizes along the given axis (attribute "axis", default -1)
 // with the usual max-subtraction for numerical stability.
-var Softmax = onHeap(softmaxK)
-
 func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Softmax", in, 1, 1); err != nil {
 		return nil, err

@@ -26,6 +26,34 @@ var (
 	subIndirectK = binary("Sub", func(a, b float32) float32 { return a - b })
 )
 
+// unary builds an AllocKernel applying f element-wise through a function
+// pointer: the reference the devirtualized loops are benchmarked against.
+func unary(op string, f func(float32) float32) AllocKernel {
+	return func(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
+		if err := need(op, in, 1, 1); err != nil {
+			return nil, err
+		}
+		x := in[0]
+		out := tensor.ZerosLikeIn(a, x)
+		xd, od := x.Data(), out.Data()
+		tensor.ParallelRange(len(xd), 4096, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				od[i] = f(xd[i])
+			}
+		})
+		return []*tensor.Tensor{out}, nil
+	}
+}
+
+// boundK binds op once, with no attributes or constants, and adapts the
+// binding to an AllocKernel.
+func boundK(op string) AllocKernel {
+	k, _ := Bind(op, nil, nil)
+	return func(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
+		return k.Run(in, a, false)
+	}
+}
+
 func benchUnary(b *testing.B, k AllocKernel) {
 	b.Helper()
 	r := tensor.NewRNG(1)
@@ -55,7 +83,7 @@ func benchBinary(b *testing.B, k AllocKernel) {
 	}
 }
 
-func BenchmarkReluDirect(b *testing.B)   { benchUnary(b, reluK) }
+func BenchmarkReluDirect(b *testing.B)   { benchUnary(b, boundK("Relu")) }
 func BenchmarkReluIndirect(b *testing.B) { benchUnary(b, reluIndirectK) }
 func BenchmarkAddDirect(b *testing.B)    { benchBinary(b, addK) }
 func BenchmarkAddIndirect(b *testing.B)  { benchBinary(b, addIndirectK) }
@@ -78,10 +106,11 @@ func BenchmarkFusedElementwiseChain(b *testing.B) {
 	attrs = FusedStageAttrs(attrs, "Mul", Attrs{}, 2, false)
 	in = append(in, tensor.Scalar(0.5))
 	attrs = FusedStageAttrs(attrs, "Clip", Attrs{"min": -1.0, "max": 1.0}, -1, false)
+	fused, _ := Bind("FusedElementwise", attrs, nil)
 	b.SetBytes(4 * benchElems)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fusedElementwiseK(in, attrs, nil); err != nil {
+		if _, err := fused.Run(in, nil, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +121,8 @@ func BenchmarkUnfusedElementwiseChain(b *testing.B) {
 	x := r.RandTensor(benchElems)
 	same := r.RandTensor(benchElems)
 	half := tensor.Scalar(0.5)
-	clipAttrs := Attrs{"min": -1.0, "max": 1.0}
+	relu, _ := Bind("Relu", nil, nil)
+	clip, _ := Bind("Clip", Attrs{"min": -1.0, "max": 1.0}, nil)
 	b.SetBytes(4 * benchElems)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -100,13 +130,13 @@ func BenchmarkUnfusedElementwiseChain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if v, err = reluK(v, nil, nil); err != nil {
+		if v, err = relu.Run(v, nil, false); err != nil {
 			b.Fatal(err)
 		}
 		if v, err = mulK([]*tensor.Tensor{v[0], half}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
-		if _, err = clipK(v, clipAttrs, nil); err != nil {
+		if _, err = clip.Run(v, nil, false); err != nil {
 			b.Fatal(err)
 		}
 	}

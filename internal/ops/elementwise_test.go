@@ -10,7 +10,7 @@ import (
 
 func TestReluSigmoidTanh(t *testing.T) {
 	x := tensor.FromSlice([]float32{-2, -0.5, 0, 0.5, 2})
-	out, err := Relu([]*tensor.Tensor{x}, nil)
+	out, err := call("Relu", []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,11 +20,11 @@ func TestReluSigmoidTanh(t *testing.T) {
 			t.Fatalf("Relu = %v", out[0].Data())
 		}
 	}
-	sig, _ := Sigmoid([]*tensor.Tensor{tensor.Scalar(0)}, nil)
+	sig, _ := call("Sigmoid", []*tensor.Tensor{tensor.Scalar(0)}, nil)
 	if math.Abs(float64(sig[0].Data()[0])-0.5) > 1e-6 {
 		t.Errorf("Sigmoid(0) = %v", sig[0].Data()[0])
 	}
-	th, _ := Tanh([]*tensor.Tensor{tensor.Scalar(0)}, nil)
+	th, _ := call("Tanh", []*tensor.Tensor{tensor.Scalar(0)}, nil)
 	if th[0].Data()[0] != 0 {
 		t.Errorf("Tanh(0) = %v", th[0].Data()[0])
 	}
@@ -32,14 +32,14 @@ func TestReluSigmoidTanh(t *testing.T) {
 
 func TestLeakyReluClip(t *testing.T) {
 	x := tensor.FromSlice([]float32{-10, 10})
-	lr, err := LeakyRelu([]*tensor.Tensor{x}, Attrs{"alpha": 0.1})
+	lr, err := call("LeakyRelu", []*tensor.Tensor{x}, Attrs{"alpha": 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(float64(lr[0].Data()[0]+1)) > 1e-6 || lr[0].Data()[1] != 10 {
 		t.Errorf("LeakyRelu = %v", lr[0].Data())
 	}
-	cl, err := Clip([]*tensor.Tensor{x}, Attrs{"min": -1.0, "max": 1.0})
+	cl, err := call("Clip", []*tensor.Tensor{x}, Attrs{"min": -1.0, "max": 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAddBroadcastChannelBias(t *testing.T) {
 		x.Data()[i] = float32(i)
 	}
 	bias := tensor.New(tensor.Shape{1, 3, 1, 1}, []float32{100, 200, 300})
-	out, err := Add([]*tensor.Tensor{x, bias}, nil)
+	out, err := call("Add", []*tensor.Tensor{x, bias}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestAddBroadcastChannelBias(t *testing.T) {
 func TestBinarySameShapeFastPath(t *testing.T) {
 	a := tensor.FromSlice([]float32{1, 2, 3})
 	b := tensor.FromSlice([]float32{4, 5, 6})
-	got, err := Mul([]*tensor.Tensor{a, b}, nil)
+	got, err := call("Mul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,18 +76,18 @@ func TestBinarySameShapeFastPath(t *testing.T) {
 			t.Fatalf("Mul = %v", got[0].Data())
 		}
 	}
-	d, _ := Div([]*tensor.Tensor{a, b}, nil)
+	d, _ := call("Div", []*tensor.Tensor{a, b}, nil)
 	if math.Abs(float64(d[0].Data()[0])-0.25) > 1e-6 {
 		t.Errorf("Div = %v", d[0].Data())
 	}
-	s, _ := Sub([]*tensor.Tensor{a, b}, nil)
+	s, _ := call("Sub", []*tensor.Tensor{a, b}, nil)
 	if s[0].Data()[2] != -3 {
 		t.Errorf("Sub = %v", s[0].Data())
 	}
 }
 
 func TestBinaryShapeError(t *testing.T) {
-	if _, err := Add([]*tensor.Tensor{tensor.Zeros(3), tensor.Zeros(4)}, nil); err == nil {
+	if _, err := call("Add", []*tensor.Tensor{tensor.Zeros(3), tensor.Zeros(4)}, nil); err == nil {
 		t.Error("incompatible broadcast accepted")
 	}
 }
@@ -95,7 +95,7 @@ func TestBinaryShapeError(t *testing.T) {
 func TestPow(t *testing.T) {
 	a := tensor.FromSlice([]float32{2, 3})
 	b := tensor.Scalar(2)
-	out, err := Pow([]*tensor.Tensor{a, b}, nil)
+	out, err := call("Pow", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPow(t *testing.T) {
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := tensor.NewRNG(17)
 	x := r.RandTensor(4, 7)
-	out, err := Softmax([]*tensor.Tensor{x}, Attrs{"axis": -1})
+	out, err := call("Softmax", []*tensor.Tensor{x}, Attrs{"axis": -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxAxis0(t *testing.T) {
 	x := tensor.New(tensor.Shape{2, 2}, []float32{0, 0, 0, 0})
-	out, err := Softmax([]*tensor.Tensor{x}, Attrs{"axis": 0})
+	out, err := call("Softmax", []*tensor.Tensor{x}, Attrs{"axis": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSoftmaxAxis0(t *testing.T) {
 func TestSoftmaxStability(t *testing.T) {
 	// Large logits must not overflow to NaN.
 	x := tensor.FromSlice([]float32{1000, 1001, 1002})
-	out, err := Softmax([]*tensor.Tensor{x}, nil)
+	out, err := call("Softmax", []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,19 +159,19 @@ func TestSoftmaxStability(t *testing.T) {
 }
 
 func TestErfNegSqrtExp(t *testing.T) {
-	e, _ := Erf([]*tensor.Tensor{tensor.Scalar(0)}, nil)
+	e, _ := call("Erf", []*tensor.Tensor{tensor.Scalar(0)}, nil)
 	if e[0].Data()[0] != 0 {
 		t.Errorf("Erf(0) = %v", e[0].Data()[0])
 	}
-	n, _ := Neg([]*tensor.Tensor{tensor.Scalar(3)}, nil)
+	n, _ := call("Neg", []*tensor.Tensor{tensor.Scalar(3)}, nil)
 	if n[0].Data()[0] != -3 {
 		t.Errorf("Neg(3) = %v", n[0].Data()[0])
 	}
-	s, _ := Sqrt([]*tensor.Tensor{tensor.Scalar(9)}, nil)
+	s, _ := call("Sqrt", []*tensor.Tensor{tensor.Scalar(9)}, nil)
 	if s[0].Data()[0] != 3 {
 		t.Errorf("Sqrt(9) = %v", s[0].Data()[0])
 	}
-	x, _ := Exp([]*tensor.Tensor{tensor.Scalar(0)}, nil)
+	x, _ := call("Exp", []*tensor.Tensor{tensor.Scalar(0)}, nil)
 	if x[0].Data()[0] != 1 {
 		t.Errorf("Exp(0) = %v", x[0].Data()[0])
 	}
@@ -179,7 +179,7 @@ func TestErfNegSqrtExp(t *testing.T) {
 
 func TestIdentityCopies(t *testing.T) {
 	x := tensor.FromSlice([]float32{1, 2})
-	out, err := Identity([]*tensor.Tensor{x}, nil)
+	out, err := call("Identity", []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +196,11 @@ func TestReluIdempotent(t *testing.T) {
 			return true
 		}
 		x := tensor.FromSlice(vals)
-		once, err := Relu([]*tensor.Tensor{x}, nil)
+		once, err := call("Relu", []*tensor.Tensor{x}, nil)
 		if err != nil {
 			return false
 		}
-		twice, err := Relu(once, nil)
+		twice, err := call("Relu", once, nil)
 		if err != nil {
 			return false
 		}
@@ -223,8 +223,8 @@ func TestAddCommutative(t *testing.T) {
 		}
 		ta := tensor.FromSlice(a[:n])
 		tb := tensor.FromSlice(b[:n])
-		ab, err1 := Add([]*tensor.Tensor{ta, tb}, nil)
-		ba, err2 := Add([]*tensor.Tensor{tb, ta}, nil)
+		ab, err1 := call("Add", []*tensor.Tensor{ta, tb}, nil)
+		ba, err2 := call("Add", []*tensor.Tensor{tb, ta}, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}

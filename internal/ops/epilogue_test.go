@@ -44,17 +44,16 @@ func TestConvEpilogueMatchesSeparateActivation(t *testing.T) {
 	for _, c := range cases {
 		bias := r.RandTensor(c.w.Shape()[0])
 		for _, act := range acts {
-			plain, err := Conv([]*tensor.Tensor{c.x, c.w, bias}, c.attrs)
+			plain, err := call("Conv", []*tensor.Tensor{c.x, c.w, bias}, c.attrs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			k, _ := Lookup(act.op)
-			want, err := k(plain, act.attrs)
+			want, err := call(act.op, plain, act.attrs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fusedAttrs := mergeAttrs(c.attrs, EpilogueAttrs(act.op, act.attrs))
-			got, err := Conv([]*tensor.Tensor{c.x, c.w, bias}, fusedAttrs)
+			got, err := call("Conv", []*tensor.Tensor{c.x, c.w, bias}, fusedAttrs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,17 +74,16 @@ func TestGemmEpilogueAfterBias(t *testing.T) {
 	bias := r.RandTensor(9)
 	base := Attrs{"beta": 1.0}
 
-	plain, err := Gemm([]*tensor.Tensor{a, b, bias}, base)
+	plain, err := call("Gemm", []*tensor.Tensor{a, b, bias}, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _ := Lookup("Clip")
 	clipAttrs := Attrs{"min": -0.3, "max": 0.3}
-	want, err := k(plain, clipAttrs)
+	want, err := call("Clip", plain, clipAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Gemm([]*tensor.Tensor{a, b, bias}, mergeAttrs(base, EpilogueAttrs("Clip", clipAttrs)))
+	got, err := call("Gemm", []*tensor.Tensor{a, b, bias}, mergeAttrs(base, EpilogueAttrs("Clip", clipAttrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +92,15 @@ func TestGemmEpilogueAfterBias(t *testing.T) {
 	}
 
 	// Without a bias term the epilogue rides the GEMM core writeback.
-	plain2, err := Gemm([]*tensor.Tensor{a, b}, nil)
+	plain2, err := call("Gemm", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := k(plain2, clipAttrs)
+	want2, err := call("Clip", plain2, clipAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := Gemm([]*tensor.Tensor{a, b}, mergeAttrs(nil, EpilogueAttrs("Clip", clipAttrs)))
+	got2, err := call("Gemm", []*tensor.Tensor{a, b}, mergeAttrs(nil, EpilogueAttrs("Clip", clipAttrs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +115,15 @@ func TestMatMulEpilogueBatched(t *testing.T) {
 	r := tensor.NewRNG(77)
 	a := r.RandTensor(3, 4, 5)
 	b := r.RandTensor(3, 5, 6)
-	plain, err := MatMul([]*tensor.Tensor{a, b}, nil)
+	plain, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _ := Lookup("Relu")
-	want, err := k(plain, nil)
+	want, err := call("Relu", plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MatMul([]*tensor.Tensor{a, b}, mergeAttrs(nil, EpilogueAttrs("Relu", nil)))
+	got, err := call("MatMul", []*tensor.Tensor{a, b}, mergeAttrs(nil, EpilogueAttrs("Relu", nil)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,16 +139,15 @@ func TestEpilogueDegenerateK(t *testing.T) {
 	a := tensor.Zeros(2, 0)
 	b := tensor.Zeros(0, 3)
 	clipAttrs := Attrs{"min": 1.0, "max": 2.0}
-	plain, err := MatMul([]*tensor.Tensor{a, b}, nil)
+	plain, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, _ := Lookup("Clip")
-	want, err := k(plain, clipAttrs)
+	want, err := call("Clip", plain, clipAttrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MatMul([]*tensor.Tensor{a, b}, mergeAttrs(nil, EpilogueAttrs("Clip", clipAttrs)))
+	got, err := call("MatMul", []*tensor.Tensor{a, b}, mergeAttrs(nil, EpilogueAttrs("Clip", clipAttrs)))
 	if err != nil {
 		t.Fatal(err)
 	}

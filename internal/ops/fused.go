@@ -29,7 +29,25 @@ import (
 // a genuinely broadcasting extra falls back to a stage-at-a-time
 // materialization through the ordinary binary kernels, so the pass never
 // has to prove shapes it cannot see.
-var FusedElementwise = onHeap(fusedElementwiseK)
+//
+// bindFused decodes the stage program once per node, and the chain runs in
+// place when the executor hands it in[0]'s buffer.
+func bindFused(attrs Attrs, _ []*tensor.Tensor) *Bound {
+	stages, decodeErr := parseFused(attrs)
+	return &Bound{inPlace: true, run: func(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, inPlace bool) ([]*tensor.Tensor, error) {
+		if err := need("FusedElementwise", in, 1, -1); err != nil {
+			return nil, err
+		}
+		if decodeErr != nil {
+			return nil, decodeErr
+		}
+		out, err := runFused(in, stages, a, inPlace)
+		if err != nil {
+			return nil, err
+		}
+		return []*tensor.Tensor{out}, nil
+	}}
+}
 
 // Attribute keys of the FusedElementwise encoding.
 const (
@@ -46,6 +64,9 @@ type feStage struct {
 	arg    int // extra-operand input index; -1 = unary
 	swap   bool
 	p0, p1 float32
+	// bin is a binary stage's broadcasting kernel, which the
+	// stage-at-a-time fallback runs; nil for a unary stage.
+	bin AllocKernel
 }
 
 // FusedStageOK reports whether opType can be a FusedElementwise stage.
@@ -57,13 +78,20 @@ func FusedStageOK(opType string) bool {
 	return false
 }
 
-// fusedStageIsBinary reports whether the stage op consumes an extra operand.
-func fusedStageIsBinary(opType string) bool {
+// fusedBinary returns the kernel of a stage op that consumes an extra
+// operand, nil for a unary stage op.
+func fusedBinary(opType string) AllocKernel {
 	switch opType {
-	case "Add", "Mul", "Sub", "Div":
-		return true
+	case "Add":
+		return addK
+	case "Mul":
+		return mulK
+	case "Sub":
+		return subK
+	case "Div":
+		return divK
 	}
-	return false
+	return nil
 }
 
 // FusedStageAttrs encodes one activation/arithmetic node as stage attrs
@@ -100,8 +128,9 @@ func FusedStageAttrs(acc Attrs, opType string, attrs Attrs, arg int, swap bool) 
 	return acc
 }
 
-// parseFused decodes the stage attrs of a FusedElementwise node.
-func parseFused(attrs Attrs, nin int) ([]feStage, error) {
+// parseFused decodes the stage attrs of a FusedElementwise node. Whether
+// each extra operand exists is checked per run, against the inputs given.
+func parseFused(attrs Attrs) ([]feStage, error) {
 	opsStr := attrs.Str(AttrFusedOps, "")
 	if opsStr == "" {
 		return nil, argErr("FusedElementwise", "missing %s attribute", AttrFusedOps)
@@ -119,40 +148,28 @@ func parseFused(attrs Attrs, nin int) ([]feStage, error) {
 		if !FusedStageOK(op) {
 			return nil, argErr("FusedElementwise", "unsupported stage op %q", op)
 		}
-		arg := args[i]
-		if fusedStageIsBinary(op) {
-			if arg < 1 || arg >= nin {
-				return nil, argErr("FusedElementwise", "stage %d (%s) references input %d of %d", i, op, arg, nin)
-			}
-		} else {
+		arg, bin := args[i], fusedBinary(op)
+		if bin == nil {
 			arg = -1
+		} else if arg < 1 {
+			return nil, argErr("FusedElementwise", "stage %d (%s) references input %d", i, op, arg)
 		}
-		stages[i] = feStage{op: op, arg: arg, swap: swaps[i] != 0, p0: p0[i], p1: p1[i]}
+		stages[i] = feStage{op: op, arg: arg, swap: swaps[i] != 0, p0: p0[i], p1: p1[i], bin: bin}
 	}
 	return stages, nil
 }
 
-func fusedElementwiseK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	if err := need("FusedElementwise", in, 1, -1); err != nil {
-		return nil, err
-	}
-	stages, err := parseFused(attrs, len(in))
-	if err != nil {
-		return nil, err
-	}
-	out, err := runFused(in, stages, a, false)
-	if err != nil {
-		return nil, err
-	}
-	return []*tensor.Tensor{out}, nil
-}
-
 // runFused executes the chain. When inPlace is set the caller (the
-// executor's liveness-proved transfer, ops.RunInPlace) has given the kernel
+// executor's liveness-proved transfer, Bound.Run) has given the kernel
 // ownership of in[0]'s storage: the returned tensor either shares it or the
 // kernel has already returned it to a.
 func runFused(in []*tensor.Tensor, stages []feStage, a tensor.Allocator, inPlace bool) (*tensor.Tensor, error) {
 	x := in[0]
+	for i, st := range stages {
+		if st.arg >= len(in) {
+			return nil, argErr("FusedElementwise", "stage %d (%s) references input %d of %d", i, st.op, st.arg, len(in))
+		}
+	}
 	// Fast path: every extra operand is a scalar or matches the flowing
 	// shape exactly, so the whole chain is one tile-wise sweep — each tile
 	// stays cache-hot while every stage passes over it.
@@ -217,11 +234,7 @@ func runFusedSlow(in []*tensor.Tensor, stages []feStage, a tensor.Allocator, own
 		if st.swap {
 			l, r = r, cur
 		}
-		k, err := LookupAlloc(st.op)
-		if err != nil {
-			return nil, err
-		}
-		outs, err := k([]*tensor.Tensor{l, r}, nil, a)
+		outs, err := st.bin([]*tensor.Tensor{l, r}, nil, a)
 		if err != nil {
 			if owned {
 				tensor.ReleaseData(a, cur)

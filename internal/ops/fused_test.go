@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -17,10 +19,6 @@ func chainRef(t *testing.T, x *tensor.Tensor, steps []struct {
 	t.Helper()
 	cur := x
 	for _, s := range steps {
-		k, err := Lookup(s.op)
-		if err != nil {
-			t.Fatal(err)
-		}
 		in := []*tensor.Tensor{cur}
 		if s.extra != nil {
 			if s.swap {
@@ -29,7 +27,7 @@ func chainRef(t *testing.T, x *tensor.Tensor, steps []struct {
 				in = []*tensor.Tensor{cur, s.extra}
 			}
 		}
-		outs, err := k(in, s.attrs)
+		outs, err := call(s.op, in, s.attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +78,7 @@ func TestFusedChainMatchesUnfused(t *testing.T) {
 	}
 	want := chainRef(t, x, steps)
 	in, attrs := buildFused(steps, x)
-	got, err := FusedElementwise(in, attrs)
+	got, err := call("FusedElementwise", in, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +100,7 @@ func TestFusedSwappedSubDiv(t *testing.T) {
 	}
 	want := chainRef(t, x, steps)
 	in, attrs := buildFused(steps, x)
-	got, err := FusedElementwise(in, attrs)
+	got, err := call("FusedElementwise", in, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +124,7 @@ func TestFusedBroadcastFallback(t *testing.T) {
 	}
 	want := chainRef(t, x, steps)
 	in, attrs := buildFused(steps, x)
-	got, err := FusedElementwise(in, attrs)
+	got, err := call("FusedElementwise", in, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +141,7 @@ func TestFusedBroadcastFallback(t *testing.T) {
 func TestFusedOutputNeverAliasesInput(t *testing.T) {
 	x := tensor.FromSlice([]float32{-1, 2})
 	in, attrs := buildFused([]chainStep{{op: "Relu"}, {op: "Tanh"}}, x)
-	got, err := FusedElementwise(in, attrs)
+	got, err := call("FusedElementwise", in, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,96 +155,105 @@ func TestFusedOutputNeverAliasesInput(t *testing.T) {
 
 func TestFusedRejectsBadEncoding(t *testing.T) {
 	x := tensor.FromSlice([]float32{1})
-	if _, err := FusedElementwise([]*tensor.Tensor{x}, Attrs{}); err == nil {
+	if _, err := call("FusedElementwise", []*tensor.Tensor{x}, Attrs{}); err == nil {
 		t.Error("missing fe_ops accepted")
 	}
 	// Binary stage referencing an input index that does not exist.
 	attrs := FusedStageAttrs(nil, "Add", nil, 3, false)
 	attrs = FusedStageAttrs(attrs, "Relu", nil, -1, false)
-	if _, err := FusedElementwise([]*tensor.Tensor{x}, attrs); err == nil {
+	if _, err := call("FusedElementwise", []*tensor.Tensor{x}, attrs); err == nil {
 		t.Error("out-of-range fe_args accepted")
 	}
 }
 
-// TestPrepackedFusedMatchesRegistry covers the plan-cached stage program:
-// PrepackWeights decodes once, RunPrepacked/RunPrepackedInPlace execute
-// from the decoded form and must match the attr-parsing registry kernel.
+// TestPrepackedFusedMatchesRegistry covers the bound stage program: Bind
+// decodes the chain once, and both the out-of-place and the in-place runs
+// of the binding must match the op-at-a-time registry chain.
 func TestPrepackedFusedMatchesRegistry(t *testing.T) {
 	r := tensor.NewRNG(23)
 	x := r.RandTensor(3, 11)
 	same := r.RandTensor(3, 11)
 	steps := []chainStep{{op: "Add", extra: same}, {op: "Relu"}, {op: "Tanh"}}
+	want := chainRef(t, x.Clone(), steps)
 	in, attrs := buildFused(steps, x)
 
-	pp := PrepackWeights("FusedElementwise", attrs, make([]*tensor.Tensor, len(in)))
-	if pp == nil {
-		t.Fatal("PrepackWeights returned nil for a valid FusedElementwise node")
-	}
-	if pp.HasWeights() {
-		t.Error("stage program reported as weight-bearing")
-	}
-	want, err := FusedElementwise(in, attrs)
+	k, err := Bind("FusedElementwise", attrs, make([]*tensor.Tensor, len(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPrepacked("FusedElementwise", in, attrs, nil, pp)
+	if k.Packed != nil {
+		t.Error("stage program reported as packed weights")
+	}
+	if !k.InPlace() {
+		t.Fatal("FusedElementwise binding has no in-place form")
+	}
+	got, err := k.Run(in, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got[0].AllClose(want[0], 1e-7, 1e-8) {
-		t.Fatal("prepacked fused execution diverges")
+	if !got[0].AllClose(want, 1e-7, 1e-8) {
+		t.Fatal("bound fused execution diverges")
 	}
-	gotIP, err := RunPrepackedInPlace("FusedElementwise", in, attrs, nil, pp)
+	gotIP, err := k.Run(in, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gotIP[0].AllClose(want[0], 1e-7, 1e-8) {
-		t.Fatal("prepacked in-place fused execution diverges")
+	if !gotIP[0].AllClose(want, 1e-7, 1e-8) {
+		t.Fatal("bound in-place fused execution diverges")
 	}
 	if &gotIP[0].Data()[0] != &x.Data()[0] {
-		t.Fatal("prepacked in-place execution did not reuse the input buffer")
+		t.Fatal("bound in-place execution did not reuse the input buffer")
 	}
 }
 
+// TestRunInPlaceUnaryMatchesAndAliases runs every registered op whose
+// binding reports an in-place form both ways: the in-place result must be
+// bit-identical to the out-of-place one and share the input's buffer.
 func TestRunInPlaceUnaryMatchesAndAliases(t *testing.T) {
 	r := tensor.NewRNG(31)
-	for _, tc := range []struct {
-		op    string
-		attrs Attrs
-	}{
-		{"Relu", nil},
-		{"LeakyRelu", Attrs{"alpha": 0.3}},
-		{"Sigmoid", nil},
-		{"Tanh", nil},
-		{"Exp", nil},
-		{"Erf", nil},
-		{"Neg", nil},
-		{"Clip", Attrs{"min": -0.5, "max": 0.5}},
-		{"Identity", nil},
-	} {
-		if !CanRunInPlace(tc.op) {
-			t.Fatalf("%s not in-place capable", tc.op)
-		}
-		x := r.RandTensor(3, 17)
-		k, err := Lookup(tc.op)
+	// Ops whose defaults would make the check vacuous or invalid.
+	attrsOf := map[string]Attrs{
+		"LeakyRelu":        {"alpha": 0.3},
+		"Clip":             {"min": -0.5, "max": 0.5},
+		"FusedElementwise": FusedStageAttrs(FusedStageAttrs(nil, "Sigmoid", nil, -1, false), "Clip", Attrs{"min": 0.2, "max": 0.7}, -1, false),
+	}
+	var checked []string
+	for _, op := range Names() {
+		k, err := Bind(op, attrsOf[op], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := k([]*tensor.Tensor{x.Clone()}, tc.attrs)
-		if err != nil {
-			t.Fatal(err)
+		if !k.InPlace() {
+			continue
 		}
-		got, err := RunInPlace(tc.op, []*tensor.Tensor{x}, tc.attrs, nil)
+		checked = append(checked, op)
+		x := r.RandTensor(3, 17) // mixed signs: Sqrt's NaNs must match too
+		want, err := k.Run([]*tensor.Tensor{x.Clone()}, nil, false)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", op, err)
 		}
-		if !got[0].AllClose(want[0], 1e-7, 1e-8) {
-			t.Errorf("%s: in-place result diverges", tc.op)
+		got, err := k.Run([]*tensor.Tensor{x}, nil, true)
+		if err != nil {
+			t.Fatalf("%s in place: %v", op, err)
+		}
+		if !bitsEqual(got[0].Data(), want[0].Data()) || !got[0].Shape().Equal(want[0].Shape()) {
+			t.Errorf("%s: in-place result diverges", op)
 		}
 		if &got[0].Data()[0] != &x.Data()[0] {
-			t.Errorf("%s: in-place output does not share the input buffer", tc.op)
+			t.Errorf("%s: in-place output does not share the input buffer", op)
 		}
 	}
+	for _, op := range []string{"Relu", "Sqrt", "Identity", "FusedElementwise"} {
+		if !slices.Contains(checked, op) {
+			t.Errorf("%s binding has no in-place form", op)
+		}
+	}
+}
+
+// bitsEqual compares float slices bit for bit, so NaNs compare equal to
+// themselves.
+func bitsEqual(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 func TestRunInPlaceFusedSharesBuffer(t *testing.T) {
@@ -256,7 +263,8 @@ func TestRunInPlaceFusedSharesBuffer(t *testing.T) {
 	steps := []chainStep{{op: "Add", extra: same}, {op: "Relu"}}
 	want := chainRef(t, x.Clone(), steps)
 	in, attrs := buildFused(steps, x)
-	got, err := RunInPlace("FusedElementwise", in, attrs, nil)
+	k, _ := Bind("FusedElementwise", attrs, nil)
+	got, err := k.Run(in, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +290,8 @@ func TestRunInPlaceFusedBroadcastReturnsBuffer(t *testing.T) {
 	x := xHeap.CloneIn(ar) // arena-owned input, as in a real run
 	in, attrs := buildFused(steps, x)
 	putsBefore := ar.Stats().Snapshot().Puts
-	got, err := RunInPlace("FusedElementwise", in, attrs, ar)
+	k, _ := Bind("FusedElementwise", attrs, nil)
+	got, err := k.Run(in, ar, true)
 	if err != nil {
 		t.Fatal(err)
 	}

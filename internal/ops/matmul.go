@@ -8,16 +8,9 @@ import (
 // MatMul implements ONNX MatMul: 2-D matrix product plus batched variants
 // where both inputs have rank >= 2 and leading dimensions broadcast. The
 // product itself runs on the blocked GEMM core (internal/kernels); this
-// file only validates shapes and maps batch indexes.
-var MatMul = onHeap(matMulK)
-
-func matMulK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.Tensor, error) {
-	return matMulPacked(in, attrs, a2, nil)
-}
-
-// matMulPacked is the shared kernel body; pb is non-nil when the graph's
-// right operand is a constant the compile-time prepack pass already packed.
-func matMulPacked(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pb *kernels.PackedB) ([]*tensor.Tensor, error) {
+// file only validates shapes and maps batch indexes. pp is non-nil when the
+// graph's right operand is a constant Bind already packed.
+func matMulK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pp *Prepacked) ([]*tensor.Tensor, error) {
 	if err := need("MatMul", in, 2, 2); err != nil {
 		return nil, err
 	}
@@ -59,10 +52,10 @@ func matMulPacked(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pb *ke
 	}
 
 	switch {
-	case pb != nil:
+	case pp != nil:
 		for batch := 0; batch < batches; batch++ {
 			aOff := batchOf(aIdx, batch) * m * k
-			kernels.GemmPackedBEpi(1, m, ad[aOff:], k, false, pb, od[batch*m*n:], alc, epi)
+			kernels.GemmPackedBEpi(1, m, ad[aOff:], k, false, pp.B, od[batch*m*n:], alc, epi)
 		}
 	case bBatch <= 1:
 		// One shared B: pack it once into run scratch, reuse per batch.
@@ -114,14 +107,9 @@ func broadcastIndices(batch tensor.Shape, dims tensor.Shape) []int {
 
 // Gemm implements ONNX Gemm: Y = alpha*op(A)*op(B) + beta*C with optional
 // transposes; C broadcasts over rows when it is a vector. The product runs
-// on the blocked GEMM core; the beta/bias epilogue is row-parallel.
-var Gemm = onHeap(gemmK)
-
-func gemmK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
-	return gemmPacked(in, attrs, alc, nil)
-}
-
-func gemmPacked(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pb *kernels.PackedB) ([]*tensor.Tensor, error) {
+// on the blocked GEMM core; the beta/bias epilogue is row-parallel. pp is
+// non-nil when B is a constant Bind already packed.
+func gemmK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pp *Prepacked) ([]*tensor.Tensor, error) {
 	if err := need("Gemm", in, 2, 3); err != nil {
 		return nil, err
 	}
@@ -158,8 +146,8 @@ func gemmPacked(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pb *kern
 		coreEpi = kernels.Epilogue{}
 	}
 
-	if pb != nil {
-		kernels.GemmPackedBEpi(alpha, m, a.Data(), as[1], transA, pb, od, alc, coreEpi)
+	if pp != nil {
+		kernels.GemmPackedBEpi(alpha, m, a.Data(), as[1], transA, pp.B, od, alc, coreEpi)
 	} else {
 		kernels.GemmEpi(alpha, m, n, k, a.Data(), as[1], transA, b.Data(), bs[1], transB, od, alc, coreEpi)
 	}

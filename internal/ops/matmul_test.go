@@ -28,7 +28,7 @@ func TestMatMul2D(t *testing.T) {
 	for _, dims := range [][3]int{{2, 3, 4}, {1, 1, 1}, {5, 7, 2}, {16, 16, 16}} {
 		a := r.RandTensor(dims[0], dims[1])
 		b := r.RandTensor(dims[1], dims[2])
-		got, err := MatMul([]*tensor.Tensor{a, b}, nil)
+		got, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestMatMulBatched(t *testing.T) {
 	r := tensor.NewRNG(9)
 	a := r.RandTensor(3, 2, 4, 5)
 	b := r.RandTensor(3, 2, 5, 6)
-	got, err := MatMul([]*tensor.Tensor{a, b}, nil)
+	got, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMatMulBroadcastBatch(t *testing.T) {
 	r := tensor.NewRNG(21)
 	a := r.RandTensor(4, 3, 5) // batch 4
 	b := r.RandTensor(5, 6)    // no batch: broadcast
-	got, err := MatMul([]*tensor.Tensor{a, b}, nil)
+	got, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMatMulMixedBroadcastBatch(t *testing.T) {
 	const m, k, n = 4, 5, 6
 	a := r.RandTensor(2, 1, m, k)
 	b := r.RandTensor(1, 3, k, n)
-	got, err := MatMul([]*tensor.Tensor{a, b}, nil)
+	got, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestMatMulOddShapesVsReference(t *testing.T) {
 	for _, d := range [][3]int{{1, 7, 1}, {3, 5, 33}, {17, 19, 23}, {31, 300, 9}, {65, 5, 130}} {
 		a := r.RandTensor(d[0], d[1])
 		b := r.RandTensor(d[1], d[2])
-		got, err := MatMul([]*tensor.Tensor{a, b}, nil)
+		got, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,13 +128,13 @@ func TestMatMulOddShapesVsReference(t *testing.T) {
 }
 
 func TestMatMulErrors(t *testing.T) {
-	if _, err := MatMul([]*tensor.Tensor{tensor.Zeros(2, 3), tensor.Zeros(4, 5)}, nil); err == nil {
+	if _, err := call("MatMul", []*tensor.Tensor{tensor.Zeros(2, 3), tensor.Zeros(4, 5)}, nil); err == nil {
 		t.Error("inner-dim mismatch accepted")
 	}
-	if _, err := MatMul([]*tensor.Tensor{tensor.Zeros(3), tensor.Zeros(3, 2)}, nil); err == nil {
+	if _, err := call("MatMul", []*tensor.Tensor{tensor.Zeros(3), tensor.Zeros(3, 2)}, nil); err == nil {
 		t.Error("rank-1 operand accepted")
 	}
-	if _, err := MatMul([]*tensor.Tensor{tensor.Zeros(2, 2)}, nil); err == nil {
+	if _, err := call("MatMul", []*tensor.Tensor{tensor.Zeros(2, 2)}, nil); err == nil {
 		t.Error("single operand accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestGemm(t *testing.T) {
 	a := r.RandTensor(3, 4)
 	b := r.RandTensor(4, 5)
 	c := r.RandTensor(5)
-	got, err := Gemm([]*tensor.Tensor{a, b, c}, nil)
+	got, err := call("Gemm", []*tensor.Tensor{a, b, c}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestGemmTransposes(t *testing.T) {
 	r := tensor.NewRNG(8)
 	a := r.RandTensor(4, 3) // transA -> 3x4
 	b := r.RandTensor(5, 4) // transB -> 4x5
-	got, err := Gemm([]*tensor.Tensor{a, b}, Attrs{"transA": 1, "transB": 1})
+	got, err := call("Gemm", []*tensor.Tensor{a, b}, Attrs{"transA": 1, "transB": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestGemmAlphaBeta(t *testing.T) {
 	a := tensor.Full(1, 2, 2)
 	b := tensor.Full(1, 2, 2)
 	c := tensor.Full(10, 2, 2)
-	got, err := Gemm([]*tensor.Tensor{a, b, c}, Attrs{"alpha": 0.5, "beta": 2.0})
+	got, err := call("Gemm", []*tensor.Tensor{a, b, c}, Attrs{"alpha": 0.5, "beta": 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +200,10 @@ func TestGemmAlphaBeta(t *testing.T) {
 }
 
 func TestGemmErrors(t *testing.T) {
-	if _, err := Gemm([]*tensor.Tensor{tensor.Zeros(2, 3), tensor.Zeros(2, 3)}, nil); err == nil {
+	if _, err := call("Gemm", []*tensor.Tensor{tensor.Zeros(2, 3), tensor.Zeros(2, 3)}, nil); err == nil {
 		t.Error("inner mismatch accepted")
 	}
-	if _, err := Gemm([]*tensor.Tensor{tensor.Zeros(2, 3), tensor.Zeros(3, 4), tensor.Zeros(3)}, nil); err == nil {
+	if _, err := call("Gemm", []*tensor.Tensor{tensor.Zeros(2, 3), tensor.Zeros(3, 4), tensor.Zeros(3)}, nil); err == nil {
 		t.Error("bad C shape accepted")
 	}
 }
@@ -218,7 +218,7 @@ func TestMatMulIdentityProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			eye.Set(1, i, i)
 		}
-		out, err := MatMul([]*tensor.Tensor{a, eye}, nil)
+		out, err := call("MatMul", []*tensor.Tensor{a, eye}, nil)
 		if err != nil {
 			return false
 		}
@@ -235,11 +235,11 @@ func TestMatMulTransposeProperty(t *testing.T) {
 		r := tensor.NewRNG(uint64(seed)*7 + 3)
 		a := r.RandTensor(3, 4)
 		b := r.RandTensor(4, 2)
-		ab, err := MatMul([]*tensor.Tensor{a, b}, nil)
+		ab, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 		if err != nil {
 			return false
 		}
-		btat, err := Gemm([]*tensor.Tensor{b, a}, Attrs{"transA": 1, "transB": 1})
+		btat, err := call("Gemm", []*tensor.Tensor{b, a}, Attrs{"transA": 1, "transB": 1})
 		if err != nil {
 			return false
 		}

@@ -6,11 +6,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchNormalization implements inference-mode batch norm over NCHW input:
+// batchNormK implements inference-mode batch norm over NCHW input:
 // y = scale*(x-mean)/sqrt(var+eps) + bias with per-channel statistics.
 // Inputs: X, scale, bias, mean, variance.
-var BatchNormalization = onHeap(batchNormK)
-
 func batchNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("BatchNormalization", in, 5, 5); err != nil {
 		return nil, err
@@ -55,11 +53,9 @@ func batchNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	return []*tensor.Tensor{out}, nil
 }
 
-// LayerNormalization normalizes over the trailing axes starting at
+// layerNormK normalizes over the trailing axes starting at
 // attribute "axis" (default -1): y = scale*(x-mu)/sqrt(var+eps) + bias.
 // Inputs: X, scale, optional bias.
-var LayerNormalization = onHeap(layerNormK)
-
 func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("LayerNormalization", in, 2, 3); err != nil {
 		return nil, err
@@ -120,10 +116,8 @@ func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	return []*tensor.Tensor{out}, nil
 }
 
-// ReduceMean averages over the axes given by attribute "axes" (default:
+// reduceMeanK averages over the axes given by attribute "axes" (default:
 // all), keeping reduced dimensions when "keepdims" != 0 (the default).
-var ReduceMean = onHeap(reduceMeanK)
-
 func reduceMeanK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("ReduceMean", in, 1, 1); err != nil {
 		return nil, err

@@ -136,33 +136,22 @@ func (a Attrs) Clone() Attrs {
 	return c
 }
 
-// Kernel evaluates one operator: it consumes the node's input tensors in
-// declaration order and returns its outputs. Kernels must not mutate their
-// inputs (several clusters may read the same tensor concurrently).
-type Kernel func(in []*tensor.Tensor, attrs Attrs) ([]*tensor.Tensor, error)
-
-// AllocKernel is a Kernel that takes the run's tensor allocator and
-// allocates every output (and any sizable scratch buffer) through it. A nil
-// allocator means plain heap allocation, making AllocKernel a strict
-// generalization of Kernel. This is what the registry stores; the executor
-// passes its run arena here so steady-state inference recycles intermediate
-// buffers instead of growing the GC heap.
+// AllocKernel evaluates one operator: it consumes the node's input tensors
+// in declaration order and returns its outputs, allocating every output
+// (and any sizable scratch buffer) through the run's allocator — nil means
+// plain heap allocation. It is the one kernel signature: the registry's
+// ops are built from it, Register accepts it, and Bind fixes a node's
+// attributes around it. The executor passes its run arena here so
+// steady-state inference recycles intermediate buffers instead of growing
+// the GC heap.
 //
 // Two contracts make arena reuse sound and must hold for every kernel:
-// inputs are never mutated, and outputs never alias inputs — each output is
-// freshly allocated storage (shape-only ops like Reshape copy). The memory
-// planner (internal/memplan) relies on both.
+// inputs are never mutated (several clusters may read the same tensor
+// concurrently), and outputs never alias inputs — each output is freshly
+// allocated storage (shape-only ops like Reshape copy). The memory planner
+// (internal/memplan) relies on both; a Bound's in-place form is the one
+// scheduled exception.
 type AllocKernel func(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error)
-
-// onHeap adapts an AllocKernel to the plain Kernel signature, allocating
-// from the heap. The exported per-op functions are all onHeap wrappers, so
-// existing callers (tests, constant folding, ramiel.Call) are unaffected by
-// the allocator plumbing.
-func onHeap(k AllocKernel) Kernel {
-	return func(in []*tensor.Tensor, attrs Attrs) ([]*tensor.Tensor, error) {
-		return k(in, attrs, nil)
-	}
-}
 
 // argErr builds a uniform operator-argument error.
 func argErr(op, format string, args ...any) error {

@@ -5,25 +5,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// Prepacked holds the compile-time-prepared constant state of one node:
-// the packed right-hand weight matrix of MatMul/Gemm, the per-group filter
-// matrices of Conv, or the decoded stage program of a FusedElementwise
-// chain (so the serving hot path never re-parses the attribute encoding).
-// It is immutable after creation and shared by every run of the owning
-// plan.
+// Prepacked holds the compile-time-packed constant weight of one node: the
+// packed right-hand weight matrix of MatMul/Gemm or the per-group filter
+// matrices of Conv. It is immutable after creation and shared by every run
+// of the owning plan.
 type Prepacked struct {
 	// B is the packed right operand (MatMul/Gemm).
 	B *kernels.PackedB
 	// A holds one packed filter matrix per convolution group (Conv).
 	A []*kernels.PackedA
-	// fe is the decoded FusedElementwise stage list.
-	fe []feStage
 }
-
-// HasWeights reports whether the entry carries packed weight panels (as
-// opposed to only a decoded stage program); the prepack statistics count
-// weight-bearing nodes.
-func (p *Prepacked) HasWeights() bool { return p.B != nil || len(p.A) > 0 }
 
 // Bytes reports the packed footprint.
 func (p *Prepacked) Bytes() int64 {
@@ -37,21 +28,23 @@ func (p *Prepacked) Bytes() int64 {
 	return b
 }
 
-// PrepackWeights packs the constant operands of one node at compile time.
-// constIn mirrors the node's inputs positionally, nil for anything that is
-// not a graph constant. It returns nil when the op has no GEMM-shaped
-// constant operand (or the kernel would not take the GEMM path), in which
-// case the node runs the ordinary registry kernel.
-func PrepackWeights(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
+// packed binds a GEMM-shaped op: its constant weight operand is packed
+// once, and every run hands the packing — nil when the weight is not a
+// constant or the kernel would not take the GEMM path — to the kernel body,
+// which packs at call time without it. Both paths compute identical values.
+func packed(op string, body func(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) ([]*tensor.Tensor, error)) binder {
+	return func(attrs Attrs, consts []*tensor.Tensor) *Bound {
+		return &Bound{Packed: prepack(op, attrs, consts), run: func(in []*tensor.Tensor, a tensor.Allocator, pp *Prepacked, _ bool) ([]*tensor.Tensor, error) {
+			return body(in, attrs, a, pp)
+		}}
+	}
+}
+
+// prepack packs the constant weight operand of one MatMul, Gemm or Conv
+// node; constIn mirrors the node's inputs positionally, nil for anything
+// that is not a graph constant.
+func prepack(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
 	switch opType {
-	case "FusedElementwise":
-		// Nothing to pack, but decoding the stage encoding once per plan
-		// keeps per-run invocations allocation-free of attribute parsing.
-		stages, err := parseFused(attrs, len(constIn))
-		if err != nil {
-			return nil // the registry kernel will surface the error
-		}
-		return &Prepacked{fe: stages}
 	case "MatMul":
 		if len(constIn) < 2 || constIn[1] == nil {
 			return nil
@@ -115,47 +108,6 @@ func PrepackWeights(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepa
 		return &Prepacked{A: pa}
 	}
 	return nil
-}
-
-// RunPrepacked executes a node whose constant operands were packed at
-// compile time. opType must be one PrepackWeights returned non-nil for.
-func RunPrepacked(opType string, in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) ([]*tensor.Tensor, error) {
-	switch opType {
-	case "MatMul":
-		return matMulPacked(in, attrs, a, pp.B)
-	case "Gemm":
-		return gemmPacked(in, attrs, a, pp.B)
-	case "Conv":
-		return convPacked(in, attrs, a, pp.A)
-	case "FusedElementwise":
-		if err := need(opType, in, 1, -1); err != nil {
-			return nil, err
-		}
-		out, err := runFused(in, pp.fe, a, false)
-		if err != nil {
-			return nil, err
-		}
-		return []*tensor.Tensor{out}, nil
-	}
-	return nil, argErr(opType, "no prepacked execution path")
-}
-
-// RunPrepackedInPlace combines both compile-time preparations: the node's
-// decoded Prepacked state and the executor's in-place liveness proof (see
-// RunInPlace for the ownership-transfer contract). Only FusedElementwise
-// has both today; other in-place-capable ops carry no Prepacked state.
-func RunPrepackedInPlace(opType string, in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) ([]*tensor.Tensor, error) {
-	if opType != "FusedElementwise" {
-		return RunInPlace(opType, in, attrs, a)
-	}
-	if err := need(opType, in, 1, -1); err != nil {
-		return nil, err
-	}
-	out, err := runFused(in, pp.fe, a, true)
-	if err != nil {
-		return nil, err
-	}
-	return []*tensor.Tensor{out}, nil
 }
 
 // ScratchElems estimates the transient float32 elements the node's kernel

@@ -6,25 +6,27 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestPrepackedMatMulMatchesRegistry: the prepacked execution path must be
-// bit-identical to the registry kernel (same packed layout, same compute
-// order — prepacking only moves the packing to compile time).
+// TestPrepackedMatMulMatchesRegistry: a binding with a packed constant
+// weight must be bit-identical to one that packs at call time (same packed
+// layout, same compute order — prepacking only moves the packing to
+// compile time).
 func TestPrepackedMatMulMatchesRegistry(t *testing.T) {
 	r := tensor.NewRNG(51)
 	a := r.RandTensor(9, 33)
 	b := r.RandTensor(33, 21)
-	pp := PrepackWeights("MatMul", nil, []*tensor.Tensor{nil, b})
+	k, _ := Bind("MatMul", nil, []*tensor.Tensor{nil, b})
+	pp := k.Packed
 	if pp == nil || pp.B == nil {
 		t.Fatal("MatMul constant B not prepacked")
 	}
 	if pp.Bytes() <= 0 {
 		t.Fatal("prepacked bytes not reported")
 	}
-	want, err := MatMul([]*tensor.Tensor{a, b}, nil)
+	want, err := call("MatMul", []*tensor.Tensor{a, b}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPrepacked("MatMul", []*tensor.Tensor{a, b}, nil, nil, pp)
+	got, err := k.Run([]*tensor.Tensor{a, b}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,18 +41,19 @@ func TestPrepackedGemmMatchesRegistry(t *testing.T) {
 	b := r.RandTensor(23, 19) // transB
 	c := r.RandTensor(23)
 	attrs := Attrs{"transB": 1, "alpha": 0.5, "beta": 1.5}
-	pp := PrepackWeights("Gemm", attrs, []*tensor.Tensor{nil, b, nil})
+	k, _ := Bind("Gemm", attrs, []*tensor.Tensor{nil, b, nil})
+	pp := k.Packed
 	if pp == nil || pp.B == nil {
 		t.Fatal("Gemm constant B not prepacked")
 	}
 	if pp.B.K != 19 || pp.B.N != 23 {
 		t.Fatalf("transB prepack got K=%d N=%d", pp.B.K, pp.B.N)
 	}
-	want, err := Gemm([]*tensor.Tensor{a, b, c}, attrs)
+	want, err := call("Gemm", []*tensor.Tensor{a, b, c}, attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPrepacked("Gemm", []*tensor.Tensor{a, b, c}, attrs, nil, pp)
+	got, err := k.Run([]*tensor.Tensor{a, b, c}, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,16 +80,17 @@ func TestPrepackedConvMatchesRegistry(t *testing.T) {
 			"pads":    []int{tc.pad, tc.pad, tc.pad, tc.pad},
 			"group":   tc.groups,
 		}
-		pp := PrepackWeights("Conv", attrs, []*tensor.Tensor{nil, w, nil})
+		k, _ := Bind("Conv", attrs, []*tensor.Tensor{nil, w, nil})
+		pp := k.Packed
 		if pp == nil || len(pp.A) != tc.groups {
 			t.Fatalf("%+v: conv filters not prepacked per group", tc)
 		}
 		in := []*tensor.Tensor{x, w, bias}
-		want, err := Conv(in, attrs)
+		want, err := call("Conv", in, attrs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RunPrepacked("Conv", in, attrs, nil, pp)
+		got, err := k.Run(in, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,19 +104,19 @@ func TestPrepackedConvMatchesRegistry(t *testing.T) {
 // (or where the kernel would take the direct path) must not pack.
 func TestPrepackSkipsNonGEMMCases(t *testing.T) {
 	r := tensor.NewRNG(54)
-	if pp := PrepackWeights("Relu", nil, []*tensor.Tensor{r.RandTensor(4)}); pp != nil {
+	if k, _ := Bind("Relu", nil, []*tensor.Tensor{r.RandTensor(4)}); k.Packed != nil {
 		t.Error("Relu prepacked")
 	}
-	if pp := PrepackWeights("MatMul", nil, []*tensor.Tensor{r.RandTensor(3, 3), nil}); pp != nil {
+	if k, _ := Bind("MatMul", nil, []*tensor.Tensor{r.RandTensor(3, 3), nil}); k.Packed != nil {
 		t.Error("MatMul with non-constant B prepacked")
 	}
 	// Batched constant B (two distinct matrices) stays call-time.
-	if pp := PrepackWeights("MatMul", nil, []*tensor.Tensor{nil, r.RandTensor(2, 3, 4)}); pp != nil {
+	if k, _ := Bind("MatMul", nil, []*tensor.Tensor{nil, r.RandTensor(2, 3, 4)}); k.Packed != nil {
 		t.Error("batched constant B prepacked")
 	}
 	// Depthwise conv takes the direct path; packing would be wasted.
 	dw := r.RandTensor(8, 1, 3, 3)
-	if pp := PrepackWeights("Conv", Attrs{"group": 8}, []*tensor.Tensor{nil, dw, nil}); pp != nil {
+	if k, _ := Bind("Conv", Attrs{"group": 8}, []*tensor.Tensor{nil, dw, nil}); k.Packed != nil {
 		t.Error("depthwise conv prepacked")
 	}
 }
@@ -132,7 +136,7 @@ func TestScratchElems(t *testing.T) {
 	}
 	// The estimate must cover what an arena-backed run actually draws.
 	ar := tensor.NewArena()
-	if _, err := convK([]*tensor.Tensor{x, w}, attrs, ar); err != nil {
+	if _, err := convK([]*tensor.Tensor{x, w}, attrs, ar, nil); err != nil {
 		t.Fatal(err)
 	}
 	if held := ar.Stats().Snapshot().HeldBytes; held > 4*2*int64(s) {

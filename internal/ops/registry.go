@@ -4,32 +4,111 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"repro/internal/tensor"
 )
 
-// registry maps ONNX-style op-type names to their kernels, in the
-// allocator-aware form. The built-in set is installed at init time;
-// regMu makes a late Register (embedders, fault-injection harnesses)
-// safe against concurrent lookups. Lookups run at graph-compile time,
-// not per-op execution, so the read lock costs nothing measurable.
+// Bound is one node's kernel, bound once by Bind: its op is looked up, its
+// constant GEMM/Conv weight is packed and its FusedElementwise stage
+// program decoded, so a run does no registry lookup, packing or decoding.
+// It is read-only once the owner has finished setting Packed, and safe to
+// run from any number of goroutines.
+type Bound struct {
+	// Packed holds the node's compile-time-packed constant weight, nil when
+	// nothing was packed. Nodes whose packing would be identical (one weight
+	// tensor, same layout attributes) may share one: the executor points a
+	// replica's Packed at the first node's before any run.
+	Packed *Prepacked
+	// inPlace marks ops with an in-place form: single-output elementwise
+	// ops whose output shape always equals their first input's.
+	inPlace bool
+	run     func(in []*tensor.Tensor, a tensor.Allocator, pp *Prepacked, inPlace bool) ([]*tensor.Tensor, error)
+}
+
+// Run executes the node on its inputs, allocating every output (and any
+// sizable scratch buffer) through a; nil means the heap. With inPlace set —
+// legal only when InPlace reports true and the caller holds the only
+// reference to in[0] — the output takes over in[0]'s storage: the returned
+// tensor shares it, or (FusedElementwise's broadcasting fallback) the
+// kernel has already returned it to a. Either way the caller must not
+// release in[0] afterwards.
+func (b *Bound) Run(in []*tensor.Tensor, a tensor.Allocator, inPlace bool) ([]*tensor.Tensor, error) {
+	return b.run(in, a, b.Packed, inPlace)
+}
+
+// InPlace reports whether Run has an in-place form. The executor combines
+// it with the memory plan's liveness proof (memplan.CanWriteInPlace);
+// neither alone is sufficient.
+func (b *Bound) InPlace() bool { return b.inPlace }
+
+// binder binds one node of an op from its attributes and constant inputs.
+type binder func(attrs Attrs, consts []*tensor.Tensor) *Bound
+
+// kernel binds an op that needs no preparation: every run calls k with the
+// node's attributes.
+func kernel(k AllocKernel) binder {
+	return func(attrs Attrs, _ []*tensor.Tensor) *Bound {
+		return &Bound{run: func(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, _ bool) ([]*tensor.Tensor, error) {
+			return k(in, attrs, a)
+		}}
+	}
+}
+
+// registry maps every ONNX-style op-type name to its binder; the built-in
+// set is this table. regMu makes a late Register (embedders,
+// fault-injection harnesses) safe against concurrent binds. Binds run when
+// a program is compiled, not per-op execution, so the read lock costs
+// nothing measurable.
 var (
 	regMu    sync.RWMutex
-	registry = map[string]AllocKernel{}
-)
-
-// register installs a kernel; duplicate registration is a programmer error.
-func register(name string, k AllocKernel) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("ops: duplicate kernel registration: " + name)
+	registry = map[string]binder{
+		"Conv":               packed("Conv", convK),
+		"MaxPool":            kernel(maxPoolK),
+		"AveragePool":        kernel(avgPoolK),
+		"GlobalAveragePool":  kernel(globalAvgPoolK),
+		"MatMul":             packed("MatMul", matMulK),
+		"Gemm":               packed("Gemm", gemmK),
+		"Relu":               unaryOp("Relu", reluLoop),
+		"LeakyRelu":          bindLeakyRelu,
+		"Sigmoid":            unaryOp("Sigmoid", sigmoidLoop),
+		"Tanh":               unaryOp("Tanh", tanhLoop),
+		"Exp":                unaryOp("Exp", expLoop),
+		"Sqrt":               unaryOp("Sqrt", sqrtLoop),
+		"Erf":                unaryOp("Erf", erfLoop),
+		"Neg":                unaryOp("Neg", negLoop),
+		"Clip":               bindClip,
+		"Identity":           unaryOp("Identity", nil),
+		"FusedElementwise":   bindFused,
+		"Add":                kernel(addK),
+		"Sub":                kernel(subK),
+		"Mul":                kernel(mulK),
+		"Div":                kernel(divK),
+		"Pow":                kernel(powK),
+		"Softmax":            kernel(softmaxK),
+		"BatchNormalization": kernel(batchNormK),
+		"LayerNormalization": kernel(layerNormK),
+		"ReduceMean":         kernel(reduceMeanK),
+		"Resize":             kernel(resizeK),
+		"Concat":             kernel(concatK),
+		"Reshape":            kernel(reshapeK),
+		"Flatten":            kernel(flattenK),
+		"Transpose":          kernel(transposeK),
+		"Slice":              kernel(sliceK),
+		"Gather":             kernel(gatherK),
+		"Split":              kernel(splitK),
+		"Squeeze":            kernel(squeezeK),
+		"Unsqueeze":          kernel(unsqueezeK),
+		"Shape":              kernel(shapeOpK),
+		"Constant":           kernel(constantK),
 	}
-	registry[name] = k
-}
+)
 
 // Register installs a kernel for a custom op type — the extension point
 // embedders and fault-injection harnesses use to add operators without
-// forking the built-in set. Safe for concurrent use, though programs a
-// replica has already compiled keep the kernels they resolved.
+// forking the built-in set. Safe for concurrent use. Nodes bind their
+// kernel when a program is compiled, so programs compiled before the call
+// keep the kernels they bound; a node of the new op type binds it from the
+// next compile on.
 func Register(name string, k AllocKernel) error {
 	if name == "" || k == nil {
 		return fmt.Errorf("ops: Register requires a name and a kernel")
@@ -39,70 +118,31 @@ func Register(name string, k AllocKernel) error {
 	if _, dup := registry[name]; dup {
 		return fmt.Errorf("ops: kernel already registered for %q", name)
 	}
-	registry[name] = k
+	registry[name] = kernel(k)
 	return nil
 }
 
-func init() {
-	register("Conv", convK)
-	register("MaxPool", maxPoolK)
-	register("AveragePool", avgPoolK)
-	register("GlobalAveragePool", globalAvgPoolK)
-	register("MatMul", matMulK)
-	register("Gemm", gemmK)
-	register("Relu", reluK)
-	register("LeakyRelu", leakyReluK)
-	register("Sigmoid", sigmoidK)
-	register("Tanh", tanhK)
-	register("Exp", expK)
-	register("Sqrt", sqrtK)
-	register("Erf", erfK)
-	register("Neg", negK)
-	register("Clip", clipK)
-	register("Identity", identityK)
-	register("FusedElementwise", fusedElementwiseK)
-	register("Add", addK)
-	register("Sub", subK)
-	register("Mul", mulK)
-	register("Div", divK)
-	register("Pow", powK)
-	register("Softmax", softmaxK)
-	register("BatchNormalization", batchNormK)
-	register("LayerNormalization", layerNormK)
-	register("ReduceMean", reduceMeanK)
-	register("Concat", concatK)
-	register("Reshape", reshapeK)
-	register("Flatten", flattenK)
-	register("Transpose", transposeK)
-	register("Slice", sliceK)
-	register("Gather", gatherK)
-	register("Split", splitK)
-	register("Squeeze", squeezeK)
-	register("Unsqueeze", unsqueezeK)
-	register("Shape", shapeOpK)
-	register("Constant", constantK)
-}
-
-// Lookup returns the heap-allocating kernel registered for the op type, or
-// an error naming the missing operator.
-func Lookup(opType string) (Kernel, error) {
-	k, err := LookupAlloc(opType)
-	if err != nil {
-		return nil, err
-	}
-	return onHeap(k), nil
-}
-
-// LookupAlloc returns the allocator-aware kernel for the op type — the
-// form the executors use so a run's arena reaches every output allocation.
-func LookupAlloc(opType string) (AllocKernel, error) {
+// Bind binds one node's kernel: it looks the op type up once, packs the
+// node's constant GEMM/Conv weight or decodes its FusedElementwise stage
+// program where it can, and records whether the op has an in-place form.
+// consts mirrors the node's inputs positionally, nil for anything that is
+// not a graph constant; nil consts bind for operands that only arrive at
+// run time.
+//
+// An unknown op type yields an error together with a binding whose every
+// Run fails with that error, so a caller may instead report it when the
+// node runs.
+func Bind(opType string, attrs Attrs, consts []*tensor.Tensor) (*Bound, error) {
 	regMu.RLock()
-	k, ok := registry[opType]
+	bind, ok := registry[opType]
 	regMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("ops: no kernel registered for op type %q", opType)
+		err := fmt.Errorf("ops: no kernel registered for op type %q", opType)
+		return &Bound{run: func([]*tensor.Tensor, tensor.Allocator, *Prepacked, bool) ([]*tensor.Tensor, error) {
+			return nil, err
+		}}, err
 	}
-	return k, nil
+	return bind(attrs, consts), nil
 }
 
 // Supported reports whether a kernel exists for the op type.

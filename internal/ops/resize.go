@@ -4,11 +4,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Resize implements nearest-neighbor spatial up/down-sampling of NCHW
+// resizeK implements nearest-neighbor spatial up/down-sampling of NCHW
 // input by integer attribute factors "scale_h"/"scale_w" (default 2), the
 // subset of ONNX Resize that feature-pyramid necks (Yolo, Retinanet) use.
-var Resize = onHeap(resizeK)
-
 func resizeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Resize", in, 1, 1); err != nil {
 		return nil, err
@@ -40,8 +38,4 @@ func resizeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.
 		}
 	})
 	return []*tensor.Tensor{out}, nil
-}
-
-func init() {
-	register("Resize", resizeK)
 }

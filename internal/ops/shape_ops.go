@@ -4,9 +4,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// ConcatOp joins its inputs along attribute "axis".
-var ConcatOp = onHeap(concatK)
-
+// concatK joins its inputs along attribute "axis".
 func concatK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Concat", in, 1, -1); err != nil {
 		return nil, err
@@ -47,11 +45,9 @@ func concatK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.
 	return []*tensor.Tensor{out}, nil
 }
 
-// Reshape implements ONNX Reshape: input 0 is the data, input 1 a rank-1
+// reshapeK implements ONNX Reshape: input 0 is the data, input 1 a rank-1
 // tensor holding the target dims (with -1 inference and 0 meaning "copy
 // input dim"). The attribute form "shape" is also accepted for convenience.
-var Reshape = onHeap(reshapeK)
-
 func reshapeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Reshape", in, 1, 2); err != nil {
 		return nil, err
@@ -84,10 +80,8 @@ func reshapeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 	return []*tensor.Tensor{r}, nil
 }
 
-// Flatten collapses dimensions into a 2-D matrix at attribute "axis"
+// flattenK collapses dimensions into a 2-D matrix at attribute "axis"
 // (default 1): [d0*…*d(axis-1), d(axis)*…*dn].
-var Flatten = onHeap(flattenK)
-
 func flattenK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Flatten", in, 1, 1); err != nil {
 		return nil, err
@@ -112,9 +106,7 @@ func flattenK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 	return []*tensor.Tensor{r}, nil
 }
 
-// Transpose permutes dimensions per attribute "perm" (default: reverse).
-var Transpose = onHeap(transposeK)
-
+// transposeK permutes dimensions per attribute "perm" (default: reverse).
 func transposeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Transpose", in, 1, 1); err != nil {
 		return nil, err
@@ -163,11 +155,9 @@ func transposeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	return []*tensor.Tensor{out}, nil
 }
 
-// Slice extracts a sub-tensor using attributes "starts", "ends" and
+// sliceK extracts a sub-tensor using attributes "starts", "ends" and
 // optional "axes" (ONNX opset-1 attribute form). Negative indices count
 // from the end; ends are clamped.
-var Slice = onHeap(sliceK)
-
 func sliceK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Slice", in, 1, 1); err != nil {
 		return nil, err
@@ -238,10 +228,8 @@ func sliceK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 	return []*tensor.Tensor{out}, nil
 }
 
-// Gather selects entries along attribute "axis" (default 0) using input 1
+// gatherK selects entries along attribute "axis" (default 0) using input 1
 // as the (float-encoded) index tensor.
-var Gather = onHeap(gatherK)
-
 func gatherK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Gather", in, 2, 2); err != nil {
 		return nil, err
@@ -289,10 +277,8 @@ func gatherK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.
 	return []*tensor.Tensor{out}, nil
 }
 
-// Split divides input 0 along attribute "axis" into equal parts (attribute
+// splitK divides input 0 along attribute "axis" into equal parts (attribute
 // "num" or per-part "split" sizes) and returns one output per part.
-var Split = onHeap(splitK)
-
 func splitK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Split", in, 1, 1); err != nil {
 		return nil, err
@@ -355,9 +341,7 @@ func splitK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 	return outs, nil
 }
 
-// Unsqueeze inserts size-1 dimensions at the attribute "axes" positions.
-var Unsqueeze = onHeap(unsqueezeK)
-
+// unsqueezeK inserts size-1 dimensions at the attribute "axes" positions.
 func unsqueezeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Unsqueeze", in, 1, 1); err != nil {
 		return nil, err
@@ -392,10 +376,8 @@ func unsqueezeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	return []*tensor.Tensor{r}, nil
 }
 
-// Squeeze removes size-1 dimensions, either those in attribute "axes" or
+// squeezeK removes size-1 dimensions, either those in attribute "axes" or
 // all of them when absent.
-var Squeeze = onHeap(squeezeK)
-
 func squeezeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Squeeze", in, 1, 1); err != nil {
 		return nil, err
@@ -431,10 +413,8 @@ func squeezeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 	return []*tensor.Tensor{r}, nil
 }
 
-// ShapeOp returns the input's shape as a rank-1 float tensor (floats stand
+// shapeOpK returns the input's shape as a rank-1 float tensor (floats stand
 // in for int64 in this engine).
-var ShapeOp = onHeap(shapeOpK)
-
 func shapeOpK(in []*tensor.Tensor, _ Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Shape", in, 1, 1); err != nil {
 		return nil, err
@@ -447,10 +427,8 @@ func shapeOpK(in []*tensor.Tensor, _ Attrs, alc tensor.Allocator) ([]*tensor.Ten
 	return []*tensor.Tensor{out}, nil
 }
 
-// Constant materializes its attribute "value" ([]float32) with optional
+// constantK materializes its attribute "value" ([]float32) with optional
 // attribute "shape"; it has no tensor inputs.
-var Constant = onHeap(constantK)
-
 func constantK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 	if len(in) != 0 {
 		return nil, argErr("Constant", "takes no inputs, got %d", len(in))

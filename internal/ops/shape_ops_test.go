@@ -10,7 +10,7 @@ import (
 func TestConcatOpAxis1(t *testing.T) {
 	a := tensor.Full(1, 1, 2, 2, 2)
 	b := tensor.Full(2, 1, 3, 2, 2)
-	out, err := ConcatOp([]*tensor.Tensor{a, b}, Attrs{"axis": 1})
+	out, err := call("Concat", []*tensor.Tensor{a, b}, Attrs{"axis": 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,14 +25,14 @@ func TestConcatOpAxis1(t *testing.T) {
 func TestConcatOpAxis0AndErrors(t *testing.T) {
 	a := tensor.Full(1, 2, 3)
 	b := tensor.Full(2, 1, 3)
-	out, err := ConcatOp([]*tensor.Tensor{a, b}, Attrs{"axis": 0})
+	out, err := call("Concat", []*tensor.Tensor{a, b}, Attrs{"axis": 0})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{3, 3}) {
 		t.Fatalf("concat axis0 = %v, %v", out, err)
 	}
-	if _, err := ConcatOp([]*tensor.Tensor{a, tensor.Zeros(1, 4)}, Attrs{"axis": 0}); err == nil {
+	if _, err := call("Concat", []*tensor.Tensor{a, tensor.Zeros(1, 4)}, Attrs{"axis": 0}); err == nil {
 		t.Error("mismatched concat accepted")
 	}
-	if _, err := ConcatOp(nil, Attrs{"axis": 0}); err == nil {
+	if _, err := call("Concat", nil, Attrs{"axis": 0}); err == nil {
 		t.Error("empty concat accepted")
 	}
 }
@@ -40,31 +40,31 @@ func TestConcatOpAxis0AndErrors(t *testing.T) {
 func TestReshapeOpBothForms(t *testing.T) {
 	x := tensor.Zeros(2, 6)
 	shape := tensor.FromSlice([]float32{3, 4})
-	out, err := Reshape([]*tensor.Tensor{x, shape}, nil)
+	out, err := call("Reshape", []*tensor.Tensor{x, shape}, nil)
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{3, 4}) {
 		t.Fatalf("reshape tensor form = %v, %v", out, err)
 	}
-	out, err = Reshape([]*tensor.Tensor{x}, Attrs{"shape": []int{4, -1}})
+	out, err = call("Reshape", []*tensor.Tensor{x}, Attrs{"shape": []int{4, -1}})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{4, 3}) {
 		t.Fatalf("reshape attr form = %v, %v", out, err)
 	}
 	// Zero means copy input dim.
-	out, err = Reshape([]*tensor.Tensor{x}, Attrs{"shape": []int{0, -1}})
+	out, err = call("Reshape", []*tensor.Tensor{x}, Attrs{"shape": []int{0, -1}})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{2, 6}) {
 		t.Fatalf("reshape 0-dim = %v, %v", out, err)
 	}
-	if _, err := Reshape([]*tensor.Tensor{x}, nil); err == nil {
+	if _, err := call("Reshape", []*tensor.Tensor{x}, nil); err == nil {
 		t.Error("reshape with no shape accepted")
 	}
 }
 
 func TestFlatten(t *testing.T) {
 	x := tensor.Zeros(2, 3, 4, 5)
-	out, err := Flatten([]*tensor.Tensor{x}, nil)
+	out, err := call("Flatten", []*tensor.Tensor{x}, nil)
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{2, 60}) {
 		t.Fatalf("Flatten = %v, %v", out, err)
 	}
-	out, err = Flatten([]*tensor.Tensor{x}, Attrs{"axis": 2})
+	out, err = call("Flatten", []*tensor.Tensor{x}, Attrs{"axis": 2})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{6, 20}) {
 		t.Fatalf("Flatten axis2 = %v, %v", out, err)
 	}
@@ -72,7 +72,7 @@ func TestFlatten(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	x := tensor.New(tensor.Shape{2, 3}, []float32{1, 2, 3, 4, 5, 6})
-	out, err := Transpose([]*tensor.Tensor{x}, nil)
+	out, err := call("Transpose", []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestTranspose(t *testing.T) {
 	for i := range y.Data() {
 		y.Data()[i] = float32(i)
 	}
-	out, err = Transpose([]*tensor.Tensor{y}, Attrs{"perm": []int{1, 0, 2}})
+	out, err = call("Transpose", []*tensor.Tensor{y}, Attrs{"perm": []int{1, 0, 2}})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{3, 2, 4}) {
 		t.Fatalf("perm transpose = %v, %v", out, err)
 	}
 	if out[0].At(1, 1, 2) != y.At(1, 1, 2) {
 		t.Error("perm transpose moved wrong element")
 	}
-	if _, err := Transpose([]*tensor.Tensor{y}, Attrs{"perm": []int{0, 0, 1}}); err == nil {
+	if _, err := call("Transpose", []*tensor.Tensor{y}, Attrs{"perm": []int{0, 0, 1}}); err == nil {
 		t.Error("duplicate perm accepted")
 	}
 }
@@ -102,11 +102,11 @@ func TestTranspose(t *testing.T) {
 func TestTransposeInvolution(t *testing.T) {
 	r := tensor.NewRNG(12)
 	x := r.RandTensor(3, 4, 5)
-	once, err := Transpose([]*tensor.Tensor{x}, Attrs{"perm": []int{2, 0, 1}})
+	once, err := call("Transpose", []*tensor.Tensor{x}, Attrs{"perm": []int{2, 0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Transpose(once, Attrs{"perm": []int{1, 2, 0}})
+	back, err := call("Transpose", once, Attrs{"perm": []int{1, 2, 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSlice(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
 	}
-	out, err := Slice([]*tensor.Tensor{x}, Attrs{"starts": []int{1, 2}, "ends": []int{3, 5}})
+	out, err := call("Slice", []*tensor.Tensor{x}, Attrs{"starts": []int{1, 2}, "ends": []int{3, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +131,16 @@ func TestSlice(t *testing.T) {
 		t.Error("slice values wrong")
 	}
 	// Negative indices and axes subset.
-	out, err = Slice([]*tensor.Tensor{x}, Attrs{"starts": []int{-2}, "ends": []int{4}, "axes": []int{0}})
+	out, err = call("Slice", []*tensor.Tensor{x}, Attrs{"starts": []int{-2}, "ends": []int{4}, "axes": []int{0}})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{2, 5}) {
 		t.Fatalf("negative slice = %v, %v", out, err)
 	}
 	// Clamped out-of-range end.
-	out, err = Slice([]*tensor.Tensor{x}, Attrs{"starts": []int{0}, "ends": []int{99}, "axes": []int{1}})
+	out, err = call("Slice", []*tensor.Tensor{x}, Attrs{"starts": []int{0}, "ends": []int{99}, "axes": []int{1}})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{4, 5}) {
 		t.Fatalf("clamped slice = %v, %v", out, err)
 	}
-	if _, err := Slice([]*tensor.Tensor{x}, Attrs{"starts": []int{0}}); err == nil {
+	if _, err := call("Slice", []*tensor.Tensor{x}, Attrs{"starts": []int{0}}); err == nil {
 		t.Error("missing ends accepted")
 	}
 }
@@ -148,7 +148,7 @@ func TestSlice(t *testing.T) {
 func TestGather(t *testing.T) {
 	x := tensor.New(tensor.Shape{3, 2}, []float32{10, 11, 20, 21, 30, 31})
 	idx := tensor.FromSlice([]float32{2, 0})
-	out, err := Gather([]*tensor.Tensor{x, idx}, nil)
+	out, err := call("Gather", []*tensor.Tensor{x, idx}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestGather(t *testing.T) {
 		t.Errorf("gather values: %v", out[0].Data())
 	}
 	// Axis 1 gather.
-	out, err = Gather([]*tensor.Tensor{x, tensor.FromSlice([]float32{1})}, Attrs{"axis": 1})
+	out, err = call("Gather", []*tensor.Tensor{x, tensor.FromSlice([]float32{1})}, Attrs{"axis": 1})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{3, 1}) {
 		t.Fatalf("gather axis1 = %v, %v", out, err)
 	}
@@ -167,7 +167,7 @@ func TestGather(t *testing.T) {
 		t.Error("gather axis1 value wrong")
 	}
 	// Out of range index.
-	if _, err := Gather([]*tensor.Tensor{x, tensor.FromSlice([]float32{7})}, nil); err == nil {
+	if _, err := call("Gather", []*tensor.Tensor{x, tensor.FromSlice([]float32{7})}, nil); err == nil {
 		t.Error("out-of-range gather accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestSplit(t *testing.T) {
 	for i := range x.Data() {
 		x.Data()[i] = float32(i)
 	}
-	outs, err := Split([]*tensor.Tensor{x}, Attrs{"axis": 1, "num": 3})
+	outs, err := call("Split", []*tensor.Tensor{x}, Attrs{"axis": 1, "num": 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,32 +193,32 @@ func TestSplit(t *testing.T) {
 		t.Error("split values wrong")
 	}
 	// Uneven explicit sizes.
-	outs, err = Split([]*tensor.Tensor{x}, Attrs{"axis": 1, "split": []int{1, 5}})
+	outs, err = call("Split", []*tensor.Tensor{x}, Attrs{"axis": 1, "split": []int{1, 5}})
 	if err != nil || len(outs) != 2 || !outs[1].Shape().Equal(tensor.Shape{2, 5}) {
 		t.Fatalf("explicit split = %v, %v", outs, err)
 	}
-	if _, err := Split([]*tensor.Tensor{x}, Attrs{"axis": 1, "num": 4}); err == nil {
+	if _, err := call("Split", []*tensor.Tensor{x}, Attrs{"axis": 1, "num": 4}); err == nil {
 		t.Error("indivisible split accepted")
 	}
-	if _, err := Split([]*tensor.Tensor{x}, Attrs{"axis": 1, "split": []int{2, 2}}); err == nil {
+	if _, err := call("Split", []*tensor.Tensor{x}, Attrs{"axis": 1, "split": []int{2, 2}}); err == nil {
 		t.Error("wrong-sum split accepted")
 	}
 }
 
 func TestSqueezeUnsqueeze(t *testing.T) {
 	x := tensor.Zeros(1, 3, 1, 2)
-	out, err := Squeeze([]*tensor.Tensor{x}, nil)
+	out, err := call("Squeeze", []*tensor.Tensor{x}, nil)
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{3, 2}) {
 		t.Fatalf("Squeeze all = %v, %v", out, err)
 	}
-	out, err = Squeeze([]*tensor.Tensor{x}, Attrs{"axes": []int{0}})
+	out, err = call("Squeeze", []*tensor.Tensor{x}, Attrs{"axes": []int{0}})
 	if err != nil || !out[0].Shape().Equal(tensor.Shape{3, 1, 2}) {
 		t.Fatalf("Squeeze axis0 = %v, %v", out, err)
 	}
-	if _, err := Squeeze([]*tensor.Tensor{x}, Attrs{"axes": []int{1}}); err == nil {
+	if _, err := call("Squeeze", []*tensor.Tensor{x}, Attrs{"axes": []int{1}}); err == nil {
 		t.Error("squeeze of non-unit dim accepted")
 	}
-	back, err := Unsqueeze([]*tensor.Tensor{tensor.Zeros(3, 2)}, Attrs{"axes": []int{0, 2}})
+	back, err := call("Unsqueeze", []*tensor.Tensor{tensor.Zeros(3, 2)}, Attrs{"axes": []int{0, 2}})
 	if err != nil || !back[0].Shape().Equal(tensor.Shape{1, 3, 1, 2}) {
 		t.Fatalf("Unsqueeze = %v, %v", back, err)
 	}
@@ -226,7 +226,7 @@ func TestSqueezeUnsqueeze(t *testing.T) {
 
 func TestShapeOpAndConstant(t *testing.T) {
 	x := tensor.Zeros(2, 3, 4)
-	out, err := ShapeOp([]*tensor.Tensor{x}, nil)
+	out, err := call("Shape", []*tensor.Tensor{x}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +236,14 @@ func TestShapeOpAndConstant(t *testing.T) {
 			t.Fatalf("Shape = %v", out[0].Data())
 		}
 	}
-	c, err := Constant(nil, Attrs{"value": []float32{1, 2, 3, 4}, "shape": []int{2, 2}})
+	c, err := call("Constant", nil, Attrs{"value": []float32{1, 2, 3, 4}, "shape": []int{2, 2}})
 	if err != nil || !c[0].Shape().Equal(tensor.Shape{2, 2}) {
 		t.Fatalf("Constant = %v, %v", c, err)
 	}
-	if _, err := Constant(nil, Attrs{}); err == nil {
+	if _, err := call("Constant", nil, Attrs{}); err == nil {
 		t.Error("Constant without value accepted")
 	}
-	if _, err := Constant([]*tensor.Tensor{x}, Attrs{"value": []float32{1}}); err == nil {
+	if _, err := call("Constant", []*tensor.Tensor{x}, Attrs{"value": []float32{1}}); err == nil {
 		t.Error("Constant with inputs accepted")
 	}
 }
@@ -254,7 +254,7 @@ func TestBatchNormInference(t *testing.T) {
 	bias := tensor.FromSlice([]float32{0, 1})
 	mean := tensor.FromSlice([]float32{1.5, 3.5})
 	variance := tensor.FromSlice([]float32{0.25, 0.25})
-	out, err := BatchNormalization([]*tensor.Tensor{x, scale, bias, mean, variance}, Attrs{"epsilon": 0.0})
+	out, err := call("BatchNormalization", []*tensor.Tensor{x, scale, bias, mean, variance}, Attrs{"epsilon": 0.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestBatchNormInference(t *testing.T) {
 			t.Fatalf("BatchNorm = %v, want %v", out[0].Data(), want)
 		}
 	}
-	if _, err := BatchNormalization([]*tensor.Tensor{x, scale, bias, mean, tensor.FromSlice([]float32{1})}, nil); err == nil {
+	if _, err := call("BatchNormalization", []*tensor.Tensor{x, scale, bias, mean, tensor.FromSlice([]float32{1})}, nil); err == nil {
 		t.Error("bad variance length accepted")
 	}
 }
@@ -274,7 +274,7 @@ func TestBatchNormInference(t *testing.T) {
 func TestLayerNorm(t *testing.T) {
 	x := tensor.New(tensor.Shape{2, 4}, []float32{1, 2, 3, 4, 4, 3, 2, 1})
 	scale := tensor.FromSlice([]float32{1, 1, 1, 1})
-	out, err := LayerNormalization([]*tensor.Tensor{x, scale}, nil)
+	out, err := call("LayerNormalization", []*tensor.Tensor{x, scale}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestLayerNorm(t *testing.T) {
 	}
 	// With bias.
 	bias := tensor.FromSlice([]float32{10, 10, 10, 10})
-	out, err = LayerNormalization([]*tensor.Tensor{x, scale, bias}, nil)
+	out, err = call("LayerNormalization", []*tensor.Tensor{x, scale, bias}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestLayerNorm(t *testing.T) {
 
 func TestReduceMean(t *testing.T) {
 	x := tensor.New(tensor.Shape{2, 3}, []float32{1, 2, 3, 4, 5, 6})
-	out, err := ReduceMean([]*tensor.Tensor{x}, Attrs{"axes": []int{1}})
+	out, err := call("ReduceMean", []*tensor.Tensor{x}, Attrs{"axes": []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestReduceMean(t *testing.T) {
 		t.Errorf("ReduceMean = %v", out[0].Data())
 	}
 	// All axes, no keepdims.
-	out, err = ReduceMean([]*tensor.Tensor{x}, Attrs{"keepdims": 0})
+	out, err = call("ReduceMean", []*tensor.Tensor{x}, Attrs{"keepdims": 0})
 	if err != nil || out[0].Rank() != 0 {
 		t.Fatalf("full reduce = %v, %v", out, err)
 	}
@@ -330,15 +330,15 @@ func TestRegistry(t *testing.T) {
 		if !Supported(name) {
 			t.Errorf("%s not registered", name)
 		}
-		if _, err := Lookup(name); err != nil {
-			t.Errorf("Lookup(%s): %v", name, err)
+		if _, err := Bind(name, nil, nil); err != nil {
+			t.Errorf("Bind(%s): %v", name, err)
 		}
 	}
 	if Supported("NotAnOp") {
 		t.Error("bogus op reported supported")
 	}
-	if _, err := Lookup("NotAnOp"); err == nil {
-		t.Error("Lookup of bogus op succeeded")
+	if _, err := Bind("NotAnOp", nil, nil); err == nil {
+		t.Error("Bind of bogus op succeeded")
 	}
 	names := Names()
 	if len(names) < 30 {

@@ -50,11 +50,11 @@ func FoldConstants(g *graph.Graph) (FoldReport, error) {
 		if !constant {
 			continue
 		}
-		kernel, err := ops.Lookup(n.OpType)
+		kernel, err := ops.Bind(n.OpType, n.Attrs, nil)
 		if err != nil {
 			continue
 		}
-		outs, err := kernel(inputs, n.Attrs)
+		outs, err := kernel.Run(inputs, nil, false)
 		if err != nil {
 			return report, fmt.Errorf("passes: folding %s: %w", n.Name, err)
 		}

@@ -14,7 +14,7 @@
 //     kernel invocation.
 //  3. FuseElementwise — remaining chains of elementwise ops collapse into
 //     single FusedElementwise nodes executed as one specialized sweep
-//     (ops.FusedElementwise): one memory pass and one node where there
+//     (internal/ops/fused.go): one memory pass and one node where there
 //     were k of each.
 //
 // Pass ordering within Compile: simplify/constfold (Prune) → Fuse →

@@ -332,24 +332,13 @@ func (p *Program) RunSequential(feeds Env) (Env, error) {
 // Metrics computes the potential-parallelism factors of Table I for the
 // program's (optimized) graph.
 func (p *Program) Metrics() (Metrics, error) {
-	m := p.Clustering.Model
-	if m == nil {
-		m = cost.DefaultModel()
-	}
-	return cost.ComputeMetrics(p.Graph, m)
+	return cost.ComputeMetrics(p.Graph, p.costModel())
 }
 
 // Simulate computes the deterministic makespan of the plan under the
 // static cost model.
 func (p *Program) Simulate() (SimResult, error) {
-	m := cost.Model(nil)
-	if p.Clustering != nil {
-		m = p.Clustering.Model
-	}
-	if m == nil {
-		m = cost.DefaultModel()
-	}
-	return exec.Simulate(p.Plan, m)
+	return exec.Simulate(p.Plan, p.costModel())
 }
 
 // CodegenOptions configures GenerateGo.
@@ -447,14 +436,14 @@ func SampleIndexOf(name string) int { return hyper.SampleOf(name) }
 // returning the batch-1 name; names without a suffix pass through.
 func BaseValueName(name string) string { return hyper.BaseName(name) }
 
-// Call invokes a registered operator kernel by its ONNX-style name; the
-// generated parallel code is written in terms of Call.
+// Call invokes a registered operator kernel by its ONNX-style name on the
+// heap; the generated parallel code is written in terms of Call.
 func Call(op string, in []*Tensor, attrs Attrs) ([]*Tensor, error) {
-	k, err := ops.Lookup(op)
+	k, err := ops.Bind(op, attrs, nil)
 	if err != nil {
 		return nil, err
 	}
-	return k(in, attrs)
+	return k.Run(in, nil, false)
 }
 
 // SupportedOps lists every registered operator type.

@@ -144,6 +144,35 @@ func TestHyperclusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHyperclusteredMetricsAndSimulate: a hyperclustered program carries no
+// clustering, so its cost analyses must fall back to the compile-time
+// model instead of dereferencing one.
+func TestHyperclusteredMetricsAndSimulate(t *testing.T) {
+	g, _ := BuildModel("squeezenet", ModelConfig{ImageSize: 16})
+	prog, err := Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp, err := prog.Hypercluster(2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := hp.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Nodes <= len(prog.Graph.Nodes) || m.Parallelism < 1 {
+		t.Errorf("hyperclustered metrics %+v over %d batch-1 nodes", m, len(prog.Graph.Nodes))
+	}
+	sim, err := hp.Simulate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sim.Makespan <= 0 {
+		t.Errorf("hyperclustered makespan %v", sim.Makespan)
+	}
+}
+
 func TestSaveLoadModelThroughFacade(t *testing.T) {
 	g, _ := BuildModel("squeezenet", ModelConfig{ImageSize: 16})
 	path := filepath.Join(t.TempDir(), "sq.json.gz")
