@@ -2,6 +2,7 @@ package ops
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -300,5 +301,108 @@ func TestRunInPlaceFusedBroadcastReturnsBuffer(t *testing.T) {
 	}
 	if puts := ar.Stats().Snapshot().Puts; puts <= putsBefore {
 		t.Error("abandoned input buffer was not returned to the arena")
+	}
+}
+
+// TestFusedChainsMatchReferenceRandom draws random chains of the chainable
+// ops over scalar, same-shape and broadcasting operands, in both operand
+// orders, and checks the bound FusedElementwise chain — out of place, and
+// in place on an arena — against a stage-by-stage reference built from the
+// function-pointer kernels unary and binary, which never run the
+// elementwise engine under test.
+func TestFusedChainsMatchReferenceRandom(t *testing.T) {
+	shapes := []tensor.Shape{{}, {1}, {32}, {16, 32}, {1, 16, 32}, {4, 1}, {1, 5}, {2, 3, 1, 1}, {1, 3, 1, 1}}
+	chainable := []string{"Relu", "LeakyRelu", "Sigmoid", "Tanh", "Clip", "Add", "Mul", "Sub", "Div"}
+	pick := rand.New(rand.NewSource(29))
+	r := tensor.NewRNG(29)
+	randTensor := func() *tensor.Tensor { return r.RandTensor(shapes[pick.Intn(len(shapes))]...) }
+	ran := 0
+	for c := 0; c < 4000; c++ {
+		x := randTensor()
+		in := []*tensor.Tensor{x}
+		var attrs Attrs
+		want, wantErr := x, error(nil)
+		for n := 1 + pick.Intn(3); n > 0; n-- {
+			op := chainable[pick.Intn(len(chainable))]
+			var opAttrs Attrs
+			ref := []*tensor.Tensor{want}
+			arg, swap := -1, false
+			var k AllocKernel
+			switch op {
+			case "Relu":
+				k = unary(op, func(v float32) float32 { return max(v, 0) })
+			case "LeakyRelu":
+				alpha := pick.Float64()
+				opAttrs = Attrs{"alpha": alpha}
+				k = unary(op, func(v float32) float32 {
+					if v < 0 {
+						return float32(alpha) * v
+					}
+					return v
+				})
+			case "Sigmoid":
+				k = unary(op, func(v float32) float32 { return float32(1 / (1 + math.Exp(-float64(v)))) })
+			case "Tanh":
+				k = unary(op, func(v float32) float32 { return float32(math.Tanh(float64(v))) })
+			case "Clip":
+				lo, hi := -pick.Float64()/4, pick.Float64()/4
+				opAttrs = Attrs{"min": lo, "max": hi}
+				k = unary(op, func(v float32) float32 { return min(max(v, float32(lo)), float32(hi)) })
+			default:
+				f := map[string]func(a, b float32) float32{
+					"Add": func(a, b float32) float32 { return a + b },
+					"Mul": func(a, b float32) float32 { return a * b },
+					"Sub": func(a, b float32) float32 { return a - b },
+					"Div": func(a, b float32) float32 { return a / b },
+				}[op]
+				k = binary(op, f)
+				e := randTensor()
+				in = append(in, e)
+				arg, swap = len(in)-1, pick.Intn(2) == 1
+				if swap {
+					ref = []*tensor.Tensor{e, want}
+				} else {
+					ref = append(ref, e)
+				}
+			}
+			attrs = FusedStageAttrs(attrs, op, opAttrs, arg, swap)
+			if wantErr == nil {
+				var outs []*tensor.Tensor
+				if outs, wantErr = k(ref, nil, nil); wantErr == nil {
+					want = outs[0]
+				}
+			}
+		}
+		fused, err := Bind("FusedElementwise", attrs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar := tensor.NewArena()
+		inPlace := append([]*tensor.Tensor{x.CloneIn(ar)}, in[1:]...)
+		for _, run := range []struct {
+			name    string
+			in      []*tensor.Tensor
+			a       tensor.Allocator
+			inPlace bool
+		}{{"out of place", in, nil, false}, {"in place", inPlace, ar, true}} {
+			got, err := fused.Run(run.in, run.a, run.inPlace)
+			switch {
+			case wantErr != nil && err == nil:
+				t.Fatalf("chain %d %q %s: accepted, reference failed: %v", c, attrs[AttrFusedOps], run.name, wantErr)
+			case wantErr == nil && err != nil:
+				t.Fatalf("chain %d %q %s: %v", c, attrs[AttrFusedOps], run.name, err)
+			case err != nil:
+				continue
+			case !got[0].Shape().Equal(want.Shape()):
+				t.Fatalf("chain %d %q %s: shape %v, want %v", c, attrs[AttrFusedOps], run.name, got[0].Shape(), want.Shape())
+			case !got[0].AllClose(want, 1e-5, 1e-5):
+				t.Fatalf("chain %d %q %s: max diff %v", c, attrs[AttrFusedOps], run.name, got[0].MaxAbsDiff(want))
+			}
+			ran++
+		}
+	}
+	t.Logf("%d of 8000 runs checked", ran)
+	if ran < 4000 {
+		t.Fatalf("only %d of 8000 runs had broadcast-compatible shapes", ran)
 	}
 }
