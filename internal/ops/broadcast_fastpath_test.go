@@ -6,10 +6,38 @@ import (
 	"repro/internal/tensor"
 )
 
+// binary builds an AllocKernel applying f element-wise with NumPy
+// broadcasting through a function pointer: the reference the specialized
+// sweeps are checked and benchmarked against. It walks the generic stride
+// path for every pair of non-identical shapes.
+func binary(op string, f func(a, b float32) float32) AllocKernel {
+	return func(in []*tensor.Tensor, _ Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
+		if err := need(op, in, 2, 2); err != nil {
+			return nil, err
+		}
+		a, b := in[0], in[1]
+		as, bs := a.Shape(), b.Shape()
+		if as.Equal(bs) {
+			out := tensor.ZerosLikeIn(alc, a)
+			ad, bd, od := a.Data(), b.Data(), out.Data()
+			tensor.ParallelRange(len(od), 4096, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					od[i] = f(ad[i], bd[i])
+				}
+			})
+			return []*tensor.Tensor{out}, nil
+		}
+		os, err := tensor.Broadcast(as, bs)
+		if err != nil {
+			return nil, argErr(op, "%v", err)
+		}
+		return []*tensor.Tensor{broadcastStrided(f, a, b, os, alc)}, nil
+	}
+}
+
 // TestBinaryFastPathsMatchStridedReference cross-checks every specialized
-// broadcast sweep in binaryFast against the retained function-pointer
-// builder (binary), which always walks the generic stride path for
-// non-identical shapes — the regression net for the scalar-broadcast and
+// sweep a bound binary node can take against the function-pointer
+// reference binary — the regression net for the scalar-broadcast and
 // mixed-rank fast paths.
 func TestBinaryFastPathsMatchStridedReference(t *testing.T) {
 	r := tensor.NewRNG(19)
@@ -29,7 +57,7 @@ func TestBinaryFastPathsMatchStridedReference(t *testing.T) {
 		{"outer-product", tensor.Shape{4, 1}, tensor.Shape{1, 5}},
 		{"scalar-highrank", tensor.Shape{2, 3}, tensor.Shape{1, 1, 1}},
 	}
-	specialized := map[string]AllocKernel{"Add": addK, "Sub": subK, "Mul": mulK, "Div": divK}
+	specialized := map[string]AllocKernel{"Add": boundK("Add"), "Sub": boundK("Sub"), "Mul": boundK("Mul"), "Div": boundK("Div")}
 	reference := map[string]AllocKernel{
 		"Add": binary("Add", func(a, b float32) float32 { return a + b }),
 		"Sub": binary("Sub", func(a, b float32) float32 { return a - b }),

@@ -6,11 +6,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// The elementwise kernels in this file are the memory-bound glue between
-// the GEMM-shaped heavy ops. They run as specialized slice loops — no
-// per-element function pointer — and the same loops back the fused-chain
-// kernel (fused.go) and the bound unary ops' in-place form, so every way
-// an activation can execute computes bit-identical values.
+// The elementwise ops in this file are the memory-bound glue between the
+// GEMM-shaped heavy ops. Each is a specialized slice loop — no per-element
+// function pointer — listed once in the elementwise table. A single node
+// runs as a one-stage program through the same engine as a fused chain
+// (fused.go), so every way an activation can execute computes
+// bit-identical values.
 
 // uninitLike allocates an output tensor with t's shape whose contents the
 // caller fully overwrites, skipping the zero fill a recycled arena buffer
@@ -31,7 +32,8 @@ func reluLoop(dst, src []float32) {
 	}
 }
 
-func leakyReluLoop(dst, src []float32, alpha float32) {
+// leakyReluLoop is LeakyRelu: x for x >= 0, else alpha*x.
+func leakyReluLoop(dst, src []float32, alpha, _ float32) {
 	for i, v := range src {
 		if v < 0 {
 			v = alpha * v
@@ -40,6 +42,7 @@ func leakyReluLoop(dst, src []float32, alpha float32) {
 	}
 }
 
+// clipLoop is Clip: x bounded to [lo, hi].
 func clipLoop(dst, src []float32, lo, hi float32) {
 	for i, v := range src {
 		dst[i] = min(max(v, lo), hi)
@@ -86,6 +89,13 @@ func erfLoop(dst, src []float32) {
 func negLoop(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = -v
+	}
+}
+
+// identityLoop is Identity: a copy, and nothing at all in place.
+func identityLoop(dst, src []float32) {
+	if len(src) > 0 && &dst[0] != &src[0] {
+		copy(dst, src)
 	}
 }
 
@@ -154,63 +164,9 @@ func rdivScalarLoop(dst []float32, s float32, b []float32) {
 	}
 }
 
-// parallelUnary sweeps loop over index-aligned dst/src chunks across the
-// intra-op workers.
-func parallelUnary(loop func(dst, src []float32), dst, src []float32) {
-	tensor.ParallelRange(len(src), 4096, func(lo, hi int) {
-		loop(dst[lo:hi], src[lo:hi])
-	})
-}
-
-// unaryOp binds a single-input elementwise op whose loop needs no
-// attributes.
-func unaryOp(op string, loop func(dst, src []float32)) binder {
-	return func(Attrs, []*tensor.Tensor) *Bound { return unaryBound(op, loop) }
-}
-
-// unaryBound binds a single-input elementwise op around its slice loop: a
-// run sweeps in[0] into a fresh output or, in place, into in[0]'s own
-// buffer. A nil loop is Identity: a copy, so downstream mutation hazards
-// cannot arise, or in place nothing at all.
-func unaryBound(op string, loop func(dst, src []float32)) *Bound {
-	return &Bound{inPlace: true, run: func(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, inPlace bool) ([]*tensor.Tensor, error) {
-		if err := need(op, in, 1, 1); err != nil {
-			return nil, err
-		}
-		x := in[0]
-		switch {
-		case inPlace:
-			if loop != nil {
-				parallelUnary(loop, x.Data(), x.Data())
-			}
-			return []*tensor.Tensor{tensor.New(x.Shape(), x.Data())}, nil
-		case loop == nil:
-			return []*tensor.Tensor{x.CloneIn(a)}, nil
-		}
-		out := uninitLike(a, x)
-		parallelUnary(loop, out.Data(), x.Data())
-		return []*tensor.Tensor{out}, nil
-	}}
-}
-
-// bindLeakyRelu binds LeakyRelu: x for x>=0 else alpha*x (attribute alpha,
-// default 0.01).
-func bindLeakyRelu(attrs Attrs, _ []*tensor.Tensor) *Bound {
-	alpha := float32(attrs.Float("alpha", 0.01))
-	return unaryBound("LeakyRelu", func(dst, src []float32) { leakyReluLoop(dst, src, alpha) })
-}
-
-// bindClip binds Clip: x bounded to [min, max] given as attributes (ONNX
-// opset-6 style).
-func bindClip(attrs Attrs, _ []*tensor.Tensor) *Bound {
-	lo := float32(attrs.Float("min", -math.MaxFloat32))
-	hi := float32(attrs.Float("max", math.MaxFloat32))
-	return unaryBound("Clip", func(dst, src []float32) { clipLoop(dst, src, lo, hi) })
-}
-
 // binaryLoops bundles the specialized sweeps of one binary operator: the
-// same-layout vector form, both scalar-broadcast forms, and the generic
-// per-element function for the stride-walking broadcast fallback.
+// same-layout vector form, both scalar-broadcast forms, and the per-element
+// function for the stride-walking broadcast fallback.
 type binaryLoops struct {
 	vec func(dst, a, b []float32)
 	vs  func(dst, a []float32, s float32) // b is a single value
@@ -232,64 +188,140 @@ var mulLoops = binaryLoops{mulLoop, mulScalarLoop,
 var divLoops = binaryLoops{divLoop, divScalarLoop, rdivScalarLoop,
 	func(a, b float32) float32 { return a / b }}
 
-// binaryFast builds an AllocKernel with NumPy broadcasting that picks the
-// cheapest sweep available: identical shapes and broadcasts that do not
-// replicate any element (mixed ranks differing only in leading 1-dims) run
-// the flat vector loop; scalar operands run a hoisted-scalar loop; only
-// genuine element replication pays the per-element stride index math.
-func binaryFast(op string, loops binaryLoops) AllocKernel {
-	return func(in []*tensor.Tensor, _ Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
-		if err := need(op, in, 2, 2); err != nil {
-			return nil, err
+// pow32 is Pow on one pair: a^b, computed in float64.
+func pow32(a, b float32) float32 { return float32(math.Pow(float64(a), float64(b))) }
+
+var powLoops = binaryLoops{
+	func(dst, a, b []float32) {
+		for i, v := range a {
+			dst[i] = pow32(v, b[i])
 		}
-		a, b := in[0], in[1]
-		as, bs := a.Shape(), b.Shape()
-		if as.Equal(bs) { // identical shapes: one flat sweep
-			out := uninitLike(alc, a)
-			ad, bd, od := a.Data(), b.Data(), out.Data()
-			tensor.ParallelRange(len(od), 4096, func(lo, hi int) {
-				loops.vec(od[lo:hi], ad[lo:hi], bd[lo:hi])
-			})
-			return []*tensor.Tensor{out}, nil
+	},
+	func(dst, a []float32, s float32) {
+		for i, v := range a {
+			dst[i] = pow32(v, s)
 		}
-		os, err := tensor.Broadcast(as, bs)
-		if err != nil {
-			return nil, argErr(op, "%v", err)
+	},
+	func(dst []float32, s float32, b []float32) {
+		for i, v := range b {
+			dst[i] = pow32(s, v)
 		}
-		n := os.Numel()
-		ad, bd := a.Data(), b.Data()
-		switch {
-		case len(bd) == 1 && len(ad) == n:
-			out := tensor.New(os, tensor.AllocUninit(alc, n))
-			od, s := out.Data(), bd[0]
-			tensor.ParallelRange(n, 4096, func(lo, hi int) {
-				loops.vs(od[lo:hi], ad[lo:hi], s)
-			})
-			return []*tensor.Tensor{out}, nil
-		case len(ad) == 1 && len(bd) == n:
-			out := tensor.New(os, tensor.AllocUninit(alc, n))
-			od, s := out.Data(), ad[0]
-			tensor.ParallelRange(n, 4096, func(lo, hi int) {
-				loops.sv(od[lo:hi], s, bd[lo:hi])
-			})
-			return []*tensor.Tensor{out}, nil
-		case len(ad) == n && len(bd) == n:
-			// Ranks differ only by leading 1-extents: row-major layouts
-			// coincide, so the flat vector loop is exact.
-			out := tensor.New(os, tensor.AllocUninit(alc, n))
-			od := out.Data()
-			tensor.ParallelRange(n, 4096, func(lo, hi int) {
-				loops.vec(od[lo:hi], ad[lo:hi], bd[lo:hi])
-			})
-			return []*tensor.Tensor{out}, nil
-		}
-		return broadcastStrided(op, loops.f, a, b, os, alc)
+	},
+	pow32}
+
+// unaryLoop is a single-input op's sweep dst = op(src) over index-aligned
+// slices, which may alias; p0 and p1 are the op's parameters (params).
+type unaryLoop func(dst, src []float32, p0, p1 float32)
+
+// plain adapts a sweep without parameters to a unaryLoop.
+func plain(loop func(dst, src []float32)) unaryLoop {
+	return func(dst, src []float32, _, _ float32) { loop(dst, src) }
+}
+
+// elementwiseOp is an op's entry in the elementwise table: a unary op's
+// sweep or a binary op's loops, and whether it may be a FusedElementwise
+// stage.
+type elementwiseOp struct {
+	unary  unaryLoop
+	binary *binaryLoops // nil for a unary op
+	chain  bool
+}
+
+// elementwise is the one table of elementwise ops. A node of any of them
+// binds as a one-stage program and every FusedElementwise stage decodes to
+// one of its entries; run (fused.go) executes both.
+var elementwise = map[string]elementwiseOp{
+	"Relu":      {unary: plain(reluLoop), chain: true},
+	"LeakyRelu": {unary: leakyReluLoop, chain: true},
+	"Sigmoid":   {unary: plain(sigmoidLoop), chain: true},
+	"Tanh":      {unary: plain(tanhLoop), chain: true},
+	"Clip":      {unary: clipLoop, chain: true},
+	"Exp":       {unary: plain(expLoop)},
+	"Sqrt":      {unary: plain(sqrtLoop)},
+	"Erf":       {unary: plain(erfLoop)},
+	"Neg":       {unary: plain(negLoop)},
+	"Identity":  {unary: plain(identityLoop)},
+	"Add":       {binary: &addLoops, chain: true},
+	"Sub":       {binary: &subLoops, chain: true},
+	"Mul":       {binary: &mulLoops, chain: true},
+	"Div":       {binary: &divLoops, chain: true},
+	"Pow":       {binary: &powLoops},
+}
+
+// paramKeys names the attributes that hold an op's parameters: LeakyRelu's
+// alpha, Clip's min and max.
+type paramKeys struct{ alpha, min, max string }
+
+// nodeKeys are the parameter attributes of an ONNX node (opset-6 style
+// Clip: bounds as attributes).
+var nodeKeys = paramKeys{"alpha", "min", "max"}
+
+// params decodes an elementwise op's parameters from attrs: LeakyRelu's
+// alpha (default 0.01) in p0, Clip's bounds (default the whole float32
+// range) in p0 and p1, zeros for every other op.
+func params(op string, attrs Attrs, k paramKeys) (p0, p1 float64) {
+	switch op {
+	case "LeakyRelu":
+		return attrs.Float(k.alpha, 0.01), 0
+	case "Clip":
+		return attrs.Float(k.min, -math.MaxFloat32), attrs.Float(k.max, math.MaxFloat32)
 	}
+	return 0, 0
+}
+
+// bindElementwise binds a node of the table op as the one-stage program
+// [op], a binary op's second input being the stage's extra operand. Unary
+// ops have an in-place form; binary ops do not.
+func bindElementwise(op string) binder {
+	e := elementwise[op]
+	return func(attrs Attrs, _ []*tensor.Tensor) *Bound {
+		p0, p1 := params(op, attrs, nodeKeys)
+		st := stage{elementwiseOp: e, op: op, arg: -1, p0: float32(p0), p1: float32(p1)}
+		arity := 1
+		if e.binary != nil {
+			st.arg, arity = 1, 2
+		}
+		return program(op, arity, arity, []stage{st}, e.binary == nil, nil)
+	}
+}
+
+// broadcastBinary runs a binary op on operands of different shapes with
+// NumPy broadcasting, picking the cheapest exact sweep: a scalar operand is
+// hoisted out of the loop, shapes that differ only by leading 1-extents run
+// the flat vector loop, and only genuine element replication pays the
+// per-element stride index math.
+func broadcastBinary(op string, loops *binaryLoops, a, b *tensor.Tensor, alc tensor.Allocator) (*tensor.Tensor, error) {
+	os, err := tensor.Broadcast(a.Shape(), b.Shape())
+	if err != nil {
+		return nil, argErr(op, "%v", err)
+	}
+	n := os.Numel()
+	ad, bd := a.Data(), b.Data()
+	// Scalar right, scalar left, or ranks that differ only by leading
+	// 1-extents, where row-major layouts coincide and the flat vector loop
+	// is exact.
+	scalarB, scalarA := len(bd) == 1 && len(ad) == n, len(ad) == 1 && len(bd) == n
+	if !scalarB && !scalarA && (len(ad) != n || len(bd) != n) {
+		return broadcastStrided(loops.f, a, b, os, alc), nil
+	}
+	out := tensor.New(os, tensor.AllocUninit(alc, n))
+	od := out.Data()
+	tensor.ParallelRange(n, 4096, func(lo, hi int) {
+		switch {
+		case scalarB:
+			loops.vs(od[lo:hi], ad[lo:hi], bd[0])
+		case scalarA:
+			loops.sv(od[lo:hi], ad[0], bd[lo:hi])
+		default:
+			loops.vec(od[lo:hi], ad[lo:hi], bd[lo:hi])
+		}
+	})
+	return out, nil
 }
 
 // broadcastStrided is the general broadcasting path: per-element stride
 // index math, reached only when the broadcast genuinely replicates data.
-func broadcastStrided(op string, f func(a, b float32) float32, a, b *tensor.Tensor, os tensor.Shape, alc tensor.Allocator) ([]*tensor.Tensor, error) {
+func broadcastStrided(f func(a, b float32) float32, a, b *tensor.Tensor, os tensor.Shape, alc tensor.Allocator) *tensor.Tensor {
 	out := tensor.ZerosIn(alc, os...)
 	od := out.Data()
 	oStrides := os.Strides()
@@ -310,35 +342,7 @@ func broadcastStrided(op string, f func(a, b float32) float32, a, b *tensor.Tens
 			od[i] = f(ad[ai], bd[bi])
 		}
 	})
-	return []*tensor.Tensor{out}, nil
-}
-
-// binary builds an AllocKernel applying f element-wise with NumPy
-// broadcasting through a function pointer — the reference form retained
-// for Pow and the devirtualization micro-benchmarks.
-func binary(op string, f func(a, b float32) float32) AllocKernel {
-	return func(in []*tensor.Tensor, _ Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
-		if err := need(op, in, 2, 2); err != nil {
-			return nil, err
-		}
-		a, b := in[0], in[1]
-		as, bs := a.Shape(), b.Shape()
-		if as.Equal(bs) { // fast path
-			out := tensor.ZerosLikeIn(alc, a)
-			ad, bd, od := a.Data(), b.Data(), out.Data()
-			tensor.ParallelRange(len(od), 4096, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					od[i] = f(ad[i], bd[i])
-				}
-			})
-			return []*tensor.Tensor{out}, nil
-		}
-		os, err := tensor.Broadcast(as, bs)
-		if err != nil {
-			return nil, argErr(op, "%v", err)
-		}
-		return broadcastStrided(op, f, a, b, os, alc)
-	}
+	return out
 }
 
 // broadcastStrides returns per-output-dimension strides into a tensor of
@@ -361,24 +365,6 @@ func broadcastStrides(s, out tensor.Shape) []int {
 	}
 	return strides
 }
-
-// addK is element-wise a+b with broadcasting.
-var addK = binaryFast("Add", addLoops)
-
-// subK is element-wise a-b with broadcasting.
-var subK = binaryFast("Sub", subLoops)
-
-// mulK is element-wise a*b with broadcasting.
-var mulK = binaryFast("Mul", mulLoops)
-
-// divK is element-wise a/b with broadcasting.
-var divK = binaryFast("Div", divLoops)
-
-// powK is element-wise a^b with broadcasting. The math.Pow call dominates,
-// so it keeps the function-pointer builder.
-var powK = binary("Pow", func(a, b float32) float32 {
-	return float32(math.Pow(float64(a), float64(b)))
-})
 
 // softmaxK normalizes along the given axis (attribute "axis", default -1)
 // with the usual max-subtraction for numerical stability.

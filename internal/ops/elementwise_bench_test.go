@@ -6,11 +6,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// Devirtualization micro-benchmarks: the specialized slice loops
-// (BenchmarkReluDirect, BenchmarkAddDirect, …) against the retained
-// function-pointer builders (…Indirect) they replaced, on a serving-sized
-// activation map. The Indirect forms are the "before" in the PR that
-// removed per-element func(float32) float32 dispatch from the hot path.
+// Devirtualization micro-benchmarks: bound nodes running the specialized
+// slice loops (BenchmarkReluDirect, BenchmarkAddDirect, …) against the
+// function-pointer references unary and binary (…Indirect), on a
+// serving-sized activation map. The Indirect forms pay the per-element
+// func(float32) float32 dispatch the hot path no longer has.
 
 const benchElems = 1 << 16 // 256 KiB tensor: memory-bound, like real glue ops
 
@@ -85,11 +85,11 @@ func benchBinary(b *testing.B, k AllocKernel) {
 
 func BenchmarkReluDirect(b *testing.B)   { benchUnary(b, boundK("Relu")) }
 func BenchmarkReluIndirect(b *testing.B) { benchUnary(b, reluIndirectK) }
-func BenchmarkAddDirect(b *testing.B)    { benchBinary(b, addK) }
+func BenchmarkAddDirect(b *testing.B)    { benchBinary(b, boundK("Add")) }
 func BenchmarkAddIndirect(b *testing.B)  { benchBinary(b, addIndirectK) }
-func BenchmarkMulDirect(b *testing.B)    { benchBinary(b, mulK) }
+func BenchmarkMulDirect(b *testing.B)    { benchBinary(b, boundK("Mul")) }
 func BenchmarkMulIndirect(b *testing.B)  { benchBinary(b, mulIndirectK) }
-func BenchmarkSubDirect(b *testing.B)    { benchBinary(b, subK) }
+func BenchmarkSubDirect(b *testing.B)    { benchBinary(b, boundK("Sub")) }
 func BenchmarkSubIndirect(b *testing.B)  { benchBinary(b, subIndirectK) }
 
 // BenchmarkFusedElementwiseChain measures a four-stage activation chain
@@ -121,19 +121,20 @@ func BenchmarkUnfusedElementwiseChain(b *testing.B) {
 	x := r.RandTensor(benchElems)
 	same := r.RandTensor(benchElems)
 	half := tensor.Scalar(0.5)
+	add, mul := boundK("Add"), boundK("Mul")
 	relu, _ := Bind("Relu", nil, nil)
 	clip, _ := Bind("Clip", Attrs{"min": -1.0, "max": 1.0}, nil)
 	b.SetBytes(4 * benchElems)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := addK([]*tensor.Tensor{x, same}, nil, nil)
+		v, err := add([]*tensor.Tensor{x, same}, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if v, err = relu.Run(v, nil, false); err != nil {
 			b.Fatal(err)
 		}
-		if v, err = mulK([]*tensor.Tensor{v[0], half}, nil, nil); err != nil {
+		if v, err = mul([]*tensor.Tensor{v[0], half}, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 		if _, err = clip.Run(v, nil, false); err != nil {

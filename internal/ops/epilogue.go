@@ -1,10 +1,6 @@
 package ops
 
-import (
-	"math"
-
-	"repro/internal/kernels"
-)
+import "repro/internal/kernels"
 
 // Writeback-epilogue attributes: the fusion pass (internal/passes) records
 // a GEMM-shaped node's absorbed activation under these keys, and the
@@ -17,22 +13,22 @@ const (
 	AttrEpilogueMax   = "epi_max"
 )
 
+// epilogueKeys are the parameter attributes of a writeback epilogue.
+var epilogueKeys = paramKeys{AttrEpilogueAlpha, AttrEpilogueMin, AttrEpilogueMax}
+
 // EpilogueAttrs encodes the activation node (opType, attrs) as epilogue
 // attributes to merge into a Conv/Gemm/MatMul node, or nil when the
 // activation cannot ride a GEMM writeback. Only activations that depend on
 // nothing but the finished accumulator qualify.
 func EpilogueAttrs(opType string, attrs Attrs) Attrs {
+	p0, p1 := params(opType, attrs, nodeKeys)
 	switch opType {
 	case "Relu":
-		return Attrs{AttrEpilogueOp: "Relu"}
+		return Attrs{AttrEpilogueOp: opType}
 	case "LeakyRelu":
-		return Attrs{AttrEpilogueOp: "LeakyRelu", AttrEpilogueAlpha: attrs.Float("alpha", 0.01)}
+		return Attrs{AttrEpilogueOp: opType, AttrEpilogueAlpha: p0}
 	case "Clip":
-		return Attrs{
-			AttrEpilogueOp:  "Clip",
-			AttrEpilogueMin: attrs.Float("min", -math.MaxFloat32),
-			AttrEpilogueMax: attrs.Float("max", math.MaxFloat32),
-		}
+		return Attrs{AttrEpilogueOp: opType, AttrEpilogueMin: p0, AttrEpilogueMax: p1}
 	}
 	return nil
 }
@@ -40,17 +36,15 @@ func EpilogueAttrs(opType string, attrs Attrs) Attrs {
 // epilogueOf decodes a node's fused writeback activation; the zero
 // Epilogue (a plain writeback) when none is recorded.
 func epilogueOf(attrs Attrs) kernels.Epilogue {
-	switch attrs.Str(AttrEpilogueOp, "") {
+	op := attrs.Str(AttrEpilogueOp, "")
+	p0, p1 := params(op, attrs, epilogueKeys)
+	switch op {
 	case "Relu":
 		return kernels.Epilogue{Kind: kernels.EpiRelu}
 	case "LeakyRelu":
-		return kernels.Epilogue{Kind: kernels.EpiLeakyRelu, Alpha: float32(attrs.Float(AttrEpilogueAlpha, 0.01))}
+		return kernels.Epilogue{Kind: kernels.EpiLeakyRelu, Alpha: float32(p0)}
 	case "Clip":
-		return kernels.Epilogue{
-			Kind: kernels.EpiClip,
-			Lo:   float32(attrs.Float(AttrEpilogueMin, -math.MaxFloat32)),
-			Hi:   float32(attrs.Float(AttrEpilogueMax, math.MaxFloat32)),
-		}
+		return kernels.Epilogue{Kind: kernels.EpiClip, Lo: float32(p0), Hi: float32(p1)}
 	}
 	return kernels.Epilogue{}
 }

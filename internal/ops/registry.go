@@ -9,8 +9,8 @@ import (
 )
 
 // Bound is one node's kernel, bound once by Bind: its op is looked up, its
-// constant GEMM/Conv weight is packed and its FusedElementwise stage
-// program decoded, so a run does no registry lookup, packing or decoding.
+// constant GEMM/Conv weight is packed and its elementwise stage program
+// decoded, so a run does no registry lookup, packing or decoding.
 // It is read-only once the owner has finished setting Packed, and safe to
 // run from any number of goroutines.
 type Bound struct {
@@ -19,8 +19,8 @@ type Bound struct {
 	// tensor, same layout attributes) may share one: the executor points a
 	// replica's Packed at the first node's before any run.
 	Packed *Prepacked
-	// inPlace marks ops with an in-place form: single-output elementwise
-	// ops whose output shape always equals their first input's.
+	// inPlace marks ops with an in-place form: the unary elementwise ops
+	// and FusedElementwise.
 	inPlace bool
 	run     func(in []*tensor.Tensor, a tensor.Allocator, pp *Prepacked, inPlace bool) ([]*tensor.Tensor, error)
 }
@@ -29,7 +29,7 @@ type Bound struct {
 // sizable scratch buffer) through a; nil means the heap. With inPlace set —
 // legal only when InPlace reports true and the caller holds the only
 // reference to in[0] — the output takes over in[0]'s storage: the returned
-// tensor shares it, or (FusedElementwise's broadcasting fallback) the
+// tensor shares it, or (a FusedElementwise stage that broadcasts) the
 // kernel has already returned it to a. Either way the caller must not
 // release in[0] afterwards.
 func (b *Bound) Run(in []*tensor.Tensor, a tensor.Allocator, inPlace bool) ([]*tensor.Tensor, error) {
@@ -55,7 +55,7 @@ func kernel(k AllocKernel) binder {
 }
 
 // registry maps every ONNX-style op-type name to its binder; the built-in
-// set is this table. regMu makes a late Register (embedders,
+// set is this table plus the elementwise table's ops. regMu makes a late Register (embedders,
 // fault-injection harnesses) safe against concurrent binds. Binds run when
 // a program is compiled, not per-op execution, so the read lock costs
 // nothing measurable.
@@ -68,22 +68,7 @@ var (
 		"GlobalAveragePool":  kernel(globalAvgPoolK),
 		"MatMul":             packed("MatMul", matMulK),
 		"Gemm":               packed("Gemm", gemmK),
-		"Relu":               unaryOp("Relu", reluLoop),
-		"LeakyRelu":          bindLeakyRelu,
-		"Sigmoid":            unaryOp("Sigmoid", sigmoidLoop),
-		"Tanh":               unaryOp("Tanh", tanhLoop),
-		"Exp":                unaryOp("Exp", expLoop),
-		"Sqrt":               unaryOp("Sqrt", sqrtLoop),
-		"Erf":                unaryOp("Erf", erfLoop),
-		"Neg":                unaryOp("Neg", negLoop),
-		"Clip":               bindClip,
-		"Identity":           unaryOp("Identity", nil),
 		"FusedElementwise":   bindFused,
-		"Add":                kernel(addK),
-		"Sub":                kernel(subK),
-		"Mul":                kernel(mulK),
-		"Div":                kernel(divK),
-		"Pow":                kernel(powK),
 		"Softmax":            kernel(softmaxK),
 		"BatchNormalization": kernel(batchNormK),
 		"LayerNormalization": kernel(layerNormK),
@@ -102,6 +87,12 @@ var (
 		"Constant":           kernel(constantK),
 	}
 )
+
+func init() {
+	for op := range elementwise {
+		registry[op] = bindElementwise(op)
+	}
+}
 
 // Register installs a kernel for a custom op type — the extension point
 // embedders and fault-injection harnesses use to add operators without
