@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -116,12 +117,21 @@ func FromGraph(g *graph.Graph) *Model {
 func (m *Model) ToGraph() (*graph.Graph, error) {
 	g := graph.New(m.Graph.Name)
 	for _, in := range m.Graph.Input {
+		if err := checkDims("input", in.Name, in.Dims); err != nil {
+			return nil, err
+		}
 		g.Inputs = append(g.Inputs, graph.ValueInfo{Name: in.Name, Shape: tensor.NewShape(in.Dims...)})
 	}
 	for _, out := range m.Graph.Output {
+		if err := checkDims("output", out.Name, out.Dims); err != nil {
+			return nil, err
+		}
 		g.Outputs = append(g.Outputs, graph.ValueInfo{Name: out.Name, Shape: tensor.NewShape(out.Dims...)})
 	}
 	for _, init := range m.Graph.Initializer {
+		if err := checkDims("initializer", init.Name, init.Dims); err != nil {
+			return nil, err
+		}
 		sh := tensor.NewShape(init.Dims...)
 		if sh.Numel() != len(init.Data) {
 			return nil, fmt.Errorf("onnx: initializer %q has %d values for shape %v", init.Name, len(init.Data), sh)
@@ -138,6 +148,24 @@ func (m *Model) ToGraph() (*graph.Graph, error) {
 		return nil, fmt.Errorf("onnx: model %q invalid: %w", m.Graph.Name, err)
 	}
 	return g, nil
+}
+
+// checkDims rejects dims that no tensor can have: a negative extent, or
+// nonzero extents whose product overflows int (tensor.Shape.Numel would
+// wrap, and kernels would size loops and buffers from it).
+func checkDims(kind, name string, dims []int) error {
+	n := 1
+	for _, d := range dims {
+		switch {
+		case d < 0:
+			return fmt.Errorf("onnx: %s %q has negative extent in dims %v", kind, name, dims)
+		case d > 0 && n > math.MaxInt/d:
+			return fmt.Errorf("onnx: %s %q has dims %v whose element count overflows int", kind, name, dims)
+		case d > 0:
+			n *= d
+		}
+	}
+	return nil
 }
 
 // Marshal serializes the model as JSON.

@@ -122,6 +122,71 @@ func TestToGraphRejectsBadInitializer(t *testing.T) {
 	}
 }
 
+// overflowModel is a model whose one initializer claims 2^62 x 4 values
+// and carries none: tensor.Shape.Numel wraps that count to 0, which once let
+// the model load and then crash constant folding and the executor.
+const overflowModel = `{"ir_version":8,"producer_name":"fuzz","graph":{"name":"overflow",` +
+	`"node":[{"name":"split","op_type":"Split","input":["w"],"output":["a","b"],"attribute":{"axis":0}}],` +
+	`"initializer":[{"name":"w","dims":[4611686018427387904,4],"float_data":[]}],` +
+	`"input":[],"output":[{"name":"a"},{"name":"b"}]}}`
+
+// tinyModel is the smallest valid model: one Relu over a declared input.
+const tinyModel = `{"ir_version":8,"producer_name":"fuzz","graph":{"name":"tiny",` +
+	`"node":[{"name":"r","op_type":"Relu","input":["x"],"output":["y"]}],` +
+	`"input":[{"name":"x","dims":[1,2]}],"output":[{"name":"y","dims":[1,2]}]}}`
+
+func TestToGraphRejectsImpossibleDims(t *testing.T) {
+	for _, c := range []struct{ name, model, value string }{
+		{"overflow", overflowModel, "w"},
+		{"negative initializer", strings.Replace(overflowModel, "4611686018427387904", "-1", 1), "w"},
+		{"negative input", strings.Replace(tinyModel, `"x","dims":[1,2]`, `"x","dims":[-1,2]`, 1), "x"},
+		{"overflow output", strings.Replace(tinyModel, `"y","dims":[1,2]`, `"y","dims":[3037000500,3037000500]`, 1), "y"},
+	} {
+		m, err := Unmarshal([]byte(c.model))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		_, err = m.ToGraph()
+		if err == nil {
+			t.Errorf("%s: model accepted", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), `"`+c.value+`"`) {
+			t.Errorf("%s: error does not name the value: %v", c.name, err)
+		}
+	}
+	m, err := Unmarshal([]byte(tinyModel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ToGraph(); err != nil {
+		t.Errorf("valid model rejected: %v", err)
+	}
+}
+
+// FuzzModelToGraph feeds arbitrary bytes through Unmarshal and ToGraph: the
+// loader must never panic, and a graph it accepts holds only initializers
+// whose shapes match their data.
+func FuzzModelToGraph(f *testing.F) {
+	f.Add([]byte(overflowModel))
+	f.Add([]byte(tinyModel))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		g, err := m.ToGraph()
+		if err != nil {
+			return
+		}
+		for name, init := range g.Initializers {
+			if n := init.Numel(); n < 0 || n != len(init.Data()) {
+				t.Fatalf("initializer %q: %d elements for %d values", name, n, len(init.Data()))
+			}
+		}
+	})
+}
+
 func TestToGraphValidates(t *testing.T) {
 	m := &Model{Graph: GraphProto{
 		Name: "invalid",
