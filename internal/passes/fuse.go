@@ -17,7 +17,7 @@
 //     (internal/ops/fused.go): one memory pass and one node where there
 //     were k of each.
 //
-// Pass ordering within Compile: simplify/constfold (Prune) → Fuse →
+// Pass ordering within Compile: constant folding + DCE (Prune) → Fuse →
 // clustering → prepack. Fusion must precede prepack so folded weights are
 // what gets packed, and precede clustering so a fused chain schedules as
 // one unit.

@@ -339,3 +339,52 @@ func TestFusedEquivalenceAllModels(t *testing.T) {
 		}
 	}
 }
+
+func TestFuseConvRelu(t *testing.T) {
+	g := models.MustBuild("squeezenet", models.Config{ImageSize: 16})
+	feeds := models.RandomInputs(g, 3)
+	want, err := exec.RunSequential(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(g.Nodes)
+	rep, err := Fuse(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Epilogues == 0 {
+		t.Fatal("no Conv+Relu pairs fused in squeezenet")
+	}
+	if len(g.Nodes) != before-rep.NodesRemoved() {
+		t.Errorf("node count %d, want %d", len(g.Nodes), before-rep.NodesRemoved())
+	}
+	got, err := exec.RunSequential(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, w := range want {
+		if !got[k].AllClose(w, 1e-5, 1e-6) {
+			t.Errorf("fusion changed output %s", k)
+		}
+	}
+}
+
+func TestFuseSkipsFanout(t *testing.T) {
+	// A conv whose output feeds two relus must not absorb an epilogue (the
+	// value is needed twice).
+	g := graph.New("fan")
+	g.Inputs = []graph.ValueInfo{{Name: "x"}}
+	g.AddNode("c", "Conv", []string{"x", "w"}, []string{"vc"}, nil)
+	g.AddInitializer("w", tensor.Zeros(1, 1, 1, 1))
+	g.AddNode("r1", "Relu", []string{"vc"}, []string{"v1"}, nil)
+	g.AddNode("r2", "Relu", []string{"vc"}, []string{"v2"}, nil)
+	g.AddNode("j", "Add", []string{"v1", "v2"}, []string{"out"}, nil)
+	g.Outputs = []graph.ValueInfo{{Name: "out"}}
+	n, err := AttachEpilogues(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Errorf("fused across fan-out: %d epilogues", n)
+	}
+}
