@@ -165,8 +165,8 @@ func rdivScalarLoop(dst []float32, s float32, b []float32) {
 }
 
 // binaryLoops bundles the specialized sweeps of one binary operator: the
-// same-layout vector form, both scalar-broadcast forms, and the per-element
-// function for the stride-walking broadcast fallback.
+// same-layout vector form, both scalar-broadcast forms, and the generic
+// per-element function for the stride-walking broadcast fallback.
 type binaryLoops struct {
 	vec func(dst, a, b []float32)
 	vs  func(dst, a []float32, s float32) // b is a single value

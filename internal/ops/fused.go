@@ -120,7 +120,7 @@ func parseFused(attrs Attrs) ([]stage, error) {
 // program binds the stage program of a node of op, which takes between lo
 // and hi inputs (hi < 0: unbounded). A non-nil bindErr fails every run.
 func program(op string, lo, hi int, stages []stage, inPlace bool, bindErr error) *Bound {
-	return &Bound{inPlace: inPlace, run: func(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, inPlace bool) ([]*tensor.Tensor, error) {
+	return &Bound{inPlace: inPlace, run: func(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, owned bool) ([]*tensor.Tensor, error) {
 		if err := need(op, in, lo, hi); err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func program(op string, lo, hi int, stages []stage, inPlace bool, bindErr error)
 				return nil, argErr(op, "stage %d (%s) references input %d of %d", i, st.op, st.arg, len(in))
 			}
 		}
-		out, err := run(in, stages, a, inPlace)
+		out, err := run(in, stages, a, owned)
 		if err != nil {
 			return nil, err
 		}
