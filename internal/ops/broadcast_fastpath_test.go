@@ -8,8 +8,8 @@ import (
 
 // binary builds an AllocKernel applying f element-wise with NumPy
 // broadcasting through a function pointer: the reference the specialized
-// sweeps are checked and benchmarked against. It walks the generic stride
-// path for every pair of non-identical shapes.
+// sweeps are checked and benchmarked against. Every pair of non-identical
+// shapes goes through the division-based refBroadcast.
 func binary(op string, f func(a, b float32) float32) AllocKernel {
 	return func(in []*tensor.Tensor, _ Attrs, alc tensor.Allocator) ([]*tensor.Tensor, error) {
 		if err := need(op, in, 2, 2); err != nil {
@@ -27,11 +27,11 @@ func binary(op string, f func(a, b float32) float32) AllocKernel {
 			})
 			return []*tensor.Tensor{out}, nil
 		}
-		os, err := tensor.Broadcast(as, bs)
+		out, err := refBroadcast(f, a, b)
 		if err != nil {
 			return nil, argErr(op, "%v", err)
 		}
-		return []*tensor.Tensor{broadcastStrided(f, a, b, os, alc)}, nil
+		return []*tensor.Tensor{out}, nil
 	}
 }
 

@@ -32,6 +32,9 @@ func matMulK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pp *Prepack
 	out := tensor.ZerosIn(alc, outShape...)
 
 	batches := batchShape.Numel()
+	if batches == 0 {
+		return []*tensor.Tensor{out}, nil
+	}
 	ad, bd, od := a.Data(), b.Data(), out.Data()
 	bBatch := bs[:bs.Rank()-2].Numel()
 	epi := epilogueOf(attrs)

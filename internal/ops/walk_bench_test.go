@@ -1,0 +1,83 @@
+package ops
+
+import (
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// allocCase is one bound kernel on BERT- and inception-sized inputs, with
+// the most heap allocations one arena call may make.
+type allocCase struct {
+	op     string
+	attrs  Attrs
+	shapes []tensor.Shape
+	max    float64
+}
+
+var allocCases = []allocCase{
+	{"Transpose", Attrs{"perm": []int{0, 2, 1, 3}}, []tensor.Shape{{1, 16, 4, 8}}, 9},
+	{"Add", nil, []tensor.Shape{{1, 16, 32}, {32}}, 10},
+	{"Slice", Attrs{"starts": []int{16}, "ends": []int{48}, "axes": []int{2}}, []tensor.Shape{{1, 16, 64}}, 8},
+	{"Concat", Attrs{"axis": 1}, []tensor.Shape{{1, 64, 25, 25}, {1, 96, 25, 25}}, 5},
+	{"Split", Attrs{"axis": 2, "num": 3}, []tensor.Shape{{1, 16, 96}}, 11},
+	{"ReduceMean", Attrs{"axes": []int{-1}}, []tensor.Shape{{1, 16, 64}}, 10},
+	{"MatMul", nil, []tensor.Shape{{1, 4, 16, 8}, {1, 4, 8, 16}}, 10},
+}
+
+// bindCase binds c's op and draws its inputs.
+func bindCase(tb testing.TB, c allocCase) (*Bound, []*tensor.Tensor) {
+	k, err := Bind(c.op, c.attrs, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r := tensor.NewRNG(5)
+	in := make([]*tensor.Tensor, len(c.shapes))
+	for i, s := range c.shapes {
+		in[i] = r.RandTensor(s...)
+	}
+	return k, in
+}
+
+// runOn runs k on an arena and returns its outputs there, as the executor
+// does once the values are dead.
+func runOn(tb testing.TB, k *Bound, in []*tensor.Tensor, ar *tensor.Arena) {
+	outs, err := k.Run(in, ar, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, o := range outs {
+		tensor.ReleaseData(ar, o)
+	}
+}
+
+// TestStridedOpsAllocs guards the heap allocations of one warm arena call
+// of each strided op: index walks must not allocate per element, per run
+// or per worker.
+func TestStridedOpsAllocs(t *testing.T) {
+	for _, c := range allocCases {
+		k, in := bindCase(t, c)
+		ar := tensor.NewArena()
+		runOn(t, k, in, ar)
+		if got := testing.AllocsPerRun(50, func() { runOn(t, k, in, ar) }); got > c.max {
+			t.Errorf("%s %v: %v allocs per call, want at most %v", c.op, c.shapes, got, c.max)
+		}
+	}
+}
+
+// benchCase times allocCases[i] on a warm arena.
+func benchCase(b *testing.B, i int) {
+	k, in := bindCase(b, allocCases[i])
+	ar := tensor.NewArena()
+	b.ReportAllocs()
+	for b.Loop() {
+		runOn(b, k, in, ar)
+	}
+}
+
+// BenchmarkTransposeBERT is BERT's attention head split, [1,16,4,8] with
+// perm [0,2,1,3].
+func BenchmarkTransposeBERT(b *testing.B) { benchCase(b, 0) }
+
+// BenchmarkAddRowBroadcast is BERT's bias add, [1,16,32]+[32].
+func BenchmarkAddRowBroadcast(b *testing.B) { benchCase(b, 1) }
