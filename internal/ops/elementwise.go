@@ -165,28 +165,23 @@ func rdivScalarLoop(dst []float32, s float32, b []float32) {
 }
 
 // binaryLoops bundles the specialized sweeps of one binary operator: the
-// same-layout vector form, both scalar-broadcast forms, and the generic
-// per-element function for the stride-walking broadcast fallback.
+// same-layout vector form and both scalar-broadcast forms. The strided
+// broadcast path runs them too, one call per run.
 type binaryLoops struct {
 	vec func(dst, a, b []float32)
 	vs  func(dst, a []float32, s float32) // b is a single value
 	sv  func(dst []float32, s float32, b []float32)
-	f   func(a, b float32) float32
 }
 
 var addLoops = binaryLoops{addLoop, addScalarLoop,
-	func(dst []float32, s float32, b []float32) { addScalarLoop(dst, b, s) },
-	func(a, b float32) float32 { return a + b }}
+	func(dst []float32, s float32, b []float32) { addScalarLoop(dst, b, s) }}
 
-var subLoops = binaryLoops{subLoop, subScalarLoop, rsubScalarLoop,
-	func(a, b float32) float32 { return a - b }}
+var subLoops = binaryLoops{subLoop, subScalarLoop, rsubScalarLoop}
 
 var mulLoops = binaryLoops{mulLoop, mulScalarLoop,
-	func(dst []float32, s float32, b []float32) { mulScalarLoop(dst, b, s) },
-	func(a, b float32) float32 { return a * b }}
+	func(dst []float32, s float32, b []float32) { mulScalarLoop(dst, b, s) }}
 
-var divLoops = binaryLoops{divLoop, divScalarLoop, rdivScalarLoop,
-	func(a, b float32) float32 { return a / b }}
+var divLoops = binaryLoops{divLoop, divScalarLoop, rdivScalarLoop}
 
 // pow32 is Pow on one pair: a^b, computed in float64.
 func pow32(a, b float32) float32 { return float32(math.Pow(float64(a), float64(b))) }
@@ -206,8 +201,7 @@ var powLoops = binaryLoops{
 		for i, v := range b {
 			dst[i] = pow32(s, v)
 		}
-	},
-	pow32}
+	}}
 
 // unaryLoop is a single-input op's sweep dst = op(src) over index-aligned
 // slices, which may alias; p0 and p1 are the op's parameters (params).
@@ -286,82 +280,62 @@ func bindElementwise(op string) binder {
 }
 
 // broadcastBinary runs a binary op on operands of different shapes with
-// NumPy broadcasting, picking the cheapest exact sweep: a scalar operand is
-// hoisted out of the loop, shapes that differ only by leading 1-extents run
-// the flat vector loop, and only genuine element replication pays the
-// per-element stride index math.
+// NumPy broadcasting. It walks the output shape with each operand's
+// broadcast strides. Inside a run an operand either moves with the output
+// or, at stride 0, holds one value, so every run is one call of the op's
+// vector or scalar loop: a [...,N]+[N] Add is one vector call per row.
+// Layouts that merge to a single run (a scalar operand, or shapes that
+// differ only by leading 1-extents) split that run across the workers.
 func broadcastBinary(op string, loops *binaryLoops, a, b *tensor.Tensor, alc tensor.Allocator) (*tensor.Tensor, error) {
 	os, err := tensor.Broadcast(a.Shape(), b.Shape())
 	if err != nil {
 		return nil, argErr(op, "%v", err)
 	}
-	n := os.Numel()
-	ad, bd := a.Data(), b.Data()
-	// Scalar right, scalar left, or ranks that differ only by leading
-	// 1-extents, where row-major layouts coincide and the flat vector loop
-	// is exact.
-	scalarB, scalarA := len(bd) == 1 && len(ad) == n, len(ad) == 1 && len(bd) == n
-	if !scalarB && !scalarA && (len(ad) != n || len(bd) != n) {
-		return broadcastStrided(loops.f, a, b, os, alc), nil
+	out := tensor.New(os, tensor.AllocUninit(alc, os.Numel()))
+	od, ad, bd := out.Data(), a.Data(), b.Data()
+	as, bs := broadcastStrides(a.Shape(), os), broadcastStrides(b.Shape(), os)
+	w := newWalk(os, nil, as, bs)
+	if w.runs == 1 {
+		sa, sb := w.step[1], w.step[2]
+		tensor.ParallelRange(w.n, 4096, func(lo, hi int) {
+			binaryRun(loops, od[lo:hi], ad[lo*sa:], bd[lo*sb:], sa, sb)
+		})
+		return out, nil
 	}
-	out := tensor.New(os, tensor.AllocUninit(alc, n))
-	od := out.Data()
-	tensor.ParallelRange(n, 4096, func(lo, hi int) {
-		switch {
-		case scalarB:
-			loops.vs(od[lo:hi], ad[lo:hi], bd[0])
-		case scalarA:
-			loops.sv(od[lo:hi], ad[0], bd[lo:hi])
-		default:
-			loops.vec(od[lo:hi], ad[lo:hi], bd[lo:hi])
+	tensor.ParallelRange(w.runs, w.grain(1024), func(lo, hi int) {
+		w := newWalk(os, nil, as, bs)
+		for w.seek(lo, hi); w.left > 0; w.next() {
+			binaryRun(loops, od[w.off[0]:][:w.n], ad[w.off[1]:], bd[w.off[2]:], w.step[1], w.step[2])
 		}
 	})
 	return out, nil
 }
 
-// broadcastStrided is the general broadcasting path: per-element stride
-// index math, reached only when the broadcast genuinely replicates data.
-func broadcastStrided(f func(a, b float32) float32, a, b *tensor.Tensor, os tensor.Shape, alc tensor.Allocator) *tensor.Tensor {
-	out := tensor.ZerosIn(alc, os...)
-	od := out.Data()
-	oStrides := os.Strides()
-	aIdx := broadcastStrides(a.Shape(), os)
-	bIdx := broadcastStrides(b.Shape(), os)
-	ad, bd := a.Data(), b.Data()
-	n := len(od)
-	tensor.ParallelRange(n, 1024, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai, bi := 0, 0
-			rem := i
-			for d := 0; d < len(os); d++ {
-				pos := rem / oStrides[d]
-				rem %= oStrides[d]
-				ai += pos * aIdx[d]
-				bi += pos * bIdx[d]
-			}
-			od[i] = f(ad[ai], bd[bi])
-		}
-	})
-	return out
+// binaryRun computes one run dst = a op b of a broadcasting binary op; an
+// operand whose step is 0 holds one value.
+func binaryRun(loops *binaryLoops, dst, a, b []float32, stepA, stepB int) {
+	switch {
+	case stepA == 0:
+		loops.sv(dst, a[0], b[:len(dst)])
+	case stepB == 0:
+		loops.vs(dst, a[:len(dst)], b[0])
+	default:
+		loops.vec(dst, a[:len(dst)], b[:len(dst)])
+	}
 }
 
-// broadcastStrides returns per-output-dimension strides into a tensor of
-// shape s being broadcast to shape out: 0 stride where s has extent 1.
+// broadcastStrides returns the strides into a row-major tensor of shape s
+// broadcast to shape out, per dimension of out: s is right-aligned
+// against out, and a dimension s does not have, or has at extent 1, gets
+// stride 0.
 func broadcastStrides(s, out tensor.Shape) []int {
 	strides := make([]int, len(out))
-	sStrides := s.Strides()
-	offset := len(out) - len(s)
-	for d := range out {
-		if d < offset {
-			strides[d] = 0
-			continue
+	acc := 1
+	for d := len(s) - 1; d >= 0; d-- {
+		if s[d] != 1 {
+			strides[d+len(out)-len(s)] = acc
 		}
-		sd := d - offset
-		if s[sd] == 1 && out[d] != 1 {
-			strides[d] = 0
-		} else {
-			strides[d] = sStrides[sd]
-		}
+		acc *= s[d]
 	}
 	return strides
 }
@@ -386,7 +360,7 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 		inner *= s[d]
 	}
 	axisN := s[axis]
-	outer := x.Numel() / maxInt(inner*axisN, 1)
+	outer := x.Numel() / max(inner*axisN, 1)
 	out := tensor.ZerosLikeIn(a2, x)
 	xd, od := x.Data(), out.Data()
 	tensor.ParallelFor(outer*inner, 16, func(oi int) {

@@ -30,82 +30,38 @@ func matMulK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pp *Prepack
 	}
 	outShape := append(batchShape.Clone(), m, n)
 	out := tensor.ZerosIn(alc, outShape...)
-
-	batches := batchShape.Numel()
-	if batches == 0 {
-		return []*tensor.Tensor{out}, nil
-	}
 	ad, bd, od := a.Data(), b.Data(), out.Data()
-	bBatch := bs[:bs.Rank()-2].Numel()
 	epi := epilogueOf(attrs)
-
-	// Broadcast each flat batch index back onto the operands per dimension
-	// (a size-1 operand dimension contributes stride 0), so mixed batch
-	// shapes like [2,1]x[1,3] address the right panels.
-	var aIdx, bIdx []int
-	if batches > 1 {
-		aIdx = broadcastIndices(batchShape, as[:as.Rank()-2])
-		bIdx = broadcastIndices(batchShape, bs[:bs.Rank()-2])
-	}
-	batchOf := func(idx []int, batch int) int {
-		if idx == nil {
-			return 0
-		}
-		return idx[batch]
-	}
-
-	switch {
-	case pp != nil:
-		for batch := 0; batch < batches; batch++ {
-			aOff := batchOf(aIdx, batch) * m * k
-			kernels.GemmPackedBEpi(1, m, ad[aOff:], k, false, pp.B, od[batch*m*n:], alc, epi)
-		}
-	case bBatch <= 1:
-		// One shared B: pack it once into run scratch, reuse per batch.
-		bbuf := tensor.AllocUninit(alc, kernels.PackedBSize(k, n))
+	// One shared, non-constant B is packed once into run scratch and
+	// reused by every batch.
+	var bbuf []float32
+	if pp == nil && bs[:bs.Rank()-2].Numel() == 1 {
+		bbuf = tensor.AllocUninit(alc, kernels.PackedBSize(k, n))
 		kernels.PackBInto(bbuf, bd, k, n, n, false)
-		for batch := 0; batch < batches; batch++ {
-			aOff := batchOf(aIdx, batch) * m * k
-			kernels.GemmBPackedEpi(1, m, n, k, ad[aOff:], k, false, bbuf, od[batch*m*n:], alc, epi)
-		}
-		tensor.Free(alc, bbuf)
-	default:
-		for batch := 0; batch < batches; batch++ {
-			aOff := batchOf(aIdx, batch) * m * k
-			bOff := batchOf(bIdx, batch) * k * n
-			kernels.GemmEpi(1, m, n, k, ad[aOff:], k, false, bd[bOff:], n, false, od[batch*m*n:], alc, epi)
+		defer tensor.Free(alc, bbuf)
+	}
+
+	// Walk the batch shape with each operand's broadcast batch strides (0
+	// on a dimension it broadcasts), so mixed batch shapes like [2,1]x[1,3]
+	// address the right matrices.
+	w := newWalk(batchShape, broadcastStrides(as[:as.Rank()-2], batchShape), broadcastStrides(bs[:bs.Rank()-2], batchShape))
+	o := od
+	for w.seek(0, w.runs); w.left > 0; w.next() {
+		for i := 0; i < w.n; i++ {
+			aOff := (w.off[0] + i*w.step[0]) * m * k
+			bOff := (w.off[1] + i*w.step[1]) * k * n
+			switch {
+			case pp != nil:
+				kernels.GemmPackedBEpi(1, m, ad[aOff:], k, false, pp.B, o, alc, epi)
+			case bbuf != nil:
+				kernels.GemmBPackedEpi(1, m, n, k, ad[aOff:], k, false, bbuf, o, alc, epi)
+			default:
+				kernels.GemmEpi(1, m, n, k, ad[aOff:], k, false, bd[bOff:], n, false, o, alc, epi)
+			}
+			o = o[m*n:]
 		}
 	}
 	return []*tensor.Tensor{out}, nil
-}
-
-// broadcastIndices maps every flat index of the broadcast batch shape to
-// the flat batch index of an operand whose (right-aligned) batch dims are
-// dims: operand dimensions of extent 1 contribute stride 0, everything
-// else its row-major stride.
-func broadcastIndices(batch tensor.Shape, dims tensor.Shape) []int {
-	idx := make([]int, batch.Numel())
-	r := len(batch)
-	strides := make([]int, r)
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		bi := i + r - len(dims)
-		if dims[i] != 1 || batch[bi] == 1 {
-			strides[bi] = acc
-		}
-		acc *= dims[i]
-	}
-	for flat := range idx {
-		rem := flat
-		off := 0
-		for i := r - 1; i >= 0; i-- {
-			pos := rem % batch[i]
-			rem /= batch[i]
-			off += pos * strides[i]
-		}
-		idx[flat] = off
-	}
-	return idx
 }
 
 // Gemm implements ONNX Gemm: Y = alpha*op(A)*op(B) + beta*C with optional

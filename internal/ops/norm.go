@@ -26,7 +26,7 @@ func batchNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	}
 	eps := attrs.Float("epsilon", 1e-5)
 	n := xs[0]
-	plane := x.Numel() / maxInt(n*c, 1)
+	plane := x.Numel() / max(n*c, 1)
 	out := tensor.ZerosLikeIn(alc, x)
 	xd, od := x.Data(), out.Data()
 	sd, bd, md, vd := scale.Data(), bias.Data(), mean.Data(), variance.Data()
@@ -84,7 +84,7 @@ func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 		return nil, argErr("LayerNormalization", "bias has %d elements, want %d", bias.Numel(), inner)
 	}
 	eps := attrs.Float("epsilon", 1e-5)
-	outer := x.Numel() / maxInt(inner, 1)
+	outer := x.Numel() / max(inner, 1)
 	out := tensor.ZerosLikeIn(alc, x)
 	xd, od, sd := x.Data(), out.Data(), scale.Data()
 	var bd []float32
@@ -142,43 +142,33 @@ func reduceMeanK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*ten
 			reduce[a] = true
 		}
 	}
-	outShape := tensor.Shape{}
-	count := 1
+	// kept is the output shape under keepdims.
+	kept, count := xs.Clone(), 1
 	for d, r := range reduce {
 		if r {
-			count *= xs[d]
-			if keep {
-				outShape = append(outShape, 1)
+			kept[d], count = 1, count*xs[d]
+		}
+	}
+	outShape := kept
+	if !keep {
+		outShape = tensor.Shape{}
+		for d, r := range reduce {
+			if !r {
+				outShape = append(outShape, xs[d])
 			}
-		} else {
-			outShape = append(outShape, xs[d])
 		}
 	}
 	out := tensor.ZerosIn(alc, outShape...)
 	od, xd := out.Data(), x.Data()
-	xStrides := xs.Strides()
 
-	// Walk every input element, accumulate into the output cell it maps to.
-	outStride := make([]int, xs.Rank())
-	acc := 1
-	for d := xs.Rank() - 1; d >= 0; d-- {
-		if reduce[d] {
-			outStride[d] = 0
-		} else {
-			outStride[d] = acc
-			acc *= xs[d]
-		}
-	}
+	// Walk the input in order with the output's broadcast strides, 0 on
+	// the reduced axes: each output cell sums its inputs in input order.
 	sums := make([]float64, out.Numel())
-	for i := range xd {
-		oi := 0
-		rem := i
-		for d := 0; d < xs.Rank(); d++ {
-			pos := rem / xStrides[d]
-			rem %= xStrides[d]
-			oi += pos * outStride[d]
+	w := newWalk(xs, broadcastStrides(kept, xs), nil)
+	for w.seek(0, w.runs); w.left > 0; w.next() {
+		for i, v := range xd[w.off[1]:][:w.n] {
+			sums[w.off[0]+i*w.step[0]] += float64(v)
 		}
-		sums[oi] += float64(xd[i])
 	}
 	if count == 0 {
 		count = 1

@@ -21,26 +21,16 @@ func concatK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.
 	if axis < 0 {
 		axis += outShape.Rank()
 	}
-	out := tensor.ZerosIn(alc, outShape...)
-	od := out.Data()
-
-	outer := 1
-	for d := 0; d < axis; d++ {
-		outer *= outShape[d]
-	}
-	inner := 1
-	for d := axis + 1; d < outShape.Rank(); d++ {
-		inner *= outShape[d]
-	}
-	// For each outer slab, copy each input's contiguous (axisLen*inner) block.
-	dst := 0
-	for o := 0; o < outer; o++ {
-		for _, t := range in {
-			blk := t.Shape()[axis] * inner
-			src := o * blk
-			copy(od[dst:dst+blk], t.Data()[src:src+blk])
-			dst += blk
-		}
+	// Each input is copied into its strided view of the output.
+	out := tensor.New(outShape, tensor.AllocUninit(alc, outShape.Numel()))
+	var buf [walkInline]int
+	os := rowMajor(buf[:], outShape)
+	at := 0
+	for _, t := range in {
+		w := newWalk(t.Shape(), os, nil)
+		w.base[0] = at * os[axis]
+		w.copyRuns(out.Data(), t.Data(), 0, w.runs)
+		at += t.Shape()[axis]
 	}
 	return []*tensor.Tensor{out}, nil
 }
@@ -98,7 +88,7 @@ func flattenK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 	for d := 0; d < axis; d++ {
 		rows *= x.Shape()[d]
 	}
-	cols := x.Numel() / maxInt(rows, 1)
+	cols := x.Numel() / max(rows, 1)
 	r, err := x.CloneIn(alc).Reshape(rows, cols)
 	if err != nil {
 		return nil, argErr("Flatten", "%v", err)
@@ -132,25 +122,19 @@ func transposeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 		seen[p] = true
 		outShape[i] = x.Shape()[p]
 	}
-	out := tensor.ZerosIn(alc, outShape...)
+	// Walk the output in order, with the source strides permuted.
+	var buf [walkInline]int
+	xs := rowMajor(buf[:], x.Shape())
+	src := make([]int, rank)
+	for i, p := range perm {
+		src[i] = xs[p]
+	}
+	out := tensor.New(outShape, tensor.AllocUninit(alc, x.Numel()))
 	xd, od := x.Data(), out.Data()
-	inStrides := x.Shape().Strides()
-	outStrides := outShape.Strides()
-	n := len(od)
-	tensor.ParallelRange(n, 2048, func(lo, hi int) {
-		idx := make([]int, rank)
-		for i := lo; i < hi; i++ {
-			rem := i
-			for d := 0; d < rank; d++ {
-				idx[d] = rem / outStrides[d]
-				rem %= outStrides[d]
-			}
-			src := 0
-			for d := 0; d < rank; d++ {
-				src += idx[d] * inStrides[perm[d]]
-			}
-			od[i] = xd[src]
-		}
+	w := newWalk(outShape, nil, src)
+	tensor.ParallelRange(w.runs, w.grain(2048), func(lo, hi int) {
+		w := newWalk(outShape, nil, src)
+		w.copyRuns(od, xd, lo, hi)
 	})
 	return []*tensor.Tensor{out}, nil
 }
@@ -179,11 +163,7 @@ func sliceK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 		return nil, argErr("Slice", "axes length mismatch")
 	}
 	rank := x.Rank()
-	lo := make([]int, rank)
-	hi := make([]int, rank)
-	for d := 0; d < rank; d++ {
-		hi[d] = x.Shape()[d]
-	}
+	lo, outShape := make([]int, rank), x.Shape().Clone()
 	for i, a := range axes {
 		if a < 0 {
 			a += rank
@@ -199,33 +179,26 @@ func sliceK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 		if e < 0 {
 			e += dim
 		}
-		s = clamp(s, 0, dim)
-		e = clamp(e, 0, dim)
-		if e < s {
-			e = s
-		}
-		lo[a], hi[a] = s, e
+		s, e = min(max(s, 0), dim), min(max(e, 0), dim)
+		lo[a], outShape[a] = s, max(e-s, 0)
 	}
-	outShape := make(tensor.Shape, rank)
-	for d := range outShape {
-		outShape[d] = hi[d] - lo[d]
+	var buf [walkInline]int
+	xs := rowMajor(buf[:], x.Shape())
+	start := 0
+	for d, l := range lo {
+		start += l * xs[d]
 	}
-	out := tensor.ZerosIn(alc, outShape...)
-	od, xd := out.Data(), x.Data()
-	inStrides := x.Shape().Strides()
-	outStrides := outShape.Strides()
-	n := out.Numel()
-	for i := 0; i < n; i++ {
-		rem := i
-		src := 0
-		for d := 0; d < rank; d++ {
-			pos := rem / outStrides[d]
-			rem %= outStrides[d]
-			src += (pos + lo[d]) * inStrides[d]
-		}
-		od[i] = xd[src]
-	}
-	return []*tensor.Tensor{out}, nil
+	return []*tensor.Tensor{box(x, outShape, start, xs, alc)}, nil
+}
+
+// box copies the box of x with extents dims whose first element is x's
+// element start; xs are x's row-major strides.
+func box(x *tensor.Tensor, dims tensor.Shape, start int, xs []int, alc tensor.Allocator) *tensor.Tensor {
+	out := tensor.New(dims, tensor.AllocUninit(alc, dims.Numel()))
+	w := newWalk(dims, nil, xs)
+	w.base[1] = start
+	w.copyRuns(out.Data(), x.Data(), 0, w.runs)
+	return out
 }
 
 // gatherK selects entries along attribute "axis" (default 0) using input 1
@@ -314,28 +287,15 @@ func splitK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 		return nil, argErr("Split", "sizes %v sum to %d, want %d", sizes, total, axisLen)
 	}
 
-	outer := 1
-	for d := 0; d < axis; d++ {
-		outer *= x.Shape()[d]
-	}
-	inner := 1
-	for d := axis + 1; d < x.Rank(); d++ {
-		inner *= x.Shape()[d]
-	}
-	xd := x.Data()
+	// Each part is a Slice along the axis.
+	var buf [walkInline]int
+	xs := rowMajor(buf[:], x.Shape())
+	shape := x.Shape().Clone()
 	outs := make([]*tensor.Tensor, len(sizes))
 	offset := 0
 	for p, sz := range sizes {
-		shape := x.Shape().Clone()
 		shape[axis] = sz
-		t := tensor.ZerosIn(alc, shape...)
-		td := t.Data()
-		for o := 0; o < outer; o++ {
-			src := (o*axisLen + offset) * inner
-			dst := o * sz * inner
-			copy(td[dst:dst+sz*inner], xd[src:src+sz*inner])
-		}
-		outs[p] = t
+		outs[p] = box(x, shape, offset*xs[axis], xs, alc)
 		offset += sz
 	}
 	return outs, nil
@@ -445,14 +405,4 @@ func constantK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tenso
 	d := tensor.Alloc(alc, len(vals))
 	copy(d, vals)
 	return []*tensor.Tensor{tensor.New(s, d)}, nil
-}
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
