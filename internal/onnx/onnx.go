@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"strings"
@@ -141,13 +142,30 @@ func (m *Model) ToGraph() (*graph.Graph, error) {
 		g.AddInitializer(init.Name, tensor.New(sh, data))
 	}
 	for _, np := range m.Graph.Nodes {
-		g.AddNode(np.Name, np.OpType, np.Input, np.Output, ops.Attrs(np.Attribute))
+		g.AddNode(np.Name, np.OpType, np.Input, np.Output, nodeAttrs(np))
 	}
 	g.Reindex()
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("onnx: model %q invalid: %w", m.Graph.Name, err)
 	}
 	return g, nil
+}
+
+// nodeAttrs returns a node's attributes in the form the kernels read. An
+// ONNX Split without a "split" attribute divides its input into as many
+// equal parts as it has outputs (opset 18 names that count
+// "num_outputs"); the Split kernel reads the count from "num".
+func nodeAttrs(np NodeProto) ops.Attrs {
+	attrs := ops.Attrs(np.Attribute)
+	if np.OpType != "Split" || attrs["split"] != nil || attrs["num"] != nil {
+		return attrs
+	}
+	c := ops.Attrs{"num": len(np.Output)}
+	if n, ok := attrs["num_outputs"]; ok {
+		c["num"] = n
+	}
+	maps.Copy(c, attrs)
+	return c
 }
 
 // checkDims rejects dims that no tensor can have: a negative extent, or

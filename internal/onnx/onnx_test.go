@@ -3,12 +3,14 @@ package onnx
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/models"
 	"repro/internal/passes"
+	"repro/internal/tensor"
 )
 
 func TestRoundTripSqueezenet(t *testing.T) {
@@ -135,6 +137,44 @@ const tinyModel = `{"ir_version":8,"producer_name":"fuzz","graph":{"name":"tiny"
 	`"node":[{"name":"r","op_type":"Relu","input":["x"],"output":["y"]}],` +
 	`"input":[{"name":"x","dims":[1,2]}],"output":[{"name":"y","dims":[1,2]}]}}`
 
+// splitModel splits a [6,2] initializer on axis 0 into three outputs, with
+// no "split" attribute: ONNX then makes one equal part per output.
+const splitModel = `{"ir_version":8,"producer_name":"test","graph":{"name":"split3",` +
+	`"node":[{"name":"split","op_type":"Split","input":["w"],"output":["a","b","c"],"attribute":{"axis":0}}],` +
+	`"initializer":[{"name":"w","dims":[6,2],"float_data":[0,1,2,3,4,5,6,7,8,9,10,11]}],` +
+	`"input":[],"output":[{"name":"a"},{"name":"b"},{"name":"c"}]}}`
+
+func TestSplitWithoutSizesMakesOnePartPerOutput(t *testing.T) {
+	for _, c := range []struct{ name, model string }{
+		{"outputs", splitModel},
+		{"num_outputs", strings.Replace(splitModel, `{"axis":0}`, `{"axis":0,"num_outputs":3}`, 1)},
+	} {
+		m, err := Unmarshal([]byte(c.model))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		before := len(m.Graph.Nodes[0].Attribute)
+		g, err := m.ToGraph()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(m.Graph.Nodes[0].Attribute) != before {
+			t.Errorf("%s: ToGraph changed the model's attributes", c.name)
+		}
+		out, err := exec.RunSequential(g, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i, name := range []string{"a", "b", "c"} {
+			got := out[name]
+			want := []float32{float32(4 * i), float32(4*i + 1), float32(4*i + 2), float32(4*i + 3)}
+			if got == nil || !got.Shape().Equal(tensor.Shape{2, 2}) || !slices.Equal(got.Data(), want) {
+				t.Errorf("%s: output %s = %v, want [2 2] %v", c.name, name, got, want)
+			}
+		}
+	}
+}
+
 func TestToGraphRejectsImpossibleDims(t *testing.T) {
 	for _, c := range []struct{ name, model, value string }{
 		{"overflow", overflowModel, "w"},
@@ -170,6 +210,7 @@ func TestToGraphRejectsImpossibleDims(t *testing.T) {
 func FuzzModelToGraph(f *testing.F) {
 	f.Add([]byte(overflowModel))
 	f.Add([]byte(tinyModel))
+	f.Add([]byte(splitModel))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {
