@@ -619,3 +619,84 @@ func TestStridedOpsMatchReference(t *testing.T) {
 	}
 	t.Logf("%d cases", len(cases))
 }
+
+// fuzzBytes hands out the fuzzer's bytes one at a time, then zeros.
+type fuzzBytes []byte
+
+func (f *fuzzBytes) next() int {
+	if len(*f) == 0 {
+		return 0
+	}
+	b := (*f)[0]
+	*f = (*f)[1:]
+	return int(b)
+}
+
+// FuzzStridedOps decodes arbitrary bytes into a shape of rank up to 6 with
+// extents up to 5, a permutation, per-axis slice bounds (negative and out
+// of range included) and a broadcast partner. Transpose, Slice and Add in
+// both operand orders must not panic, and must match the references bit
+// for bit.
+func FuzzStridedOps(f *testing.F) {
+	f.Add([]byte{4, 1, 16, 4, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
+	f.Add([]byte{3, 2, 0, 5, 1, 1, 0xfe, 0xff, 7, 2, 0, 0x41})
+	f.Add([]byte{6, 2, 3, 1, 2, 3, 2, 5, 4, 3, 2, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		rank := in.next() % 7
+		shape := make(tensor.Shape, rank)
+		for d := range shape {
+			shape[d] = in.next() % 6
+		}
+		x := tensor.NewRNG(uint64(len(data))).RandTensor(shape...)
+		check := func(what string, got []*tensor.Tensor, err error, want *tensor.Tensor) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %v: %v", what, shape, err)
+			}
+			if !got[0].Shape().Equal(want.Shape()) || !bitsEqual(got[0].Data(), want.Data()) {
+				t.Fatalf("%s %v: got %v, want %v", what, shape, got[0], want)
+			}
+		}
+
+		perm := make([]int, rank)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := rank - 1; i > 0; i-- {
+			j := in.next() % (i + 1)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		got, err := call("Transpose", []*tensor.Tensor{x}, Attrs{"perm": perm})
+		check(fmt.Sprintf("Transpose perm %v", perm), got, err, refTranspose(x, perm))
+
+		if rank > 0 {
+			starts, ends, axes := make([]int, rank), make([]int, rank), make([]int, rank)
+			for d := range axes {
+				axes[d] = d
+				starts[d] = int(int8(in.next())) % (shape[d] + 3)
+				ends[d] = int(int8(in.next())) % (shape[d] + 3)
+			}
+			lo, hi, _ := sliceBox(shape, starts, ends, axes)
+			got, err = call("Slice", []*tensor.Tensor{x}, Attrs{"starts": starts, "ends": ends})
+			check(fmt.Sprintf("Slice %v:%v", starts, ends), got, err, refSlice(x, lo, hi))
+		}
+
+		ones := in.next()
+		p := shape[in.next()%(rank+1):].Clone()
+		for d := range p {
+			if ones&(1<<d) != 0 {
+				p[d] = 1
+			}
+		}
+		y := tensor.NewRNG(uint64(ones)).RandTensor(p...)
+		for _, ab := range [][2]*tensor.Tensor{{x, y}, {y, x}} {
+			want, err := refBroadcast(binaryRefs["Add"], ab[0], ab[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := call("Add", ab[:], nil)
+			check(fmt.Sprintf("Add %v %v", ab[0].Shape(), ab[1].Shape()), got, err, want)
+		}
+	})
+}
