@@ -293,7 +293,7 @@ func broadcastBinary(op string, loops *binaryLoops, a, b *tensor.Tensor, alc ten
 	}
 	out := tensor.New(os, tensor.AllocUninit(alc, os.Numel()))
 	od, ad, bd := out.Data(), a.Data(), b.Data()
-	as, bs := broadcastStrides(a.Shape(), os), broadcastStrides(b.Shape(), os)
+	as, bs := broadcastStrides(nil, a.Shape(), os), broadcastStrides(nil, b.Shape(), os)
 	w := newWalk(os, nil, as, bs)
 	if w.runs == 1 {
 		sa, sb := w.step[1], w.step[2]
@@ -324,12 +324,14 @@ func binaryRun(loops *binaryLoops, dst, a, b []float32, stepA, stepB int) {
 	}
 }
 
-// broadcastStrides returns the strides into a row-major tensor of shape s
-// broadcast to shape out, per dimension of out: s is right-aligned
-// against out, and a dimension s does not have, or has at extent 1, gets
-// stride 0.
-func broadcastStrides(s, out tensor.Shape) []int {
-	strides := make([]int, len(out))
+// broadcastStrides returns, in buf when they fit, the strides into a
+// row-major tensor of shape s broadcast to shape out, one per dimension of
+// out: s is right-aligned against out, and a dimension s lacks or has at
+// extent 1 gets stride 0. With out = s they are s's own strides as a walk
+// reads them, since a walk drops extent-1 dimensions.
+func broadcastStrides(buf []int, s, out tensor.Shape) []int {
+	strides := append(buf[:0], out...)
+	clear(strides)
 	acc := 1
 	for d := len(s) - 1; d >= 0; d-- {
 		if s[d] != 1 {
@@ -360,7 +362,7 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 		inner *= s[d]
 	}
 	axisN := s[axis]
-	outer := x.Numel() / max(inner*axisN, 1)
+	outer := x.Numel() / maxInt(inner*axisN, 1)
 	out := tensor.ZerosLikeIn(a2, x)
 	xd, od := x.Data(), out.Data()
 	tensor.ParallelFor(outer*inner, 16, func(oi int) {

@@ -44,7 +44,7 @@ func matMulK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator, pp *Prepack
 	// Walk the batch shape with each operand's broadcast batch strides (0
 	// on a dimension it broadcasts), so mixed batch shapes like [2,1]x[1,3]
 	// address the right matrices.
-	w := newWalk(batchShape, broadcastStrides(as[:as.Rank()-2], batchShape), broadcastStrides(bs[:bs.Rank()-2], batchShape))
+	w := newWalk(batchShape, broadcastStrides(nil, as[:as.Rank()-2], batchShape), broadcastStrides(nil, bs[:bs.Rank()-2], batchShape))
 	o := od
 	for w.seek(0, w.runs); w.left > 0; w.next() {
 		for i := 0; i < w.n; i++ {

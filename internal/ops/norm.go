@@ -26,7 +26,7 @@ func batchNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	}
 	eps := attrs.Float("epsilon", 1e-5)
 	n := xs[0]
-	plane := x.Numel() / max(n*c, 1)
+	plane := x.Numel() / maxInt(n*c, 1)
 	out := tensor.ZerosLikeIn(alc, x)
 	xd, od := x.Data(), out.Data()
 	sd, bd, md, vd := scale.Data(), bias.Data(), mean.Data(), variance.Data()
@@ -84,7 +84,7 @@ func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 		return nil, argErr("LayerNormalization", "bias has %d elements, want %d", bias.Numel(), inner)
 	}
 	eps := attrs.Float("epsilon", 1e-5)
-	outer := x.Numel() / max(inner, 1)
+	outer := x.Numel() / maxInt(inner, 1)
 	out := tensor.ZerosLikeIn(alc, x)
 	xd, od, sd := x.Data(), out.Data(), scale.Data()
 	var bd []float32
@@ -164,7 +164,7 @@ func reduceMeanK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*ten
 	// Walk the input in order with the output's broadcast strides, 0 on
 	// the reduced axes: each output cell sums its inputs in input order.
 	sums := make([]float64, out.Numel())
-	w := newWalk(xs, broadcastStrides(kept, xs), nil)
+	w := newWalk(xs, broadcastStrides(nil, kept, xs), nil)
 	for w.seek(0, w.runs); w.left > 0; w.next() {
 		for i, v := range xd[w.off[1]:][:w.n] {
 			sums[w.off[0]+i*w.step[0]] += float64(v)

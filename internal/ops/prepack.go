@@ -134,7 +134,7 @@ func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 		if attrs.Int("transA", 0) != 0 {
 			m, k = k, m
 		}
-		n := in[1].Numel() / max(k, 1)
+		n := in[1].Numel() / maxInt(k, 1)
 		return kernels.PackedASize(m, k) + kernels.PackedBSize(k, n)
 	case "Conv":
 		if len(in) < 2 || in[0].Shape().Rank() != 4 || in[1].Shape().Rank() != 4 {
@@ -163,4 +163,11 @@ func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 			kernels.PackedASize(m/groups, colK) // filter packing when not prepacked
 	}
 	return 0
+}
+
+func maxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
 }

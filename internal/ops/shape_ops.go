@@ -24,7 +24,7 @@ func concatK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.
 	// Each input is copied into its strided view of the output.
 	out := tensor.New(outShape, tensor.AllocUninit(alc, outShape.Numel()))
 	var buf [walkInline]int
-	os := rowMajor(buf[:], outShape)
+	os := broadcastStrides(buf[:], outShape, outShape)
 	at := 0
 	for _, t := range in {
 		w := newWalk(t.Shape(), os, nil)
@@ -88,7 +88,7 @@ func flattenK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 	for d := 0; d < axis; d++ {
 		rows *= x.Shape()[d]
 	}
-	cols := x.Numel() / max(rows, 1)
+	cols := x.Numel() / maxInt(rows, 1)
 	r, err := x.CloneIn(alc).Reshape(rows, cols)
 	if err != nil {
 		return nil, argErr("Flatten", "%v", err)
@@ -124,7 +124,7 @@ func transposeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	}
 	// Walk the output in order, with the source strides permuted.
 	var buf [walkInline]int
-	xs := rowMajor(buf[:], x.Shape())
+	xs := broadcastStrides(buf[:], x.Shape(), x.Shape())
 	src := make([]int, rank)
 	for i, p := range perm {
 		src[i] = xs[p]
@@ -183,7 +183,7 @@ func sliceK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 		lo[a], outShape[a] = s, max(e-s, 0)
 	}
 	var buf [walkInline]int
-	xs := rowMajor(buf[:], x.Shape())
+	xs := broadcastStrides(buf[:], x.Shape(), x.Shape())
 	start := 0
 	for d, l := range lo {
 		start += l * xs[d]
@@ -192,7 +192,7 @@ func sliceK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 }
 
 // box copies the box of x with extents dims whose first element is x's
-// element start; xs are x's row-major strides.
+// element start; xs are x's strides, as broadcastStrides gives them.
 func box(x *tensor.Tensor, dims tensor.Shape, start int, xs []int, alc tensor.Allocator) *tensor.Tensor {
 	out := tensor.New(dims, tensor.AllocUninit(alc, dims.Numel()))
 	w := newWalk(dims, nil, xs)
@@ -289,7 +289,7 @@ func splitK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor.T
 
 	// Each part is a Slice along the axis.
 	var buf [walkInline]int
-	xs := rowMajor(buf[:], x.Shape())
+	xs := broadcastStrides(buf[:], x.Shape(), x.Shape())
 	shape := x.Shape().Clone()
 	outs := make([]*tensor.Tensor, len(sizes))
 	offset := 0

@@ -122,13 +122,3 @@ func (w *walk) copyRuns(dst, src []float32, lo, hi int) {
 		}
 	}
 }
-
-// rowMajor returns the row-major strides of dims, in buf when they fit.
-func rowMajor(buf, dims []int) []int {
-	st := append(buf[:0], dims...)
-	acc := 1
-	for d := len(st) - 1; d >= 0; d-- {
-		st[d], acc = acc, acc*st[d]
-	}
-	return st
-}

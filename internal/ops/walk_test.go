@@ -346,10 +346,11 @@ func (g *caseGen) transposes() []stridedCase {
 			add(x, nil)
 		}
 	}
-	// Larger than the parallel grain, and rank 7 with nothing to merge.
+	// Larger than the parallel grain, at rank 4 and at rank 7 with nothing
+	// to merge, so two workers each walk their own heap state.
 	add(g.data.RandTensor(2, 16, 12, 8), []int{0, 2, 1, 3})
 	add(g.data.RandTensor(2, 16, 12, 8), []int{0, 2, 3, 1})
-	add(g.data.RandTensor(2, 3, 2, 3, 2, 3, 2), nil)
+	add(g.data.RandTensor(2, 3, 4, 3, 4, 3, 4), nil)
 	return cs
 }
 
@@ -497,6 +498,7 @@ func (g *caseGen) broadcasts() []stridedCase {
 		{{32}, {16, 64, 32}},
 		{{2, 32, 16, 16}, {1, 32, 1, 1}},
 		{{64, 1}, {1, 64}},
+		{{2, 3, 4, 3, 4, 3, 4}, {3, 1, 3, 1, 3, 1}},
 	} {
 		add("Add", g.data.RandTensor(p[0]...), g.data.RandTensor(p[1]...))
 	}
