@@ -39,10 +39,7 @@ func convK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) 
 	}
 	n, c, h, wd := xs[0], xs[1], xs[2], xs[3]
 	m, cg, kh, kw := ws[0], ws[1], ws[2], ws[3]
-	groups := attrs.Int("group", 1)
-	if groups < 1 {
-		groups = 1
-	}
+	groups := max(attrs.Int("group", 1), 1)
 	if c != cg*groups {
 		return nil, argErr("Conv", "channel mismatch: input C=%d, weight C/g=%d, groups=%d", c, cg, groups)
 	}

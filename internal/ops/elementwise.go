@@ -362,7 +362,7 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 		inner *= s[d]
 	}
 	axisN := s[axis]
-	outer := x.Numel() / maxInt(inner*axisN, 1)
+	outer := x.Numel() / max(inner*axisN, 1)
 	out := tensor.ZerosLikeIn(a2, x)
 	xd, od := x.Data(), out.Data()
 	tensor.ParallelFor(outer*inner, 16, func(oi int) {

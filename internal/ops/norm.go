@@ -26,7 +26,7 @@ func batchNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	}
 	eps := attrs.Float("epsilon", 1e-5)
 	n := xs[0]
-	plane := x.Numel() / maxInt(n*c, 1)
+	plane := x.Numel() / max(n*c, 1)
 	out := tensor.ZerosLikeIn(alc, x)
 	xd, od := x.Data(), out.Data()
 	sd, bd, md, vd := scale.Data(), bias.Data(), mean.Data(), variance.Data()
@@ -84,7 +84,7 @@ func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 		return nil, argErr("LayerNormalization", "bias has %d elements, want %d", bias.Numel(), inner)
 	}
 	eps := attrs.Float("epsilon", 1e-5)
-	outer := x.Numel() / maxInt(inner, 1)
+	outer := x.Numel() / max(inner, 1)
 	out := tensor.ZerosLikeIn(alc, x)
 	xd, od, sd := x.Data(), out.Data(), scale.Data()
 	var bd []float32

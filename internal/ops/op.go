@@ -174,10 +174,7 @@ func need(op string, in []*tensor.Tensor, min, max int) error {
 // convOutDim computes a single spatial output extent for convolution or
 // pooling: floor((in + padBegin + padEnd - kernel)/stride) + 1.
 func convOutDim(in, kernel, stride, padBegin, padEnd int) int {
-	if stride < 1 {
-		stride = 1
-	}
-	return (in+padBegin+padEnd-kernel)/stride + 1
+	return (in+padBegin+padEnd-kernel)/max(stride, 1) + 1
 }
 
 // pads4 normalizes a pads attribute to [top, left, bottom, right]. ONNX

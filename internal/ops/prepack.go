@@ -89,10 +89,7 @@ func prepack(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
 			return nil
 		}
 		m, cg, kh, kw := ws[0], ws[1], ws[2], ws[3]
-		groups := attrs.Int("group", 1)
-		if groups < 1 {
-			groups = 1
-		}
+		groups := max(attrs.Int("group", 1), 1)
 		if m <= 0 || m%groups != 0 {
 			return nil
 		}
@@ -134,7 +131,7 @@ func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 		if attrs.Int("transA", 0) != 0 {
 			m, k = k, m
 		}
-		n := in[1].Numel() / maxInt(k, 1)
+		n := in[1].Numel() / max(k, 1)
 		return kernels.PackedASize(m, k) + kernels.PackedBSize(k, n)
 	case "Conv":
 		if len(in) < 2 || in[0].Shape().Rank() != 4 || in[1].Shape().Rank() != 4 {
@@ -143,10 +140,7 @@ func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 		xs, ws := in[0].Shape(), in[1].Shape()
 		h, wd := xs[2], xs[3]
 		m, cg, kh, kw := ws[0], ws[1], ws[2], ws[3]
-		groups := attrs.Int("group", 1)
-		if groups < 1 {
-			groups = 1
-		}
+		groups := max(attrs.Int("group", 1), 1)
 		if m%groups != 0 || !convGEMMWorthy(m/groups, cg, kh, kw) {
 			return 0
 		}
@@ -163,11 +157,4 @@ func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 			kernels.PackedASize(m/groups, colK) // filter packing when not prepacked
 	}
 	return 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -88,7 +88,7 @@ func flattenK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 	for d := 0; d < axis; d++ {
 		rows *= x.Shape()[d]
 	}
-	cols := x.Numel() / maxInt(rows, 1)
+	cols := x.Numel() / max(rows, 1)
 	r, err := x.CloneIn(alc).Reshape(rows, cols)
 	if err != nil {
 		return nil, argErr("Flatten", "%v", err)
