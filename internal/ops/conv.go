@@ -175,134 +175,119 @@ func convDirect(x, w, bias *tensor.Tensor, a tensor.Allocator, groups, sh, sw, p
 	return []*tensor.Tensor{out}, nil
 }
 
-// poolKind selects max or average pooling in pool2d.
-type poolKind int
+// pool is one MaxPool, AveragePool or GlobalAveragePool node, decoded once
+// by bindPool, so a run reads no attributes. Each window is clamped to the
+// input and reduced row by row; no tap is bounds-tested.
+type pool struct {
+	op             string
+	global         bool // the window is the whole plane
+	kh, kw, sh, sw int
+	pt, pl, pb, pr int
+	area           int                                         // the divisor under count_include_pad, else 0
+	row            func(p *pool, o, rows []float32, w, kw int) // maxRow or avgRow
+	err            error                                       // an attribute error, reported when the node runs
+}
 
-const (
-	poolMax poolKind = iota
-	poolAvg
-)
+// bindPool binds a pooling op that reduces each output row with row;
+// GlobalAveragePool is an AveragePool whose window is the whole plane.
+func bindPool(op string, row func(p *pool, o, rows []float32, w, kw int)) binder {
+	return func(attrs Attrs, _ []*tensor.Tensor) *Bound {
+		p := &pool{op: op, global: op == "GlobalAveragePool", row: row}
+		ks := attrs.Ints("kernel_shape", nil)
+		switch {
+		case p.global:
+		case len(ks) != 2:
+			p.err = argErr(op, "kernel_shape must have 2 entries, got %v", ks)
+		default:
+			p.kh, p.kw = ks[0], ks[1]
+			p.sh, p.sw = strides2(attrs.Ints("strides", ks))
+			p.pt, p.pl, p.pb, p.pr = pads4(attrs.Ints("pads", nil))
+			if attrs.Int("count_include_pad", 0) != 0 {
+				p.area = p.kh * p.kw
+			}
+		}
+		return &Bound{run: p.run}
+	}
+}
 
-func pool2d(op string, kind poolKind, in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	if err := need(op, in, 1, 1); err != nil {
+func (p *pool) run(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, _ bool) ([]*tensor.Tensor, error) {
+	if err := need(p.op, in, 1, 1); err != nil {
 		return nil, err
 	}
-	x := in[0]
-	xs := x.Shape()
-	if xs.Rank() != 4 {
-		return nil, argErr(op, "want 4-D input, got %v", xs)
+	xs := in[0].Shape()
+	switch {
+	case xs.Rank() != 4:
+		return nil, argErr(p.op, "want 4-D input, got %v", xs)
+	case p.err != nil:
+		return nil, p.err
+	case p.global && xs[2]*xs[3] == 0:
+		return nil, argErr(p.op, "empty spatial plane in %v", xs)
 	}
-	ks := attrs.Ints("kernel_shape", nil)
-	if len(ks) != 2 {
-		return nil, argErr(op, "kernel_shape must have 2 entries, got %v", ks)
-	}
-	kh, kw := ks[0], ks[1]
-	sh, sw := strides2(attrs.Ints("strides", []int{kh, kw}))
-	pt, pl, pb, pr := pads4(attrs.Ints("pads", nil))
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	oh := convOutDim(h, kh, sh, pt, pb)
-	ow := convOutDim(w, kw, sw, pl, pr)
-	if oh <= 0 || ow <= 0 {
-		return nil, argErr(op, "non-positive output size %dx%d", oh, ow)
+	kh, kw := p.kh, p.kw
+	if p.global { // the plane as one row: one window, summed in memory order
+		h, w, kh, kw = 1, h*w, 1, h*w
 	}
-	countIncludePad := attrs.Int("count_include_pad", 0) != 0
-
-	out := tensor.ZerosIn(a, n, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	tensor.ParallelFor(n*c, 1, func(idx int) {
-		plane := idx * h * w
-		oBase := idx * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			iy0 := oy*sh - pt
-			for ox := 0; ox < ow; ox++ {
-				ix0 := ox*sw - pl
-				switch kind {
-				case poolMax:
-					best := float32(negInf)
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							if v := xd[plane+iy*w+ix]; v > best {
-								best = v
-							}
-						}
-					}
-					od[oBase+oy*ow+ox] = best
-				case poolAvg:
-					var sum float32
-					cnt := 0
-					for ky := 0; ky < kh; ky++ {
-						iy := iy0 + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ix0 + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							sum += xd[plane+iy*w+ix]
-							cnt++
-						}
-					}
-					div := cnt
-					if countIncludePad {
-						div = kh * kw
-					}
-					if div == 0 {
-						div = 1
-					}
-					od[oBase+oy*ow+ox] = sum / float32(div)
-				}
+	oh, ow := convOutDim(h, kh, p.sh, p.pt, p.pb), convOutDim(w, kw, p.sw, p.pl, p.pr)
+	if oh <= 0 || ow <= 0 {
+		return nil, argErr(p.op, "non-positive output size %dx%d", oh, ow)
+	}
+	out := tensor.New(tensor.Shape{n, c, oh, ow}, tensor.AllocUninit(a, n*c*oh*ow)) // every element is written
+	xd, od := in[0].Data(), out.Data()
+	tensor.ParallelRange(n*c, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x, o := xd[i*h*w:][:h*w], od[i*oh*ow:][:oh*ow]
+			for oy := 0; oy < oh; oy++ {
+				y0, y1 := clamp(oy*p.sh-p.pt, kh, h)
+				p.row(p, o[oy*ow:][:ow], x[y0*w:y1*w], w, kw)
 			}
 		}
 	})
 	return []*tensor.Tensor{out}, nil
 }
 
+// clamp returns the part [lo, hi) of the window [at, at+k) inside [0, n).
+func clamp(at, k, n int) (lo, hi int) {
+	lo = min(max(at, 0), n)
+	return lo, max(min(at+k, n), lo)
+}
+
 const negInf = float32(-3.4028234663852886e38)
 
-// maxPoolK implements 2-D max pooling.
-func maxPoolK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	return pool2d("MaxPool", poolMax, in, attrs, a)
-}
-
-// avgPoolK implements 2-D average pooling.
-func avgPoolK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	return pool2d("AveragePool", poolAvg, in, attrs, a)
-}
-
-// globalAvgPoolK averages each channel plane to 1x1.
-func globalAvgPoolK(in []*tensor.Tensor, _ Attrs, a tensor.Allocator) ([]*tensor.Tensor, error) {
-	if err := need("GlobalAveragePool", in, 1, 1); err != nil {
-		return nil, err
-	}
-	x := in[0]
-	xs := x.Shape()
-	if xs.Rank() != 4 {
-		return nil, argErr("GlobalAveragePool", "want 4-D input, got %v", xs)
-	}
-	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	out := tensor.ZerosIn(a, n, c, 1, 1)
-	xd, od := x.Data(), out.Data()
-	plane := h * w
-	if plane == 0 {
-		return nil, argErr("GlobalAveragePool", "empty spatial plane in %v", xs)
-	}
-	tensor.ParallelFor(n*c, 8, func(idx int) {
-		var sum float32
-		base := idx * plane
-		for i := 0; i < plane; i++ {
-			sum += xd[base+i]
+// maxRow sets each o[ox] to the largest tap of its window in rows (the
+// input rows that o spans, w wide), or to -MaxFloat32 for a window wholly
+// in the padding. A NaN tap never wins.
+func (p *pool) maxRow(o, rows []float32, w, kw int) {
+	for ox := range o {
+		x0, x1 := clamp(ox*p.sw-p.pl, kw, w)
+		best := negInf
+		for r := x0; r < len(rows); r += w {
+			for _, v := range rows[r : r+x1-x0] {
+				if v > best {
+					best = v
+				}
+			}
 		}
-		od[idx] = sum / float32(plane)
-	})
-	return []*tensor.Tensor{out}, nil
+		o[ox] = best
+	}
+}
+
+// avgRow sets each o[ox] to the sum of its window's taps in rows divided
+// by p.area, or when that is 0 by the number of taps (1 when none).
+func (p *pool) avgRow(o, rows []float32, w, kw int) {
+	for ox := range o {
+		x0, x1 := clamp(ox*p.sw-p.pl, kw, w)
+		var sum float32
+		taps := 0
+		for r := x0; r < len(rows); r += w {
+			for _, v := range rows[r : r+x1-x0] {
+				sum += v
+			}
+			taps += x1 - x0
+		}
+		if taps = max(taps, 1); p.area != 0 {
+			taps = p.area
+		}
+		o[ox] = sum / float32(taps)
+	}
 }

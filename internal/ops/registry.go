@@ -63,9 +63,9 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]binder{
 		"Conv":               packed("Conv", convK),
-		"MaxPool":            kernel(maxPoolK),
-		"AveragePool":        kernel(avgPoolK),
-		"GlobalAveragePool":  kernel(globalAvgPoolK),
+		"MaxPool":            bindPool("MaxPool", (*pool).maxRow),
+		"AveragePool":        bindPool("AveragePool", (*pool).avgRow),
+		"GlobalAveragePool":  bindPool("GlobalAveragePool", (*pool).avgRow),
 		"MatMul":             packed("MatMul", matMulK),
 		"Gemm":               packed("Gemm", gemmK),
 		"FusedElementwise":   bindFused,
