@@ -175,6 +175,45 @@ func TestSplitWithoutSizesMakesOnePartPerOutput(t *testing.T) {
 	}
 }
 
+// poolModel max-pools a [1,1,4,4] graph input with a 2x2 window and no
+// "strides" attribute; ONNX then strides by 1.
+const poolModel = `{"ir_version":8,"producer_name":"test","graph":{"name":"pool",` +
+	`"node":[{"name":"pool","op_type":"MaxPool","input":["x"],"output":["y"],"attribute":{"kernel_shape":[2,2]}}],` +
+	`"input":[{"name":"x","dims":[1,1,4,4]}],"output":[{"name":"y"}]}}`
+
+func TestMaxPoolWithoutStridesStridesByOne(t *testing.T) {
+	x := tensor.New(tensor.Shape{1, 1, 4, 4}, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	for _, c := range []struct{ name, model, err string }{
+		{"default", poolModel, ""},
+		{"ceil_mode", strings.Replace(poolModel, `[2,2]}`, `[2,2],"ceil_mode":1}`, 1), "ceil_mode"},
+		{"dilations", strings.Replace(poolModel, `[2,2]}`, `[2,2],"dilations":[2,2]}`, 1), "dilations"},
+		{"auto_pad", strings.Replace(poolModel, `[2,2]}`, `[2,2],"auto_pad":"SAME_UPPER"}`, 1), "auto_pad"},
+	} {
+		m, err := Unmarshal([]byte(c.model))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		g, err := m.ToGraph()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out, err := exec.RunSequential(g, exec.Env{"x": x})
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("%s: error %v, want one naming %s", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := []float32{6, 7, 8, 10, 11, 12, 14, 15, 16}
+		if got := out["y"]; got == nil || !got.Shape().Equal(tensor.Shape{1, 1, 3, 3}) || !slices.Equal(got.Data(), want) {
+			t.Errorf("%s: y = %v, want [1 1 3 3] %v", c.name, got, want)
+		}
+	}
+}
+
 func TestToGraphRejectsImpossibleDims(t *testing.T) {
 	for _, c := range []struct{ name, model, value string }{
 		{"overflow", overflowModel, "w"},

@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"slices"
+
 	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
@@ -189,7 +191,9 @@ type pool struct {
 }
 
 // bindPool binds a pooling op that reduces each output row with row;
-// GlobalAveragePool is an AveragePool whose window is the whole plane.
+// GlobalAveragePool is an AveragePool whose window is the whole plane. As
+// in ONNX, strides default to 1. ceil_mode, dilations and auto_pad would
+// change the output, so only their defaults are accepted.
 func bindPool(op string, row func(p *pool, o, rows []float32, w, kw int)) binder {
 	return func(attrs Attrs, _ []*tensor.Tensor) *Bound {
 		p := &pool{op: op, global: op == "GlobalAveragePool", row: row}
@@ -198,9 +202,15 @@ func bindPool(op string, row func(p *pool, o, rows []float32, w, kw int)) binder
 		case p.global:
 		case len(ks) != 2:
 			p.err = argErr(op, "kernel_shape must have 2 entries, got %v", ks)
+		case attrs.Int("ceil_mode", 0) != 0:
+			p.err = argErr(op, "ceil_mode %v is not supported", attrs["ceil_mode"])
+		case slices.ContainsFunc(attrs.Ints("dilations", nil), func(d int) bool { return d != 1 }):
+			p.err = argErr(op, "dilations %v are not supported", attrs["dilations"])
+		case attrs.Str("auto_pad", "NOTSET") != "NOTSET":
+			p.err = argErr(op, "auto_pad %v is not supported", attrs["auto_pad"])
 		default:
 			p.kh, p.kw = ks[0], ks[1]
-			p.sh, p.sw = strides2(attrs.Ints("strides", ks))
+			p.sh, p.sw = strides2(attrs.Ints("strides", nil))
 			p.pt, p.pl, p.pb, p.pr = pads4(attrs.Ints("pads", nil))
 			if attrs.Int("count_include_pad", 0) != 0 {
 				p.area = p.kh * p.kw

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -26,7 +27,7 @@ func refPool2d(op string, isMax bool, in []*tensor.Tensor, attrs Attrs) ([]*tens
 		return nil, argErr(op, "kernel_shape must have 2 entries, got %v", ks)
 	}
 	kh, kw := ks[0], ks[1]
-	sh, sw := strides2(attrs.Ints("strides", []int{kh, kw}))
+	sh, sw := strides2(attrs.Ints("strides", nil))
 	pt, pl, pb, pr := pads4(attrs.Ints("pads", nil))
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh := convOutDim(h, kh, sh, pt, pb)
@@ -238,4 +239,50 @@ func TestPoolMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases", len(cases))
+}
+
+// TestPoolFollowsONNXDefaults: strides default to 1, as in ONNX, and the
+// attributes that would change the output's shape are refused unless they
+// hold their defaults, with an error that names the attribute.
+func TestPoolFollowsONNXDefaults(t *testing.T) {
+	x := tensor.New(tensor.Shape{1, 1, 4, 4}, []float32{
+		1, 2, 3, 4,
+		5, 6, 7, 8,
+		9, 10, 11, 12,
+		13, 14, 15, 16,
+	})
+	window := Attrs{"kernel_shape": []int{2, 2}}
+	out, err := call("MaxPool", []*tensor.Tensor{x}, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float32{6, 7, 8, 10, 11, 12, 14, 15, 16}
+	if !out[0].Shape().Equal(tensor.Shape{1, 1, 3, 3}) || !bitsEqual(out[0].Data(), want) {
+		t.Fatalf("MaxPool without strides = %v, want [1 1 3 3] %v", out[0], want)
+	}
+	for _, op := range []string{"MaxPool", "AveragePool"} {
+		for _, c := range []struct {
+			name  string
+			value any
+			ok    bool
+		}{
+			{"ceil_mode", 0, true},
+			{"ceil_mode", 1, false},
+			{"dilations", []int{1, 1}, true},
+			{"dilations", []int{2, 1}, false},
+			{"auto_pad", "NOTSET", true},
+			{"auto_pad", "SAME_UPPER", false},
+			{"auto_pad", "VALID", false},
+		} {
+			attrs := window.Clone()
+			attrs[c.name] = c.value
+			_, err := call(op, []*tensor.Tensor{x}, attrs)
+			switch {
+			case c.ok && err != nil:
+				t.Errorf("%s %s=%v: %v", op, c.name, c.value, err)
+			case !c.ok && (err == nil || !strings.Contains(err.Error(), c.name)):
+				t.Errorf("%s %s=%v: error %v, want one naming %s", op, c.name, c.value, err, c.name)
+			}
+		}
+	}
 }
