@@ -23,6 +23,11 @@ var allocCases = []allocCase{
 	{"Split", Attrs{"axis": 2, "num": 3}, []tensor.Shape{{1, 16, 96}}, 11},
 	{"ReduceMean", Attrs{"axes": []int{-1}}, []tensor.Shape{{1, 16, 64}}, 10},
 	{"MatMul", nil, []tensor.Shape{{1, 4, 16, 8}, {1, 4, 8, 16}}, 10},
+	{"AveragePool", Attrs{"kernel_shape": []int{3, 3}, "strides": []int{1, 1}, "pads": []int{1, 1, 1, 1}},
+		[]tensor.Shape{{1, 64, 28, 28}}, 5},
+	{"MaxPool", Attrs{"kernel_shape": []int{3, 3}, "strides": []int{2, 2}, "pads": []int{1, 1, 1, 1}},
+		[]tensor.Shape{{1, 64, 56, 56}}, 5},
+	{"GlobalAveragePool", nil, []tensor.Shape{{1, 2048, 8, 8}}, 5},
 }
 
 // bindCase binds c's op and draws its inputs.
@@ -52,8 +57,8 @@ func runOn(tb testing.TB, k *Bound, in []*tensor.Tensor, ar *tensor.Arena) {
 }
 
 // TestStridedOpsAllocs guards the heap allocations of one warm arena call
-// of each strided op: index walks must not allocate per element, per run
-// or per worker.
+// of each strided op and each pooling op: index walks and windows must not
+// allocate per element, per run or per worker.
 func TestStridedOpsAllocs(t *testing.T) {
 	for _, c := range allocCases {
 		k, in := bindCase(t, c)
@@ -81,3 +86,11 @@ func BenchmarkTransposeBERT(b *testing.B) { benchCase(b, 0) }
 
 // BenchmarkAddRowBroadcast is BERT's bias add, [1,16,32]+[32].
 func BenchmarkAddRowBroadcast(b *testing.B) { benchCase(b, 1) }
+
+// BenchmarkAveragePoolInception is inception's 3x3 stride-1 padded
+// AveragePool on [1,64,28,28].
+func BenchmarkAveragePoolInception(b *testing.B) { benchCase(b, 7) }
+
+// BenchmarkMaxPoolInception is inception's 3x3 stride-2 padded MaxPool on
+// [1,64,56,56].
+func BenchmarkMaxPoolInception(b *testing.B) { benchCase(b, 8) }
