@@ -636,13 +636,19 @@ func (f *fuzzBytes) next() int {
 
 // FuzzStridedOps decodes arbitrary bytes into a shape of rank up to 6 with
 // extents up to 5, a permutation, per-axis slice bounds (negative and out
-// of range included) and a broadcast partner. Transpose, Slice and Add in
-// both operand orders must not panic, and must match the references bit
-// for bit.
+// of range included) and a broadcast partner, then into a pooling case:
+// the op, an NCHW input with NaN, ±Inf and ±0 among its values, a window
+// of 1 to 5 by 1 to 5 taps, strides of 1 to 3, pads of up to two more than
+// the window and count_include_pad. Transpose, Slice, Add in both operand
+// orders and the pooling op must not panic, and must match the references
+// bit for bit (the pooling op also in its errors).
 func FuzzStridedOps(f *testing.F) {
 	f.Add([]byte{4, 1, 16, 4, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
 	f.Add([]byte{3, 2, 0, 5, 1, 1, 0xfe, 0xff, 7, 2, 0, 0x41})
 	f.Add([]byte{6, 2, 3, 1, 2, 3, 2, 5, 4, 3, 2, 1, 0})
+	// Rank 0, then an AveragePool with count_include_pad over [1,3,4,4],
+	// 3x3 stride 2 with pads 1, 4, 0, 2.
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 4, 4, 2, 2, 1, 1, 1, 4, 0, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		rank := in.next() % 7
@@ -700,5 +706,17 @@ func FuzzStridedOps(f *testing.F) {
 			got, err := call("Add", ab[:], nil)
 			check(fmt.Sprintf("Add %v %v", ab[0].Shape(), ab[1].Shape()), got, err, want)
 		}
+
+		op := []string{"MaxPool", "AveragePool", "GlobalAveragePool"}[in.next()%3]
+		n, c, h, w := 1+in.next()%2, 1+in.next()%3, in.next()%8, in.next()%8
+		kh, kw := 1+in.next()%5, 1+in.next()%5
+		attrs := Attrs{
+			"kernel_shape":      []int{kh, kw},
+			"strides":           []int{1 + in.next()%3, 1 + in.next()%3},
+			"pads":              []int{in.next() % (kh + 3), in.next() % (kw + 3), in.next() % (kh + 3), in.next() % (kw + 3)},
+			"count_include_pad": in.next() % 2,
+		}
+		pc := poolCase{op, attrs, []*tensor.Tensor{poolInput(rand.New(rand.NewSource(int64(len(data)))), n, c, h, w)}}
+		checkPool(t, pc, nil)
 	})
 }
