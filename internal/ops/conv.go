@@ -295,9 +295,10 @@ func (p *pool) avgRow(o, rows []float32, w, kw int) {
 			}
 			taps += x1 - x0
 		}
-		if taps = max(taps, 1); p.area != 0 {
-			taps = p.area
+		div := p.area
+		if div == 0 {
+			div = max(taps, 1)
 		}
-		o[ox] = sum / float32(taps)
+		o[ox] = sum / float32(div)
 	}
 }
