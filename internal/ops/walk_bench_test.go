@@ -28,6 +28,8 @@ var allocCases = []allocCase{
 	{"MaxPool", Attrs{"kernel_shape": []int{3, 3}, "strides": []int{2, 2}, "pads": []int{1, 1, 1, 1}},
 		[]tensor.Shape{{1, 64, 56, 56}}, 5},
 	{"GlobalAveragePool", nil, []tensor.Shape{{1, 2048, 8, 8}}, 5},
+	{"LayerNormalization", Attrs{"axis": -1}, []tensor.Shape{{1, 16, 64}, {64}, {64}}, 5},
+	{"Softmax", Attrs{"axis": -1}, []tensor.Shape{{1, 4, 16, 16}}, 5},
 }
 
 // bindCase binds c's op and draws its inputs.
@@ -57,8 +59,8 @@ func runOn(tb testing.TB, k *Bound, in []*tensor.Tensor, ar *tensor.Arena) {
 }
 
 // TestStridedOpsAllocs guards the heap allocations of one warm arena call
-// of each strided op and each pooling op: index walks and windows must not
-// allocate per element, per run or per worker.
+// of each strided op, each pooling op and BERT's row kernels: index walks,
+// windows and rows must not allocate per element, per run or per worker.
 func TestStridedOpsAllocs(t *testing.T) {
 	for _, c := range allocCases {
 		k, in := bindCase(t, c)
@@ -94,3 +96,7 @@ func BenchmarkAveragePoolInception(b *testing.B) { benchCase(b, 7) }
 // BenchmarkMaxPoolInception is inception's 3x3 stride-2 padded MaxPool on
 // [1,64,56,56].
 func BenchmarkMaxPoolInception(b *testing.B) { benchCase(b, 8) }
+
+// BenchmarkSoftmaxBERT is BERT's attention softmax, [1,4,16,16] along the
+// last axis.
+func BenchmarkSoftmaxBERT(b *testing.B) { benchCase(b, 11) }

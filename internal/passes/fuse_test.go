@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/exec"
@@ -386,5 +387,66 @@ func TestFuseSkipsFanout(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("fused across fan-out: %d epilogues", n)
+	}
+}
+
+// elementwiseInputs lists every op of the ops package's elementwise table
+// with its input count as a node.
+var elementwiseInputs = map[string]int{
+	"Relu": 1, "LeakyRelu": 1, "Sigmoid": 1, "Tanh": 1, "Clip": 1, "Exp": 1,
+	"Sqrt": 1, "Erf": 1, "Neg": 1, "Identity": 1,
+	"Add": 2, "Sub": 2, "Mul": 2, "Div": 2, "Pow": 2,
+}
+
+// TestChainFlagDecidesFusion: for every elementwise op, a two-node chain
+// with Relu, either way round, fuses exactly when ops.FusedStageOK says the
+// op may be a stage, and the fused graph computes what the unfused one did,
+// bit for bit, on random inputs.
+func TestChainFlagDecidesFusion(t *testing.T) {
+	for _, op := range ops.Names() {
+		if _, listed := elementwiseInputs[op]; ops.FusedStageOK(op) && !listed {
+			t.Errorf("chainable op %s is missing from elementwiseInputs", op)
+		}
+	}
+	for op, arity := range elementwiseInputs {
+		for _, opFirst := range []bool{false, true} {
+			g := graph.New("pair")
+			g.Inputs = []graph.ValueInfo{{Name: "x", Shape: tensor.Shape{3, 5}}, {Name: "y", Shape: tensor.Shape{3, 5}}}
+			opIn, reluIn, opOut, reluOut := "v", "x", "out", "v"
+			if opFirst {
+				opIn, reluIn, opOut, reluOut = "x", "v", "v", "out"
+			}
+			in := []string{opIn}
+			if arity == 2 {
+				in = append(in, "y")
+			}
+			g.AddNode("op", op, in, []string{opOut}, nil)
+			g.AddNode("relu", "Relu", []string{reluIn}, []string{reluOut}, nil)
+			g.Outputs = []graph.ValueInfo{{Name: "out"}}
+			g.Reindex()
+			feeds := feedsFor(g, 9)
+			want, err := exec.RunSequential(g, feeds)
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			chains, nodes, err := FuseElementwise(g)
+			if err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			if fused := chains == 1 && nodes == 2 && len(g.Nodes) == 1; fused != ops.FusedStageOK(op) {
+				t.Errorf("%s first=%v: fused=%v (%d chains, %d nodes), FusedStageOK=%v", op, opFirst, fused, chains, nodes, ops.FusedStageOK(op))
+			}
+			got, err := exec.RunSequential(g, feeds)
+			if err != nil {
+				t.Fatalf("%s fused: %v", op, err)
+			}
+			w, gd := want["out"].Data(), got["out"].Data()
+			for i := range w {
+				if math.Float32bits(w[i]) != math.Float32bits(gd[i]) && !(w[i] != w[i] && gd[i] != gd[i]) {
+					t.Errorf("%s first=%v: fused [%d] = %v, unfused %v", op, opFirst, i, gd[i], w[i])
+					break
+				}
+			}
+		}
 	}
 }
