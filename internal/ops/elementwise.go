@@ -52,7 +52,7 @@ func clipLoop(dst, src []float32, lo, hi float32) {
 // sigmoidLoop is Sigmoid: 1/(1+exp(-x)).
 func sigmoidLoop(dst, src []float32) {
 	for i, v := range src {
-		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
+		dst[i] = 1 / (1 + exp32(-v))
 	}
 }
 
@@ -66,7 +66,7 @@ func tanhLoop(dst, src []float32) {
 // expLoop is Exp: e^x.
 func expLoop(dst, src []float32) {
 	for i, v := range src {
-		dst[i] = float32(math.Exp(float64(v)))
+		dst[i] = exp32(v)
 	}
 }
 
@@ -81,7 +81,7 @@ func sqrtLoop(dst, src []float32) {
 // decomposes to.
 func erfLoop(dst, src []float32) {
 	for i, v := range src {
-		dst[i] = float32(math.Erf(float64(v)))
+		dst[i] = erf32(v)
 	}
 }
 
@@ -343,7 +343,9 @@ func broadcastStrides(buf []int, s, out tensor.Shape) []int {
 }
 
 // softmaxK normalizes along the given axis (attribute "axis", default -1)
-// with the usual max-subtraction for numerical stability.
+// with the usual max-subtraction for numerical stability. Along the last
+// axis each row is contiguous and runs through softmaxRow; any other axis
+// walks its rows at stride inner. Both write every output element.
 func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Softmax", in, 1, 1); err != nil {
 		return nil, err
@@ -363,31 +365,66 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 	}
 	axisN := s[axis]
 	outer := x.Numel() / max(inner*axisN, 1)
-	out := tensor.ZerosLikeIn(a2, x)
+	out := uninitLike(a2, x)
 	xd, od := x.Data(), out.Data()
+	if inner == 1 {
+		tensor.ParallelRange(outer, max(4096/max(axisN, 1), 1), func(lo, hi int) {
+			for r := lo * axisN; r < hi*axisN; r += axisN {
+				softmaxRow(od[r:r+axisN], xd[r:r+axisN])
+			}
+		})
+		return []*tensor.Tensor{out}, nil
+	}
 	tensor.ParallelFor(outer*inner, 16, func(oi int) {
 		o := oi / inner
 		i := oi % inner
 		base := o*axisN*inner + i
-		maxV := float32(negInf)
+		maxV := negInf
 		for a := 0; a < axisN; a++ {
 			if v := xd[base+a*inner]; v > maxV {
 				maxV = v
 			}
 		}
-		var sum float64
+		var sum float32
 		for a := 0; a < axisN; a++ {
-			e := math.Exp(float64(xd[base+a*inner] - maxV))
-			od[base+a*inner] = float32(e)
+			e := exp32(xd[base+a*inner] - maxV)
+			od[base+a*inner] = e
 			sum += e
 		}
-		if sum == 0 {
-			sum = 1
-		}
-		inv := float32(1 / sum)
+		inv := softmaxScale(sum)
 		for a := 0; a < axisN; a++ {
 			od[base+a*inner] *= inv
 		}
 	})
 	return []*tensor.Tensor{out}, nil
+}
+
+// softmaxRow writes the softmax of the contiguous row x to dst. The row's
+// maximum starts at the lowest finite float32 and NaN never raises it.
+func softmaxRow(dst, x []float32) {
+	m := negInf
+	for _, v := range x {
+		if v > m {
+			m = v
+		}
+	}
+	var sum float32
+	for i, v := range x {
+		e := exp32(v - m)
+		dst[i] = e
+		sum += e
+	}
+	inv := softmaxScale(sum)
+	for i := range dst {
+		dst[i] *= inv
+	}
+}
+
+// softmaxScale is the factor that normalizes a row whose exponentials sum
+// to sum. A row of only -Inf sums to 0 and keeps its zeros.
+func softmaxScale(sum float32) float32 {
+	if sum == 0 {
+		return 1
+	}
+	return 1 / sum
 }
