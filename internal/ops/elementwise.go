@@ -230,10 +230,10 @@ var elementwise = map[string]elementwiseOp{
 	"Sigmoid":   {unary: plain(sigmoidLoop), chain: true},
 	"Tanh":      {unary: plain(tanhLoop), chain: true},
 	"Clip":      {unary: clipLoop, chain: true},
-	"Exp":       {unary: plain(expLoop)},
-	"Sqrt":      {unary: plain(sqrtLoop)},
-	"Erf":       {unary: plain(erfLoop)},
-	"Neg":       {unary: plain(negLoop)},
+	"Exp":       {unary: plain(expLoop), chain: true},
+	"Sqrt":      {unary: plain(sqrtLoop), chain: true},
+	"Erf":       {unary: plain(erfLoop), chain: true},
+	"Neg":       {unary: plain(negLoop), chain: true},
 	"Identity":  {unary: plain(identityLoop)},
 	"Add":       {binary: &addLoops, chain: true},
 	"Sub":       {binary: &subLoops, chain: true},

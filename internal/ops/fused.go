@@ -58,6 +58,19 @@ type stage struct {
 // FusedStageOK reports whether opType can be a FusedElementwise stage.
 func FusedStageOK(opType string) bool { return elementwise[opType].chain }
 
+// FusedStageInputs is the number of inputs a node of opType has as a
+// FusedElementwise stage, 1 for a unary op and 2 for a binary one, or 0
+// when the elementwise table does not mark opType chainable.
+func FusedStageInputs(opType string) int {
+	switch e := elementwise[opType]; {
+	case !e.chain:
+		return 0
+	case e.binary != nil:
+		return 2
+	}
+	return 1
+}
+
 // FusedStageAttrs encodes one activation/arithmetic node as stage attrs
 // slices, appending to the accumulator attrs of a FusedElementwise node
 // under construction. arg is the extra operand's input index (-1 unary)

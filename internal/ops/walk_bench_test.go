@@ -30,7 +30,19 @@ var allocCases = []allocCase{
 	{"GlobalAveragePool", nil, []tensor.Shape{{1, 2048, 8, 8}}, 5},
 	{"LayerNormalization", Attrs{"axis": -1}, []tensor.Shape{{1, 16, 64}, {64}, {64}}, 5},
 	{"Softmax", Attrs{"axis": -1}, []tensor.Shape{{1, 4, 16, 16}}, 5},
+	{"FusedElementwise", geluStages, []tensor.Shape{{1, 16, 64}, {}, {}, {1, 16, 64}, {}}, 4},
 }
+
+// geluStages is BERT's erf GELU, 0.5·x·(1+erf(x/√2)), as the one stage
+// program Div|Erf|Add|Mul|Mul the fuse pass builds from it: input 0 is x
+// and input 3 the same x read by the first Mul.
+var geluStages = func() Attrs {
+	a := FusedStageAttrs(nil, "Div", nil, 1, false)
+	a = FusedStageAttrs(a, "Erf", nil, -1, false)
+	a = FusedStageAttrs(a, "Add", nil, 2, false)
+	a = FusedStageAttrs(a, "Mul", nil, 3, true)
+	return FusedStageAttrs(a, "Mul", nil, 4, false)
+}()
 
 // bindCase binds c's op and draws its inputs.
 func bindCase(tb testing.TB, c allocCase) (*Bound, []*tensor.Tensor) {
@@ -100,3 +112,6 @@ func BenchmarkMaxPoolInception(b *testing.B) { benchCase(b, 8) }
 // BenchmarkSoftmaxBERT is BERT's attention softmax, [1,4,16,16] along the
 // last axis.
 func BenchmarkSoftmaxBERT(b *testing.B) { benchCase(b, 11) }
+
+// BenchmarkGELUBERT is BERT's GELU on [1,16,64] as one fused sweep.
+func BenchmarkGELUBERT(b *testing.B) { benchCase(b, 12) }

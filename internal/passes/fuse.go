@@ -378,21 +378,13 @@ func AttachEpilogues(g *graph.Graph) (int, error) {
 	return count, nil
 }
 
-// stageable reports whether n can join an elementwise chain: a supported
-// op with chain-compatible arity. Shape-changing ops (Reshape, Transpose,
-// pooling, …) are not stageable, so a chain can never fuse across one.
+// stageable reports whether n can join an elementwise chain: an op the
+// elementwise table marks chainable, with the table's arity and one
+// output. Shape-changing ops (Reshape, Transpose, pooling, …) are not in
+// the table, so a chain can never fuse across one.
 func stageable(n *graph.Node) bool {
-	if !ops.FusedStageOK(n.OpType) || len(n.Outputs) != 1 {
-		return false
-	}
-	switch len(n.Inputs) {
-	case 1:
-		return n.OpType == "Relu" || n.OpType == "LeakyRelu" || n.OpType == "Sigmoid" ||
-			n.OpType == "Tanh" || n.OpType == "Clip"
-	case 2:
-		return n.OpType == "Add" || n.OpType == "Mul" || n.OpType == "Sub" || n.OpType == "Div"
-	}
-	return false
+	k := ops.FusedStageInputs(n.OpType)
+	return k > 0 && len(n.Inputs) == k && len(n.Outputs) == 1
 }
 
 // chainNext returns the next chain member after cur: the sole consumer of
