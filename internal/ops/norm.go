@@ -27,7 +27,7 @@ func batchNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	eps := attrs.Float("epsilon", 1e-5)
 	n := xs[0]
 	plane := x.Numel() / max(n*c, 1)
-	out := tensor.ZerosLikeIn(alc, x)
+	out := uninitLike(alc, x)
 	xd, od := x.Data(), out.Data()
 	sd, bd, md, vd := scale.Data(), bias.Data(), mean.Data(), variance.Data()
 
@@ -85,7 +85,7 @@ func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	}
 	eps := attrs.Float("epsilon", 1e-5)
 	outer := x.Numel() / max(inner, 1)
-	out := tensor.ZerosLikeIn(alc, x)
+	out := uninitLike(alc, x)
 	xd, od, sd := x.Data(), out.Data(), scale.Data()
 	var bd []float32
 	if bias != nil {
