@@ -202,6 +202,12 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
+// maxReplyBytes caps the body of a replica's 200 reply to /v1/infer, which
+// carries one request's outputs: the largest zoo reply, yolo_v5 at 640 px,
+// is 378k floats, about 4.5 MB of JSON. A reply past the cap fails the
+// attempt rather than being buffered.
+const maxReplyBytes = 16 << 20
+
 // Infer posts one request to the replica's /v1/infer. The caller context's
 // deadline rides along as timeout_ms so the replica's own admission and
 // deadline handling see the same budget.
@@ -258,12 +264,18 @@ func (r *Remote) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 		}
 	}
 	var ir serve.InferResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+	reply := &io.LimitedReader{R: resp.Body, N: maxReplyBytes + 1}
+	err = json.NewDecoder(reply).Decode(&ir)
+	if reply.N == 0 {
+		err = fmt.Errorf("reply larger than %d bytes", maxReplyBytes)
+	}
+	if err != nil {
 		if ctx.Err() != nil {
 			return nil, serve.InferMeta{}, ctx.Err()
 		}
 		// A 200 whose body did not parse is a connection that died
-		// mid-response: transport-class, retryable.
+		// mid-response, and one past the cap a replica gone wrong: both
+		// transport-class, retryable.
 		return nil, serve.InferMeta{}, &TransportError{Replica: r.name, Err: fmt.Errorf("decoding response: %w", err)}
 	}
 	outs := make(ramiel.Env, len(ir.Outputs))
