@@ -344,8 +344,9 @@ func broadcastStrides(buf []int, s, out tensor.Shape) []int {
 
 // softmaxK normalizes along the given axis (attribute "axis", default -1)
 // with the usual max-subtraction for numerical stability. Along the last
-// axis each row is contiguous and runs through softmaxRow; any other axis
-// walks its rows at stride inner. Both write every output element.
+// axis the rows are contiguous and taken in order, with no index
+// arithmetic per row; any other axis finds each row's start from its
+// outer and inner index. Every output element is written.
 func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Softmax", in, 1, 1); err != nil {
 		return nil, err
@@ -370,61 +371,40 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 	if inner == 1 {
 		tensor.ParallelRange(outer, max(4096/max(axisN, 1), 1), func(lo, hi int) {
 			for r := lo * axisN; r < hi*axisN; r += axisN {
-				softmaxRow(od[r:r+axisN], xd[r:r+axisN])
+				softmaxRow(od[r:r+axisN], xd[r:r+axisN], 1)
 			}
 		})
 		return []*tensor.Tensor{out}, nil
 	}
 	tensor.ParallelFor(outer*inner, 16, func(oi int) {
-		o := oi / inner
-		i := oi % inner
-		base := o*axisN*inner + i
-		maxV := negInf
-		for a := 0; a < axisN; a++ {
-			if v := xd[base+a*inner]; v > maxV {
-				maxV = v
-			}
-		}
-		var sum float32
-		for a := 0; a < axisN; a++ {
-			e := exp32(xd[base+a*inner] - maxV)
-			od[base+a*inner] = e
-			sum += e
-		}
-		inv := softmaxScale(sum)
-		for a := 0; a < axisN; a++ {
-			od[base+a*inner] *= inv
-		}
+		base := oi/inner*axisN*inner + oi%inner
+		softmaxRow(od[base:], xd[base:][:(axisN-1)*inner+1], inner)
 	})
 	return []*tensor.Tensor{out}, nil
 }
 
-// softmaxRow writes the softmax of the contiguous row x to dst. The row's
-// maximum starts at the lowest finite float32 and NaN never raises it.
-func softmaxRow(dst, x []float32) {
+// softmaxRow writes to dst the softmax of the row of x whose elements lie
+// stride apart from x[0] to the end of x. The row's maximum starts at the
+// lowest finite float32 and NaN never raises it, so a row holding NaN or
+// +Inf gives NaN, and a row of only -Inf sums to 0 and keeps its zeros.
+func softmaxRow(dst, x []float32, stride int) {
 	m := negInf
-	for _, v := range x {
-		if v > m {
+	for a := 0; a < len(x); a += stride {
+		if v := x[a]; v > m {
 			m = v
 		}
 	}
 	var sum float32
-	for i, v := range x {
-		e := exp32(v - m)
-		dst[i] = e
+	for a := 0; a < len(x); a += stride {
+		e := exp32(x[a] - m)
+		dst[a] = e
 		sum += e
 	}
-	inv := softmaxScale(sum)
-	for i := range dst {
-		dst[i] *= inv
-	}
-}
-
-// softmaxScale is the factor that normalizes a row whose exponentials sum
-// to sum. A row of only -Inf sums to 0 and keeps its zeros.
-func softmaxScale(sum float32) float32 {
 	if sum == 0 {
-		return 1
+		return
 	}
-	return 1 / sum
+	inv := 1 / sum
+	for a := 0; a < len(x); a += stride {
+		dst[a] *= inv
+	}
 }
