@@ -16,10 +16,12 @@ const (
 
 // exp32 is e^x, Cephes expf: x = n·ln2 + r with n the integer nearest
 // x·log2(e) (rounded by adding and subtracting 1.5·2^23), r taken off in
-// two parts of ln2 so it stays exact, e^r from a degree-5 polynomial, and
-// 2^n added to the result's exponent bits. Within 1 ulp of e^x wherever
-// that is a normal float32; 0 below expUnderflow (so exp32(-Inf) = 0),
-// +Inf from expOverflow up, and NaN for NaN.
+// two parts of ln2 so the reduction loses no bits, e^r from a degree-5
+// polynomial, and n added to the result's exponent bits. Those bits
+// cannot overflow: below expOverflow, n reaches 128 only with r < 0, so
+// e^r < 1. Within 1 ulp of e^x (measured) wherever that is a normal
+// float32; 0 below expUnderflow (so exp32(-Inf) = 0), +Inf from
+// expOverflow up, and NaN for NaN.
 func exp32(x float32) float32 {
 	if !(x < expOverflow) {
 		return x + float32(math.Inf(1)) // +Inf, or NaN for NaN
@@ -40,8 +42,8 @@ func exp32(x float32) float32 {
 // Eigen's generic_fast_erf_float and XLA's ErfImpl32: x clamped to ±4
 // (erf is ±1 in float32 beyond), then an odd degree-13 numerator over an
 // even degree-8 denominator in x². The numerator's factor x is applied
-// last, so a tiny x never goes through a subnormal product. Within 7 ulp
-// of erf(x); NaN stays NaN.
+// last, so a tiny x never goes through a subnormal product. Within 6 ulp
+// of erf(x) (measured); NaN stays NaN.
 func erf32(x float32) float32 {
 	// Branches, not the builtin min and max: those pay for NaN and signed
 	// zero checks a comparison gets for free (NaN fails both and stays).
