@@ -297,6 +297,7 @@ func TestRetryableClassification(t *testing.T) {
 		{"replica 503", &serve.Refusal{Status: 503, Err: errors.New("draining")}, true},
 		{"replica 400", &serve.Refusal{Status: 400, Err: errors.New("bad feeds")}, false},
 		{"replica 404", &serve.Refusal{Status: 404, Err: errors.New("no model")}, false},
+		{"reply past the cap", &serve.Refusal{Status: 502, Cause: serve.CauseReplyTooLarge.String(), Err: errors.New("too large")}, false},
 		{"shutdown", serve.ErrShutdown, true},
 		{"batcher closed", serve.ErrBatcherClosed, true},
 		{"canceled", context.Canceled, false},

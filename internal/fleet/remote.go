@@ -37,6 +37,9 @@ type Remote struct {
 	// to report it), and routing then ignores memory for this replica.
 	memFree  atomic.Int64
 	memKnown atomic.Bool
+	// replyCap is the byte cap on this replica's 200 replies to /v1/infer,
+	// worked out by replyCapFor from the largest outputs its stats report.
+	replyCap atomic.Int64
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -48,7 +51,7 @@ func NewRemote(name, baseURL string) *Remote {
 	for len(baseURL) > 0 && baseURL[len(baseURL)-1] == '/' {
 		baseURL = baseURL[:len(baseURL)-1]
 	}
-	return &Remote{
+	r := &Remote{
 		name: name,
 		base: baseURL,
 		// No client-level timeout: per-request deadlines come from the
@@ -56,6 +59,8 @@ func NewRemote(name, baseURL string) *Remote {
 		client: &http.Client{},
 		stop:   make(chan struct{}),
 	}
+	r.replyCap.Store(replyCapFloor)
+	return r
 }
 
 func (r *Remote) Name() string              { return r.name }
@@ -85,6 +90,7 @@ type statsProbe struct {
 		Enabled       bool  `json:"enabled"`
 		HeadroomBytes int64 `json:"headroom_bytes"`
 	} `json:"memory"`
+	MaxOutputValues int64 `json:"max_output_values"`
 }
 
 // Probe refreshes health/readiness/load from one GET /v1/stats. A failed
@@ -122,6 +128,7 @@ func (r *Remote) Probe(ctx context.Context) error {
 	r.workers.Store(int64(st.Pool.Workers))
 	r.memFree.Store(st.Memory.HeadroomBytes)
 	r.memKnown.Store(st.Memory.Enabled)
+	r.replyCap.Store(replyCapFor(st.MaxOutputValues))
 	r.healthy.Store(true)
 	r.ready.Store(st.Ready)
 	return nil
@@ -202,11 +209,31 @@ func (e *TransportError) Error() string {
 
 func (e *TransportError) Unwrap() error { return e.Err }
 
-// maxReplyBytes caps the body of a replica's 200 reply to /v1/infer, which
-// carries one request's outputs: the largest zoo reply, yolo_v5 at 640 px,
-// is 378k floats, about 4.5 MB of JSON. A reply past the cap fails the
-// attempt rather than being buffered.
-const maxReplyBytes = 16 << 20
+// A replica's 200 reply to /v1/infer carries one request's outputs, so
+// its size can be worked out from the outputs of the replica's models,
+// which its stats report: encoding/json writes a float32 in at most 22
+// bytes ("-999999900000000000000", just below 1e21 where it switches to
+// exponent form), and a comma follows it.
+const (
+	maxValueJSONBytes = 23
+	// replySlackBytes covers a reply's output names, shapes and timings.
+	replySlackBytes = 64 << 10
+	// replyCapFloor is the cap before the first probe, and holds replies of
+	// models a replica has not built yet (they are not in its stats): about
+	// 730k float32 values at their longest, twice the zoo's largest reply
+	// (yolo_v5 at 640 px, 378k values).
+	replyCapFloor = 16 << 20
+	// replyCapCeiling bounds what a replica's stats can raise the cap to: a
+	// 1 GiB reply is past anything this wire should carry per request.
+	replyCapCeiling = 1 << 30
+)
+
+// replyCapFor is the cap on the replies of a replica whose largest model
+// output holds values float32 values.
+func replyCapFor(values int64) int64 {
+	values = min(max(values, 0), replyCapCeiling/maxValueJSONBytes)
+	return min(max(values*maxValueJSONBytes+replySlackBytes, replyCapFloor), replyCapCeiling)
+}
 
 // Infer posts one request to the replica's /v1/infer. The caller context's
 // deadline rides along as timeout_ms so the replica's own admission and
@@ -264,18 +291,25 @@ func (r *Remote) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 		}
 	}
 	var ir serve.InferResponse
-	reply := &io.LimitedReader{R: resp.Body, N: maxReplyBytes + 1}
+	limit := r.replyCap.Load()
+	reply := &io.LimitedReader{R: resp.Body, N: limit + 1}
 	err = json.NewDecoder(reply).Decode(&ir)
 	if reply.N == 0 {
-		err = fmt.Errorf("reply larger than %d bytes", maxReplyBytes)
+		// More than the replica's models produce: any replica would send
+		// the same reply, so this is neither retried nor held against the
+		// replica's breaker (see Retryable).
+		return nil, serve.InferMeta{}, &serve.Refusal{
+			Status: http.StatusBadGateway,
+			Cause:  serve.CauseReplyTooLarge.String(),
+			Err:    fmt.Errorf("fleet: replica %s: reply larger than %d bytes", r.name, limit),
+		}
 	}
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, serve.InferMeta{}, ctx.Err()
 		}
 		// A 200 whose body did not parse is a connection that died
-		// mid-response, and one past the cap a replica gone wrong: both
-		// transport-class, retryable.
+		// mid-response: transport-class, retryable.
 		return nil, serve.InferMeta{}, &TransportError{Replica: r.name, Err: fmt.Errorf("decoding response: %w", err)}
 	}
 	outs := make(ramiel.Env, len(ir.Outputs))

@@ -15,9 +15,10 @@ import (
 // on the wire), replica-side 5xx, and shutdown/drain errors are retryable:
 // the same request can succeed elsewhere, and these are exactly the
 // failures that count against the replica's circuit breaker. Client-side
-// errors (4xx: bad feeds, unknown model), deadline expiry, and
-// cancellation are not — they would fail identically anywhere (or the
-// client is gone) and say nothing about replica health.
+// errors (4xx: bad feeds, unknown model), a reply past the front's cap
+// (502, cause reply_too_large), deadline expiry, and cancellation are not
+// — they would fail identically anywhere (or the client is gone) and say
+// nothing about replica health.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
@@ -30,10 +31,11 @@ func Retryable(err error) bool {
 		return true
 	}
 	// A refusal means the replica answered, so only a 5xx is a replica
-	// failure; a 4xx (a memory shed's 429 included) is not retried.
+	// failure; a 4xx (a memory shed's 429 included) is not retried, nor is
+	// a reply past the front's cap, which every replica would send alike.
 	var re *serve.Refusal
 	if errors.As(err, &re) {
-		return re.Status >= 500
+		return re.Status >= 500 && re.Cause != serve.CauseReplyTooLarge.String()
 	}
 	// In-process replicas surface serve errors directly: a draining
 	// replica cannot take the request, but a fleet sibling can.

@@ -105,6 +105,12 @@ type statsResponse struct {
 	// weights vs live measured per-op durations, batch-1 variant);
 	// populated only for ?calibration=1.
 	Calibration map[string]*ramiel.Calibration `json:"calibration,omitempty"`
+	// MaxOutputValues is the most output values one reply is known to
+	// carry: the larger of the largest reply served so far and the largest
+	// total of a built model's declared output shapes (models not built
+	// yet do not count). A fleet front sizes its cap on this replica's
+	// replies from it.
+	MaxOutputValues int64 `json:"max_output_values"`
 }
 
 type poolStatsJSON struct {
@@ -533,6 +539,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Runtime: readRuntimeStats(),
 		Models:  models,
 		Ops:     s.opTotals(),
+
+		MaxOutputValues: s.maxOutputValues(),
 	}
 	if r.URL.Query().Get("variants") == "1" {
 		resp.OpsByVariant = s.opTotalsByVariant()
@@ -541,6 +549,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Calibration = s.calibrations()
 	}
 	WriteJSON(w, http.StatusOK, resp)
+}
+
+// maxOutputValues is the largest reply served so far, or the largest
+// total of one built model's declared output shapes if that is larger.
+// Peek-only, like /v1/models: a stats probe must not trigger graph builds.
+func (s *Server) maxOutputValues() int64 {
+	n := s.maxReply.Load()
+	for _, name := range s.reg.Models() {
+		if g := s.reg.PeekGraph(name); g != nil {
+			values := int64(0)
+			for _, out := range g.Outputs {
+				values += int64(out.Shape.Numel())
+			}
+			n = max(n, values)
+		}
+	}
+	return n
 }
 
 // opTotalsByVariant is opTotals without the merge: per model, each compiled

@@ -225,6 +225,9 @@ type Server struct {
 	// batch run counts every member it failed, mirroring errors_total).
 	// The per-model split lives in errors_by_cause under "panic".
 	panics atomic.Int64
+	// maxReply is the most output values one successful reply has carried,
+	// for the stats' max_output_values.
+	maxReply atomic.Int64
 
 	start time.Time
 }
@@ -474,7 +477,22 @@ func (s *Server) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 	if err != nil {
 		return nil, meta, err
 	}
+	s.noteReply(outs)
 	return outs, meta, nil
+}
+
+// noteReply raises maxReply to the output values of one successful reply.
+func (s *Server) noteReply(outs ramiel.Env) {
+	values := int64(0)
+	for _, t := range outs {
+		values += int64(t.Numel())
+	}
+	for {
+		old := s.maxReply.Load()
+		if values <= old || s.maxReply.CompareAndSwap(old, values) {
+			return
+		}
+	}
 }
 
 // notePanic accounts one panic-failed request and logs the recovered

@@ -57,6 +57,10 @@ const (
 	CauseInfeasible
 	CauseQueueFull
 	CauseNoReplica
+	// CauseReplyTooLarge: a remote replica's 200 reply ran past the front's
+	// cap on that replica's replies (502). The same request would bring the
+	// same reply from any replica, so it is not retried.
+	CauseReplyTooLarge
 	numCauses
 )
 
@@ -91,6 +95,8 @@ func (c ErrorCause) String() string {
 		return "queue_full"
 	case CauseNoReplica:
 		return "no_replica"
+	case CauseReplyTooLarge:
+		return "reply_too_large"
 	}
 	return "unknown"
 }
