@@ -343,10 +343,9 @@ func broadcastStrides(buf []int, s, out tensor.Shape) []int {
 }
 
 // softmaxK normalizes along the given axis (attribute "axis", default -1)
-// with the usual max-subtraction for numerical stability. Along the last
-// axis the rows are contiguous and taken in order, with no index
-// arithmetic per row; any other axis finds each row's start from its
-// outer and inner index. Every output element is written.
+// with the usual max-subtraction for numerical stability. One loop runs
+// every axis: along the last one (inner = 1) the rows are contiguous and
+// taken in order. Every output element is written.
 func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.Tensor, error) {
 	if err := need("Softmax", in, 1, 1); err != nil {
 		return nil, err
@@ -368,17 +367,17 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 	outer := x.Numel() / max(inner*axisN, 1)
 	out := uninitLike(a2, x)
 	xd, od := x.Data(), out.Data()
-	if inner == 1 {
-		tensor.ParallelRange(outer, max(4096/max(axisN, 1), 1), func(lo, hi int) {
-			for r := lo * axisN; r < hi*axisN; r += axisN {
-				softmaxRow(od[r:r+axisN], xd[r:r+axisN], 1)
+	// Rows are numbered o·inner+i; a chunk divides once, then counts i
+	// and o up, so no row pays a division.
+	tensor.ParallelRange(outer*inner, max(4096/max(axisN, 1), 1), func(lo, hi int) {
+		o, i := lo/inner, lo%inner
+		for range hi - lo {
+			base := o*axisN*inner + i
+			softmaxRow(od[base:], xd[base:][:(axisN-1)*inner+1], inner)
+			if i++; i == inner {
+				o, i = o+1, 0
 			}
-		})
-		return []*tensor.Tensor{out}, nil
-	}
-	tensor.ParallelFor(outer*inner, 16, func(oi int) {
-		base := oi/inner*axisN*inner + oi%inner
-		softmaxRow(od[base:], xd[base:][:(axisN-1)*inner+1], inner)
+		}
 	})
 	return []*tensor.Tensor{out}, nil
 }
