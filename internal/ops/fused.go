@@ -55,9 +55,6 @@ type stage struct {
 	p0, p1 float32
 }
 
-// FusedStageOK reports whether opType can be a FusedElementwise stage.
-func FusedStageOK(opType string) bool { return elementwise[opType].chain }
-
 // FusedStageInputs is the number of inputs a node of opType has as a
 // FusedElementwise stage, 1 for a unary op and 2 for a binary one, or 0
 // when the elementwise table does not mark opType chainable.

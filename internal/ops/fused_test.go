@@ -312,7 +312,7 @@ func TestRunInPlaceFusedBroadcastReturnsBuffer(t *testing.T) {
 // elementwise engine under test.
 func TestFusedChainsMatchReferenceRandom(t *testing.T) {
 	shapes := []tensor.Shape{{}, {1}, {32}, {16, 32}, {1, 16, 32}, {4, 1}, {1, 5}, {2, 3, 1, 1}, {1, 3, 1, 1}}
-	chainable := []string{"Relu", "LeakyRelu", "Sigmoid", "Tanh", "Clip", "Add", "Mul", "Sub", "Div"}
+	chainable := []string{"Relu", "LeakyRelu", "Sigmoid", "Tanh", "Clip", "Erf", "Exp", "Neg", "Sqrt", "Add", "Mul", "Sub", "Div"}
 	pick := rand.New(rand.NewSource(29))
 	r := tensor.NewRNG(29)
 	randTensor := func() *tensor.Tensor { return r.RandTensor(shapes[pick.Intn(len(shapes))]...) }
@@ -348,6 +348,14 @@ func TestFusedChainsMatchReferenceRandom(t *testing.T) {
 				lo, hi := -pick.Float64()/4, pick.Float64()/4
 				opAttrs = Attrs{"min": lo, "max": hi}
 				k = unary(op, func(v float32) float32 { return min(max(v, float32(lo)), float32(hi)) })
+			case "Erf":
+				k = unary(op, func(v float32) float32 { return float32(math.Erf(float64(v))) })
+			case "Exp":
+				k = unary(op, func(v float32) float32 { return float32(math.Exp(float64(v))) })
+			case "Neg":
+				k = unary(op, func(v float32) float32 { return -v })
+			case "Sqrt":
+				k = unary(op, func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
 			default:
 				f := map[string]func(a, b float32) float32{
 					"Add": func(a, b float32) float32 { return a + b },
@@ -397,6 +405,13 @@ func TestFusedChainsMatchReferenceRandom(t *testing.T) {
 				t.Fatalf("chain %d %q %s: shape %v, want %v", c, attrs[AttrFusedOps], run.name, got[0].Shape(), want.Shape())
 			case !got[0].AllClose(want, 1e-5, 1e-5):
 				t.Fatalf("chain %d %q %s: max diff %v", c, attrs[AttrFusedOps], run.name, got[0].MaxAbsDiff(want))
+			}
+			// AllClose lets NaN match anything; Sqrt of a negative value
+			// must give NaN exactly where the reference does.
+			for i, v := range got[0].Data() {
+				if w := want.Data()[i]; math.IsNaN(float64(v)) != math.IsNaN(float64(w)) {
+					t.Fatalf("chain %d %q %s: element %d is %v, want %v", c, attrs[AttrFusedOps], run.name, i, v, w)
+				}
 			}
 			ran++
 		}

@@ -399,16 +399,21 @@ var elementwiseInputs = map[string]int{
 }
 
 // TestChainFlagDecidesFusion: for every elementwise op, a two-node chain
-// with Relu, either way round, fuses exactly when ops.FusedStageOK says the
-// op may be a stage, and the fused graph computes what the unfused one did,
+// with Relu, either way round, fuses exactly when ops.FusedStageInputs says
+// the op may be a stage (and takes as many inputs as the op), and the fused graph computes what the unfused one did,
 // bit for bit, on random inputs.
 func TestChainFlagDecidesFusion(t *testing.T) {
 	for _, op := range ops.Names() {
-		if _, listed := elementwiseInputs[op]; ops.FusedStageOK(op) && !listed {
+		arity, listed := elementwiseInputs[op]
+		switch k := ops.FusedStageInputs(op); {
+		case k > 0 && !listed:
 			t.Errorf("chainable op %s is missing from elementwiseInputs", op)
+		case k > 0 && k != arity:
+			t.Errorf("%s: FusedStageInputs = %d, the op takes %d", op, k, arity)
 		}
 	}
 	for op, arity := range elementwiseInputs {
+		chainable := ops.FusedStageInputs(op) > 0
 		for _, opFirst := range []bool{false, true} {
 			g := graph.New("pair")
 			g.Inputs = []graph.ValueInfo{{Name: "x", Shape: tensor.Shape{3, 5}}, {Name: "y", Shape: tensor.Shape{3, 5}}}
@@ -433,8 +438,8 @@ func TestChainFlagDecidesFusion(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", op, err)
 			}
-			if fused := chains == 1 && nodes == 2 && len(g.Nodes) == 1; fused != ops.FusedStageOK(op) {
-				t.Errorf("%s first=%v: fused=%v (%d chains, %d nodes), FusedStageOK=%v", op, opFirst, fused, chains, nodes, ops.FusedStageOK(op))
+			if fused := chains == 1 && nodes == 2 && len(g.Nodes) == 1; fused != chainable {
+				t.Errorf("%s first=%v: fused=%v (%d chains, %d nodes), chainable=%v", op, opFirst, fused, chains, nodes, chainable)
 			}
 			got, err := exec.RunSequential(g, feeds)
 			if err != nil {
