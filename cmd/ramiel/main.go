@@ -93,8 +93,8 @@ func main() {
 			prog.CloneReport.ClonedNodes, prog.CloneReport.AddedNodes)
 	}
 	if fr := prog.FusionReport; fr.Any() {
-		fmt.Printf("  fusion: %d BatchNorms folded, %d kernel epilogues attached, %d elementwise nodes collapsed into %d chains\n",
-			fr.BNFolded, fr.Epilogues, fr.ChainNodes, fr.Chains)
+		fmt.Printf("  fusion: %d BatchNorms folded, %d bias Adds and %d Transpose/Reshape nodes folded into MatMuls, %d kernel epilogues attached, %d elementwise nodes collapsed into %d chains\n",
+			fr.BNFolded, fr.Biases, fr.ViewNodes, fr.Epilogues, fr.ChainNodes, fr.Chains)
 	}
 
 	if *batch > 1 {

@@ -14,22 +14,28 @@ import (
 // TestGeneratedCodeCompilesAndRuns is the end-to-end check of the paper's
 // headline deliverable: the generated parallel program must be real,
 // compilable, runnable code — not pseudo-output. It generates the parallel
-// Go for two models, builds them with the actual Go toolchain, executes
+// Go for three models, builds them with the actual Go toolchain, executes
 // them, and requires each program's own parallel-vs-sequential
 // verification to pass. yolo_v5 is the fusion coverage: its compile folds
 // BatchNorms into fresh weight initializers and emits FusedElementwise
 // nodes, so the generated main must reproduce the *optimized* environment
 // (ramiel.CompiledEnv) — the base model's initializers would not resolve.
+// Pruned bert carries MatMuls with an absorbed bias input and operand and
+// output views.
 func TestGeneratedCodeCompilesAndRuns(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not available")
 	}
-	for i, model := range []string{"squeezenet", "yolo_v5"} {
+	for i, model := range []string{"squeezenet", "yolo_v5", "bert"} {
 		g, err := ramiel.BuildModel(model, ramiel.ModelConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := ramiel.Compile(g)
+		var opts []ramiel.CompileOption
+		if model == "bert" {
+			opts = append(opts, ramiel.WithPrune())
+		}
+		prog, err := ramiel.Compile(g, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -256,6 +256,7 @@ type packKey struct {
 	weight *tensor.Tensor
 	transB bool
 	groups int
+	viewB  bool // a MatMul reading its weight through a view packs nothing
 }
 
 // bind returns every node's bound kernel, binding them on first use. A
@@ -283,6 +284,7 @@ func (p *Plan) bind() map[*graph.Node]*ops.Bound {
 					weight: consts[1],
 					transB: n.Attrs.Int("transB", 0) != 0,
 					groups: n.Attrs.Int("group", 1),
+					viewB:  ops.HasView(n.Attrs, ops.ViewB),
 				}
 			}
 			pp := shared[key]

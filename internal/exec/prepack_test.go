@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/ops"
 	"repro/internal/tensor"
 )
 
@@ -143,5 +144,39 @@ func TestMeasureCostsRecordsScratch(t *testing.T) {
 	}
 	if mm.ScratchNumel["r"] != 0 {
 		t.Errorf("Relu recorded scratch %d", mm.ScratchNumel["r"])
+	}
+}
+
+// TestPrepackNotSharedWithView: two MatMuls on one constant weight, the
+// second reading it through a view (its transpose), must not share the
+// first one's packing.
+func TestPrepackNotSharedWithView(t *testing.T) {
+	r := tensor.NewRNG(3)
+	g := graph.New("view")
+	g.Inputs = []graph.ValueInfo{{Name: "x", Shape: tensor.Shape{2, 4}}}
+	g.Outputs = []graph.ValueInfo{{Name: "plain"}, {Name: "viewed"}}
+	g.AddInitializer("W", r.RandTensor(4, 4))
+	g.AddNode("m1", "MatMul", []string{"x", "W"}, []string{"plain"}, nil)
+	g.AddNode("m2", "MatMul", []string{"x", "W"}, []string{"viewed"}, ops.Attrs{ops.AttrViewBPerm: []int{1, 0}})
+	feeds := Env{"x": r.RandTensor(2, 4)}
+	plan, err := NewPlan(g, [][]*graph.Node{g.Nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes, _ := plan.PrepackWeights(); nodes != 1 {
+		t.Fatalf("prepacked %d nodes, want 1", nodes)
+	}
+	want, err := RunSequential(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := plan.Execute(context.Background(), feeds, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"plain", "viewed"} {
+		if !got[name].Equal(want[name]) {
+			t.Errorf("%s: prepacked run differs from the sequential reference", name)
+		}
 	}
 }

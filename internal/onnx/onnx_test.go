@@ -1,6 +1,7 @@
 package onnx
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -350,5 +351,47 @@ func TestRoundTripFusedGraph(t *testing.T) {
 		if !got[k].AllClose(w, 1e-6, 1e-7) {
 			t.Errorf("output %s diverges after round trip", k)
 		}
+	}
+}
+
+// TestRoundTripCompiledBERT saves and reloads pruned and fused BERT, whose
+// MatMuls carry a bias input and operand and output views: the reloaded
+// graph must run to bit-identical outputs, and fusing it again must find
+// nothing left to do.
+func TestRoundTripCompiledBERT(t *testing.T) {
+	g := models.MustBuild("bert", models.Config{})
+	if _, err := passes.Prune(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := passes.Fuse(g); err != nil {
+		t.Fatal(err)
+	}
+	feeds := models.RandomInputs(g, 9)
+	want, err := exec.RunSequential(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "bert.onnx.json")
+	if err := SaveGraph(g, path); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.RunSequential(g2, feeds)
+	if err != nil {
+		t.Fatalf("reloaded BERT failed to run: %v", err)
+	}
+	for k, w := range want {
+		if !slices.EqualFunc(got[k].Data(), w.Data(), func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+			t.Errorf("output %s differs after the round trip", k)
+		}
+	}
+	if rep, err := passes.Fuse(g2); err != nil || rep.Any() {
+		t.Errorf("fusing the reloaded graph again: %+v, %v", rep, err)
+	}
+	if len(g2.Nodes) != len(g.Nodes) {
+		t.Errorf("reloaded graph has %d nodes, want %d", len(g2.Nodes), len(g.Nodes))
 	}
 }

@@ -84,11 +84,7 @@ func convK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) 
 	if bias != nil {
 		bd := bias.Data()
 		for idx := 0; idx < n*m; idx++ {
-			bv := bd[idx%m]
-			row := od[idx*colN : idx*colN+colN]
-			for j := range row {
-				row[j] = bv
-			}
+			fill(od[idx*colN:idx*colN+colN], bd[idx%m])
 		}
 	}
 
@@ -108,10 +104,10 @@ func convK(in []*tensor.Tensor, attrs Attrs, a tensor.Allocator, pp *Prepacked) 
 			}
 			cSlice := od[(b*m+g*mPerG)*colN : (b*m+(g+1)*mPerG)*colN]
 			if pp != nil {
-				kernels.GemmPackedAEpi(pp.A[g], colN, colMat, colN, false, cSlice, a, epi)
+				kernels.GemmPackedAEpi(pp.A[g], colN, colMat, colN, false, cSlice, colN, a, epi)
 			} else {
 				wg := wdata[g*mPerG*colK : (g+1)*mPerG*colK]
-				kernels.GemmEpi(1, mPerG, colN, colK, wg, colK, false, colMat, colN, false, cSlice, a, epi)
+				kernels.GemmEpi(1, mPerG, colN, colK, wg, colK, false, colMat, colN, false, cSlice, colN, a, epi)
 			}
 		}
 	}
@@ -300,5 +296,18 @@ func (p *pool) avgRow(o, rows []float32, w, kw int) {
 			div = max(taps, 1)
 		}
 		o[ox] = sum / float32(div)
+	}
+}
+
+// fill sets every element of s to v by doubling copies, so the work runs
+// in the runtime's vectorized memmove rather than a scalar store loop
+// whose speed depended on where the linker placed it.
+func fill(s []float32, v float32) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for done := 1; done < len(s); done *= 2 {
+		copy(s[done:], s[:done])
 	}
 }

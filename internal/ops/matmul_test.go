@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
@@ -256,5 +257,48 @@ func TestMatMulTransposeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGemmBiasForms checks every C form Gemm accepts, with beta 1, 0.5
+// and 0 and each activation, bit for bit against the product followed by
+// a separate beta·C sweep and the activation — the row-vector C rides the
+// GEMM writeback as its bias, the others are added after it.
+func TestGemmBiasForms(t *testing.T) {
+	r := tensor.NewRNG(12)
+	m, k, n := 7, 300, 19 // edge tiles, two K panels
+	a, b := r.RandTensor(m, k), r.RandTensor(k, n)
+	ar := tensor.NewArena()
+	for _, cs := range []tensor.Shape{{n}, {1, n}, {m, n}, {1}} {
+		c := r.RandTensor(cs...)
+		for _, beta := range []float64{1, 0.5, 0} {
+			for _, epiOp := range []string{"", "Relu", "Clip"} {
+				attrs := Attrs{"alpha": 0.75, "beta": beta}
+				if epiOp != "" {
+					attrs = mergeAttrs(attrs, EpilogueAttrs(epiOp, Attrs{"min": -0.5, "max": 0.5}))
+				}
+				want := make([]float32, m*n)
+				kernels.Gemm(0.75, m, n, k, a.Data(), k, false, b.Data(), n, false, want, nil)
+				epi := epilogueOf(attrs)
+				for i := range want {
+					if beta != 0 {
+						want[i] += float32(beta) * c.Data()[i%c.Numel()]
+					}
+					want[i] = epi.Val(want[i])
+				}
+				for _, consts := range [][]*tensor.Tensor{nil, {nil, b}} {
+					k, _ := Bind("Gemm", attrs, consts)
+					for _, alc := range []tensor.Allocator{nil, ar} {
+						got, err := k.Run([]*tensor.Tensor{a, b, c}, alc, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bitsEqual(got[0].Data(), want) {
+							t.Fatalf("C %v beta %v epi %q prepacked %v: differs from the separate sweep", cs, beta, epiOp, consts != nil)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -91,7 +91,9 @@ func layerNormK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tens
 	if bias != nil {
 		bd = bias.Data()
 	}
-	tensor.ParallelFor(outer, 2, func(o int) {
+	// The grain is sized in elements, as softmaxK's is: BERT's [1,16,64]
+	// rows are too small to be worth a second worker.
+	tensor.ParallelFor(outer, max(4096/max(inner, 1), 1), func(o int) {
 		base := o * inner
 		var sum float64
 		for i := 0; i < inner; i++ {

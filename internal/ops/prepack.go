@@ -46,7 +46,7 @@ func packed(op string, body func(in []*tensor.Tensor, attrs Attrs, a tensor.Allo
 func prepack(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
 	switch opType {
 	case "MatMul":
-		if len(constIn) < 2 || constIn[1] == nil {
+		if len(constIn) < 2 || constIn[1] == nil || HasView(attrs, ViewB) {
 			return nil
 		}
 		b := constIn[1]
@@ -115,13 +115,18 @@ func prepack(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
 func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 	switch opType {
 	case "MatMul":
-		if len(in) < 2 || in[0].Shape().Rank() < 2 || in[1].Shape().Rank() < 2 {
+		if len(in) < 2 {
 			return 0
 		}
-		as, bs := in[0].Shape(), in[1].Shape()
-		m, k := as[as.Rank()-2], as[as.Rank()-1]
-		n := bs[bs.Rank()-1]
-		return kernels.PackedASize(m, k) + kernels.PackedBSize(k, n)
+		mm, err := decodeMatMul(attrs)
+		if err != nil {
+			return 0
+		}
+		g, err := mm.geometry(in[0].Shape(), in[1].Shape())
+		if err != nil {
+			return 0
+		}
+		return kernels.PackedASize(g.m, g.k) + kernels.PackedBSize(g.k, g.n)
 	case "Gemm":
 		if len(in) < 2 || in[0].Shape().Rank() != 2 || in[1].Shape().Rank() != 2 {
 			return 0

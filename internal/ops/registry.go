@@ -66,7 +66,7 @@ var (
 		"MaxPool":            bindPool("MaxPool", (*pool).maxRow),
 		"AveragePool":        bindPool("AveragePool", (*pool).avgRow),
 		"GlobalAveragePool":  bindPool("GlobalAveragePool", (*pool).avgRow),
-		"MatMul":             packed("MatMul", matMulK),
+		"MatMul":             bindMatMul,
 		"Gemm":               packed("Gemm", gemmK),
 		"FusedElementwise":   bindFused,
 		"Softmax":            kernel(softmaxK),

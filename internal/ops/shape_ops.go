@@ -1,6 +1,8 @@
 package ops
 
 import (
+	"fmt"
+
 	"repro/internal/tensor"
 )
 
@@ -50,24 +52,51 @@ func reshapeK(in []*tensor.Tensor, attrs Attrs, alc tensor.Allocator) ([]*tensor
 		for i, v := range sd {
 			dims[i] = int(v)
 		}
-	} else if s := attrs.Ints("shape", nil); s != nil {
-		dims = append([]int(nil), s...)
-	} else {
+	} else if dims = attrs.Ints("shape", nil); dims == nil {
 		return nil, argErr("Reshape", "no shape input or attribute")
 	}
-	for i, d := range dims {
-		if d == 0 { // ONNX: copy the corresponding input dimension
-			if i >= x.Rank() {
-				return nil, argErr("Reshape", "dim 0 at position %d exceeds input rank %d", i, x.Rank())
-			}
-			dims[i] = x.Shape()[i]
-		}
-	}
-	r, err := x.CloneIn(alc).Reshape(dims...)
+	shape, err := reshapeTo(x.Shape(), dims)
 	if err != nil {
 		return nil, argErr("Reshape", "%v", err)
 	}
-	return []*tensor.Tensor{r}, nil
+	return []*tensor.Tensor{tensor.New(shape, x.CloneIn(alc).Data())}, nil
+}
+
+// reshapeTo resolves ONNX Reshape target dims against an input of shape s:
+// 0 copies the input's dimension at that position and one -1 takes the
+// elements left over. The result holds exactly s.Numel() elements.
+func reshapeTo(s tensor.Shape, dims []int) (tensor.Shape, error) {
+	out := make(tensor.Shape, len(dims))
+	infer, known := -1, 1
+	for i, d := range dims {
+		switch {
+		case d == 0:
+			if i >= len(s) {
+				return nil, fmt.Errorf("dim 0 at position %d exceeds input rank %d", i, len(s))
+			}
+			d = s[i]
+		case d == -1:
+			if infer >= 0 {
+				return nil, fmt.Errorf("reshape with multiple -1 dims %v", dims)
+			}
+			infer = i
+			continue
+		case d < 0:
+			return nil, fmt.Errorf("reshape with negative dim %v", dims)
+		}
+		out[i] = d
+		known *= d
+	}
+	n := s.Numel()
+	if infer >= 0 {
+		if known == 0 || n%known != 0 {
+			return nil, fmt.Errorf("cannot infer reshape %v from %d elements", dims, n)
+		}
+		out[infer] = n / known
+	} else if known != n {
+		return nil, fmt.Errorf("reshape %v incompatible with %d elements", dims, n)
+	}
+	return out, nil
 }
 
 // flattenK collapses dimensions into a 2-D matrix at attribute "axis"

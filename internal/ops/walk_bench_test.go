@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/tensor"
@@ -22,7 +23,7 @@ var allocCases = []allocCase{
 	{"Concat", Attrs{"axis": 1}, []tensor.Shape{{1, 64, 25, 25}, {1, 96, 25, 25}}, 5},
 	{"Split", Attrs{"axis": 2, "num": 3}, []tensor.Shape{{1, 16, 96}}, 11},
 	{"ReduceMean", Attrs{"axes": []int{-1}}, []tensor.Shape{{1, 16, 64}}, 10},
-	{"MatMul", nil, []tensor.Shape{{1, 4, 16, 8}, {1, 4, 8, 16}}, 10},
+	{"MatMul", nil, []tensor.Shape{{1, 4, 16, 8}, {1, 4, 8, 16}}, 3},
 	{"AveragePool", Attrs{"kernel_shape": []int{3, 3}, "strides": []int{1, 1}, "pads": []int{1, 1, 1, 1}},
 		[]tensor.Shape{{1, 64, 28, 28}}, 5},
 	{"MaxPool", Attrs{"kernel_shape": []int{3, 3}, "strides": []int{2, 2}, "pads": []int{1, 1, 1, 1}},
@@ -31,6 +32,11 @@ var allocCases = []allocCase{
 	{"LayerNormalization", Attrs{"axis": -1}, []tensor.Shape{{1, 16, 64}, {64}, {64}}, 5},
 	{"Softmax", Attrs{"axis": -1}, []tensor.Shape{{1, 4, 16, 16}}, 5},
 	{"FusedElementwise", geluStages, []tensor.Shape{{1, 16, 64}, {}, {}, {1, 16, 64}, {}}, 4},
+	// BERT's attention scores, reading Q and Kᵀ through views of the
+	// [1,16,32] projections.
+	{"MatMul", Attrs{AttrViewADims: []int{1, 16, 4, 8}, AttrViewAPerm: []int{0, 2, 1, 3},
+		AttrViewBDims: []int{1, 16, 4, 8}, AttrViewBPerm: []int{0, 2, 3, 1}},
+		[]tensor.Shape{{1, 16, 32}, {1, 16, 32}}, 3},
 }
 
 // geluStages is BERT's erf GELU, 0.5·x·(1+erf(x/√2)), as the one stage
@@ -109,9 +115,23 @@ func BenchmarkAveragePoolInception(b *testing.B) { benchCase(b, 7) }
 // [1,64,56,56].
 func BenchmarkMaxPoolInception(b *testing.B) { benchCase(b, 8) }
 
+// BenchmarkLayerNormBERT is BERT's LayerNormalization over [1,16,64], at
+// one and two intra-op threads.
+func BenchmarkLayerNormBERT(b *testing.B) {
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("intra%d", threads), func(b *testing.B) {
+			tensor.WithIntraOpThreads(threads, func() { benchCase(b, 10) })
+		})
+	}
+}
+
 // BenchmarkSoftmaxBERT is BERT's attention softmax, [1,4,16,16] along the
 // last axis.
 func BenchmarkSoftmaxBERT(b *testing.B) { benchCase(b, 11) }
 
 // BenchmarkGELUBERT is BERT's GELU on [1,16,64] as one fused sweep.
 func BenchmarkGELUBERT(b *testing.B) { benchCase(b, 12) }
+
+// BenchmarkMatMulViewsBERT is BERT's Q·Kᵀ attention scores read through
+// the head-split views.
+func BenchmarkMatMulViewsBERT(b *testing.B) { benchCase(b, 13) }

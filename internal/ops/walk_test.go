@@ -639,9 +639,11 @@ func (f *fuzzBytes) next() int {
 // of range included) and a broadcast partner, then into a pooling case:
 // the op, an NCHW input with NaN, ±Inf and ±0 among its values, a window
 // of 1 to 5 by 1 to 5 taps, strides of 1 to 3, pads of up to two more than
-// the window and count_include_pad. Transpose, Slice, Add in both operand
-// orders and the pooling op must not panic, and must match the references
-// bit for bit (the pooling op also in its errors).
+// the window and count_include_pad, and last into a MatMul with operand
+// and output views, a bias and a Relu (drawViewCase). Transpose, Slice, Add
+// in both operand orders, the pooling op and the MatMul must not panic,
+// and must match the references bit for bit (the pooling op also in its
+// errors, the MatMul the Reshape/Transpose chain it stands for).
 func FuzzStridedOps(f *testing.F) {
 	f.Add([]byte{4, 1, 16, 4, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
 	f.Add([]byte{3, 2, 0, 5, 1, 1, 0xfe, 0xff, 7, 2, 0, 0x41})
@@ -718,5 +720,8 @@ func FuzzStridedOps(f *testing.F) {
 		}
 		pc := poolCase{op, attrs, []*tensor.Tensor{poolInput(rand.New(rand.NewSource(int64(len(data)))), n, c, h, w)}}
 		checkPool(t, pc, nil)
+
+		vc := drawViewCase(func(n int) int { return in.next() % n }, tensor.NewRNG(uint64(len(data))))
+		vc.check(t, vc.chain(t), tensor.NewArena())
 	})
 }

@@ -1,5 +1,5 @@
 // Graph-level operator fusion: the compile-time half of the fusion layer.
-// Three rewrites run in sequence (Fuse), each semantics-preserving:
+// Five rewrites run in sequence (Fuse), each semantics-preserving:
 //
 //  1. FoldBatchNorms — inference-mode BatchNormalization with constant
 //     parameters following a Conv/Gemm is folded into the producer's
@@ -7,12 +7,18 @@
 //     weights are fresh initializers, so they compose with the prepack
 //     pass (packed once at Compile) and never mutate tensors shared with
 //     the caller's graph.
-//  2. AttachEpilogues — a Relu/LeakyRelu/Clip whose only producer is a
+//  2. FoldBiases — Add(MatMul(x, W), b) with a constant [N] bias becomes a
+//     MatMul with b as a third input, added in the GEMM writeback
+//     (gemm_fold.go).
+//  3. FoldViews — Reshape→Transpose chains into a MatMul operand and
+//     Transpose→Reshape chains out of its output become views the kernel
+//     addresses through strides, so the chains' copies disappear.
+//  4. AttachEpilogues — a Relu/LeakyRelu/Clip whose only producer is a
 //     Conv/Gemm/MatMul is absorbed into the producer as a writeback
 //     epilogue (ops.EpilogueAttrs): the kernel applies it while each
 //     output tile is cache-hot, so Conv→BN→Relu becomes exactly one
 //     kernel invocation.
-//  3. FuseElementwise — remaining chains of elementwise ops collapse into
+//  5. FuseElementwise — remaining chains of elementwise ops collapse into
 //     single FusedElementwise nodes executed as one specialized sweep
 //     (internal/ops/fused.go): one memory pass and one node where there
 //     were k of each.
@@ -36,6 +42,11 @@ import (
 type FusionReport struct {
 	// BNFolded counts BatchNormalization nodes folded into their producer.
 	BNFolded int
+	// Biases counts bias Adds absorbed into MatMuls.
+	Biases int
+	// ViewNodes counts Transpose and Reshape nodes folded into MatMul
+	// views.
+	ViewNodes int
 	// Epilogues counts activations absorbed into GEMM-shaped kernels.
 	Epilogues int
 	// Chains counts FusedElementwise nodes created.
@@ -46,7 +57,7 @@ type FusionReport struct {
 
 // NodesRemoved is the net node-count reduction of the run.
 func (r FusionReport) NodesRemoved() int {
-	return r.BNFolded + r.Epilogues + r.ChainNodes - r.Chains
+	return r.BNFolded + r.Biases + r.ViewNodes + r.Epilogues + r.ChainNodes - r.Chains
 }
 
 // Any reports whether the run changed the graph.
@@ -57,6 +68,12 @@ func Fuse(g *graph.Graph) (FusionReport, error) {
 	rep := FusionReport{}
 	var err error
 	if rep.BNFolded, err = FoldBatchNorms(g); err != nil {
+		return rep, err
+	}
+	if rep.Biases, err = FoldBiases(g); err != nil {
+		return rep, err
+	}
+	if rep.ViewNodes, err = FoldViews(g); err != nil {
 		return rep, err
 	}
 	if rep.Epilogues, err = AttachEpilogues(g); err != nil {

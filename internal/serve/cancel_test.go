@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -36,18 +37,15 @@ func TestInferCancelAbortsInFlightRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One uncancelled request, timed, as the completion reference.
-	start := time.Now()
-	if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-		t.Fatal(err)
-	}
-	full := time.Since(start)
-
 	cancelled := false
 	for attempt := 0; attempt < 25 && !cancelled; attempt++ {
 		ctx, cancel := context.WithCancel(context.Background())
+		// Cancel once the worker has picked the run up, so the cancel
+		// lands mid-flight however long a run takes.
 		go func() {
-			time.Sleep(full / 4)
+			for s.pool.InFlight() == 0 && ctx.Err() == nil {
+				runtime.Gosched()
+			}
 			cancel()
 		}()
 		_, _, err := s.Infer(ctx, "squeezenet", feeds, true)

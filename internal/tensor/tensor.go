@@ -127,17 +127,19 @@ func (t *Tensor) Equal(o *Tensor) bool {
 	return true
 }
 
-// AllClose reports whether two tensors agree element-wise within atol+rtol*|b|.
+// AllClose reports whether two tensors agree element-wise within
+// atol+rtol*|b|. NaN matches only NaN and an infinity only the same
+// infinity, so a kernel that starts emitting either against finite values
+// fails the comparison.
 func (t *Tensor) AllClose(o *Tensor, rtol, atol float64) bool {
 	if !t.shape.Equal(o.shape) {
 		return false
 	}
 	for i := range t.data {
 		a, b := float64(t.data[i]), float64(o.data[i])
-		if math.IsNaN(a) && math.IsNaN(b) {
-			continue
-		}
-		if math.Abs(a-b) > atol+rtol*math.Abs(b) {
+		switch {
+		case a == b, math.IsNaN(a) && math.IsNaN(b):
+		case math.IsInf(a, 0) || math.IsInf(b, 0) || !(math.Abs(a-b) <= atol+rtol*math.Abs(b)):
 			return false
 		}
 	}

@@ -182,6 +182,31 @@ func TestAllClose(t *testing.T) {
 	}
 }
 
+func TestAllCloseNonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, c := range []struct {
+		a, b float32
+		want bool
+	}{
+		{nan, nan, true},
+		{inf, inf, true},
+		{-inf, -inf, true},
+		{nan, 1, false},
+		{1, nan, false},
+		{inf, 1, false},
+		{1, inf, false},
+		{inf, -inf, false},
+		{nan, inf, false},
+		{float32(math.Copysign(0, -1)), 0, true},
+	} {
+		// Generous tolerances: only the non-finite rules may reject.
+		got := FromSlice([]float32{c.a}).AllClose(FromSlice([]float32{c.b}), 1, 1)
+		if got != c.want {
+			t.Errorf("AllClose(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
 func TestSumAndMaxAbsDiff(t *testing.T) {
 	a := FromSlice([]float32{1, -2, 3})
 	if a.Sum() != 2 {
