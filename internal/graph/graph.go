@@ -105,6 +105,19 @@ func (g *Graph) Invalidate() {
 	g.consumersIdx = nil
 }
 
+// SetOutput makes n produce value as its i-th output and moves the
+// producer index entry of the value it replaces, when the index is built,
+// so a pass that re-points outputs can go on asking Producer without a
+// rebuild. Consumer entries stay as they are: the old value's still list
+// the nodes that read it.
+func (g *Graph) SetOutput(n *Node, i int, value string) {
+	if g.producerIdx != nil {
+		delete(g.producerIdx, n.Outputs[i])
+		g.producerIdx[value] = n
+	}
+	n.Outputs[i] = value
+}
+
 // Reindex assigns dense IDs in current slice order and rebuilds the
 // producer/consumer indexes.
 func (g *Graph) Reindex() {

@@ -16,6 +16,10 @@
 // bounds-check-eliminating slice patterns is used. Both consume the same
 // packed layouts and sum in the same order; they differ only in FMA
 // rounding, which the equivalence tests bound well under 1e-4.
+//
+// The package also holds the pooling row (pool.go): MaxPool and
+// AveragePool windows, eight outputs per AVX2 instruction where the CPU
+// has it (outside race builds), bit-identical to the portable loop.
 package kernels
 
 // Blocking parameters of the GEMM core. The microkernel updates an MR×NR

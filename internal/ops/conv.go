@@ -174,25 +174,26 @@ func convDirect(x, w, bias *tensor.Tensor, a tensor.Allocator, groups, sh, sw, p
 }
 
 // pool is one MaxPool, AveragePool or GlobalAveragePool node, decoded once
-// by bindPool, so a run reads no attributes. Each window is clamped to the
-// input and reduced row by row; no tap is bounds-tested.
+// by bindPool, so a run reads no attributes. A run clamps each output
+// row's windows to the input rows and hands the row to kernels.PoolRow;
+// no tap is bounds-tested.
 type pool struct {
 	op             string
+	avg            bool // AveragePool or GlobalAveragePool, else MaxPool
 	global         bool // the window is the whole plane
 	kh, kw, sh, sw int
 	pt, pl, pb, pr int
-	area           int                                         // the divisor under count_include_pad, else 0
-	row            func(p *pool, o, rows []float32, w, kw int) // maxRow or avgRow
-	err            error                                       // an attribute error, reported when the node runs
+	area           int   // the divisor under count_include_pad, else 0
+	err            error // an attribute error, reported when the node runs
 }
 
-// bindPool binds a pooling op that reduces each output row with row;
-// GlobalAveragePool is an AveragePool whose window is the whole plane. As
-// in ONNX, strides default to 1. ceil_mode, dilations and auto_pad would
-// change the output, so only their defaults are accepted.
-func bindPool(op string, row func(p *pool, o, rows []float32, w, kw int)) binder {
+// bindPool binds a pooling op; GlobalAveragePool is an AveragePool whose
+// window is the whole plane. As in ONNX, strides default to 1 and must be
+// positive. ceil_mode, dilations and auto_pad would change the output, so
+// only their defaults are accepted.
+func bindPool(op string) binder {
 	return func(attrs Attrs, _ []*tensor.Tensor) *Bound {
-		p := &pool{op: op, global: op == "GlobalAveragePool", row: row}
+		p := &pool{op: op, avg: op != "MaxPool", global: op == "GlobalAveragePool", sh: 1, sw: 1}
 		ks := attrs.Ints("kernel_shape", nil)
 		switch {
 		case p.global:
@@ -208,6 +209,9 @@ func bindPool(op string, row func(p *pool, o, rows []float32, w, kw int)) binder
 			p.kh, p.kw = ks[0], ks[1]
 			p.sh, p.sw = strides2(attrs.Ints("strides", nil))
 			p.pt, p.pl, p.pb, p.pr = pads4(attrs.Ints("pads", nil))
+			if p.sh < 1 || p.sw < 1 {
+				p.err = argErr(op, "strides %v must be positive", attrs["strides"])
+			}
 			if attrs.Int("count_include_pad", 0) != 0 {
 				p.area = p.kh * p.kw
 			}
@@ -245,7 +249,7 @@ func (p *pool) run(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, _ bool
 			x, o := xd[i*h*w:][:h*w], od[i*oh*ow:][:oh*ow]
 			for oy := 0; oy < oh; oy++ {
 				y0, y1 := clamp(oy*p.sh-p.pt, kh, h)
-				p.row(p, o[oy*ow:][:ow], x[y0*w:y1*w], w, kw)
+				kernels.PoolRow(o[oy*ow:][:ow], x[y0*w:y1*w], w, kw, p.sw, p.pl, p.area, p.avg)
 			}
 		}
 	})
@@ -256,47 +260,6 @@ func (p *pool) run(in []*tensor.Tensor, a tensor.Allocator, _ *Prepacked, _ bool
 func clamp(at, k, n int) (lo, hi int) {
 	lo = min(max(at, 0), n)
 	return lo, max(min(at+k, n), lo)
-}
-
-const negInf = float32(-3.4028234663852886e38)
-
-// maxRow sets each o[ox] to the largest tap of its window in rows (the
-// input rows that o spans, w wide), or to -MaxFloat32 for a window wholly
-// in the padding. A NaN tap never wins.
-func (p *pool) maxRow(o, rows []float32, w, kw int) {
-	for ox := range o {
-		x0, x1 := clamp(ox*p.sw-p.pl, kw, w)
-		best := negInf
-		for r := x0; r < len(rows); r += w {
-			for _, v := range rows[r : r+x1-x0] {
-				if v > best {
-					best = v
-				}
-			}
-		}
-		o[ox] = best
-	}
-}
-
-// avgRow sets each o[ox] to the sum of its window's taps in rows divided
-// by p.area, or when that is 0 by the number of taps (1 when none).
-func (p *pool) avgRow(o, rows []float32, w, kw int) {
-	for ox := range o {
-		x0, x1 := clamp(ox*p.sw-p.pl, kw, w)
-		var sum float32
-		taps := 0
-		for r := x0; r < len(rows); r += w {
-			for _, v := range rows[r : r+x1-x0] {
-				sum += v
-			}
-			taps += x1 - x0
-		}
-		div := p.area
-		if div == 0 {
-			div = max(taps, 1)
-		}
-		o[ox] = sum / float32(div)
-	}
 }
 
 // fill sets every element of s to v by doubling copies, so the work runs

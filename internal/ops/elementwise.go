@@ -387,7 +387,7 @@ func softmaxK(in []*tensor.Tensor, attrs Attrs, a2 tensor.Allocator) ([]*tensor.
 // lowest finite float32 and NaN never raises it, so a row holding NaN or
 // +Inf gives NaN, and a row of only -Inf sums to 0 and keeps its zeros.
 func softmaxRow(dst, x []float32, stride int) {
-	m := negInf
+	m := float32(-math.MaxFloat32)
 	for a := 0; a < len(x); a += stride {
 		if v := x[a]; v > m {
 			m = v

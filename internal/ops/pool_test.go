@@ -273,6 +273,9 @@ func TestPoolFollowsONNXDefaults(t *testing.T) {
 			{"auto_pad", "NOTSET", true},
 			{"auto_pad", "SAME_UPPER", false},
 			{"auto_pad", "VALID", false},
+			{"strides", []int{1, 1}, true},
+			{"strides", []int{0, 1}, false},
+			{"strides", []int{2, -1}, false},
 		} {
 			attrs := window.Clone()
 			attrs[c.name] = c.value

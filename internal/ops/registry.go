@@ -63,9 +63,9 @@ var (
 	regMu    sync.RWMutex
 	registry = map[string]binder{
 		"Conv":               packed("Conv", convK),
-		"MaxPool":            bindPool("MaxPool", (*pool).maxRow),
-		"AveragePool":        bindPool("AveragePool", (*pool).avgRow),
-		"GlobalAveragePool":  bindPool("GlobalAveragePool", (*pool).avgRow),
+		"MaxPool":            bindPool("MaxPool"),
+		"AveragePool":        bindPool("AveragePool"),
+		"GlobalAveragePool":  bindPool("GlobalAveragePool"),
 		"MatMul":             bindMatMul,
 		"Gemm":               packed("Gemm", gemmK),
 		"FusedElementwise":   bindFused,

@@ -37,6 +37,12 @@ var allocCases = []allocCase{
 	{"MatMul", Attrs{AttrViewADims: []int{1, 16, 4, 8}, AttrViewAPerm: []int{0, 2, 1, 3},
 		AttrViewBDims: []int{1, 16, 4, 8}, AttrViewBPerm: []int{0, 2, 3, 1}},
 		[]tensor.Shape{{1, 16, 32}, {1, 16, 32}}, 3},
+	// squeezenet's first MaxPool at 224 px, and one of yolo_v5's SPPF
+	// MaxPools at 640 px.
+	{"MaxPool", Attrs{"kernel_shape": []int{3, 3}, "strides": []int{2, 2}, "pads": []int{1, 1, 1, 1}},
+		[]tensor.Shape{{1, 16, 112, 112}}, 5},
+	{"MaxPool", Attrs{"kernel_shape": []int{5, 5}, "strides": []int{1, 1}, "pads": []int{2, 2, 2, 2}},
+		[]tensor.Shape{{1, 16, 20, 20}}, 5},
 }
 
 // geluStages is BERT's erf GELU, 0.5·x·(1+erf(x/√2)), as the one stage
@@ -114,6 +120,14 @@ func BenchmarkAveragePoolInception(b *testing.B) { benchCase(b, 7) }
 // BenchmarkMaxPoolInception is inception's 3x3 stride-2 padded MaxPool on
 // [1,64,56,56].
 func BenchmarkMaxPoolInception(b *testing.B) { benchCase(b, 8) }
+
+// BenchmarkMaxPoolSqueezenet is squeezenet's 3x3 stride-2 padded MaxPool
+// on [1,16,112,112], the largest pool of a 224 px run.
+func BenchmarkMaxPoolSqueezenet(b *testing.B) { benchCase(b, 14) }
+
+// BenchmarkMaxPoolYolo is yolo_v5's 5x5 stride-1 padded SPPF MaxPool on
+// [1,16,20,20], its shape at 640 px.
+func BenchmarkMaxPoolYolo(b *testing.B) { benchCase(b, 15) }
 
 // BenchmarkLayerNormBERT is BERT's LayerNormalization over [1,16,64], at
 // one and two intra-op threads.

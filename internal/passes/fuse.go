@@ -130,6 +130,12 @@ func soleConsumerEdge(g *graph.Graph, p *graph.Node) *graph.Node {
 // the producer's output has the BN as sole consumer, the BN's four
 // parameters and the producer's weights (and bias, if any) are constant
 // initializers not overridable by feeds, and channel counts line up.
+//
+// Like FoldBiases, it rebuilds the graph's index once, at the end. A fold
+// moves the BN's output to the producer through SetOutput, so a second BN
+// after the first one finds the Conv as its producer and folds too; every
+// other stale entry names a removed BN or a parameter only a removed BN
+// read.
 func FoldBatchNorms(g *graph.Graph) (int, error) {
 	folded := 0
 	removed := map[*graph.Node]bool{}
@@ -179,10 +185,9 @@ func FoldBatchNorms(g *graph.Graph) (int, error) {
 		if !did {
 			continue
 		}
-		p.Outputs[0] = bn.Outputs[0]
+		g.SetOutput(p, 0, bn.Outputs[0])
 		removed[bn] = true
 		folded++
-		g.Invalidate()
 	}
 	if folded > 0 {
 		g.RemoveNodes(func(n *graph.Node) bool { return removed[n] })
@@ -362,7 +367,10 @@ var epilogueHosts = map[string]bool{"Conv": true, "Gemm": true, "MatMul": true}
 
 // AttachEpilogues absorbs each Relu/LeakyRelu/Clip whose sole producer is
 // a Conv/Gemm/MatMul into that producer as writeback-epilogue attributes,
-// removing the activation node. Returns the number absorbed.
+// removing the activation node. Returns the number absorbed. It rebuilds
+// the graph's index once, at the end: a host is visited once and carries
+// an epilogue after, and the only stale entry, the host's old output,
+// names a value only the removed activation read.
 func AttachEpilogues(g *graph.Graph) (int, error) {
 	count := 0
 	removed := map[*graph.Node]bool{}
@@ -384,10 +392,9 @@ func AttachEpilogues(g *graph.Graph) (int, error) {
 		for k, v := range epi {
 			n.Attrs[k] = v
 		}
-		n.Outputs[0] = c.Outputs[0]
+		g.SetOutput(n, 0, c.Outputs[0])
 		removed[c] = true
 		count++
-		g.Invalidate()
 	}
 	if count > 0 {
 		g.RemoveNodes(func(n *graph.Node) bool { return removed[n] })
@@ -438,6 +445,10 @@ func chainNext(g *graph.Graph, cur *graph.Node, taken map[*graph.Node]bool) (nex
 // node input; shape compatibility is resolved at run time by the kernel,
 // which falls back to stage-wise broadcasting when an extra genuinely
 // broadcasts. Returns the chain count and the total nodes collapsed.
+//
+// It rebuilds the graph's index once, at the end. A stale consumer entry
+// names a chain member where the fused head now reads the same operand, as
+// many times; both are taken, so a later chain stops at either alike.
 func FuseElementwise(g *graph.Graph) (chains, nodes int, err error) {
 	order, err := g.TopoSort()
 	if err != nil {
@@ -490,13 +501,12 @@ func FuseElementwise(g *graph.Graph) (chains, nodes int, err error) {
 		head.OpType = "FusedElementwise"
 		head.Attrs = attrs
 		head.Inputs = inputs
-		head.Outputs = []string{tail.Outputs[0]}
+		g.SetOutput(head, 0, tail.Outputs[0])
 		for _, n := range chain[1:] {
 			removed[n] = true
 		}
 		chains++
 		nodes += len(chain)
-		g.Invalidate()
 	}
 	if chains > 0 {
 		g.RemoveNodes(func(n *graph.Node) bool { return removed[n] })

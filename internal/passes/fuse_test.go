@@ -78,6 +78,35 @@ func TestFuseConvBNReluToOneNode(t *testing.T) {
 	}
 }
 
+// TestFoldBatchNormChain folds Conv→BN→BN→Relu to one Conv: the pass
+// rebuilds its index only at the end, so the second BN must still find the
+// Conv as its producer once the first has folded into it.
+func TestFoldBatchNormChain(t *testing.T) {
+	g := convBNReluGraph()
+	bn := g.NodeByName("bn")
+	bn.Outputs[0] = "t1b"
+	g.AddNode("bn2", "BatchNormalization", []string{"t1b", "s", "m", "b", "v"}, []string{"t2"}, nil)
+	feeds := feedsFor(g, 3)
+	want, err := exec.RunSequential(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fuse(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.BNFolded != 2 || rep.Epilogues != 1 || len(g.Nodes) != 1 {
+		t.Fatalf("report %+v and %d nodes, want 2 BN folds, 1 epilogue, 1 node", rep, len(g.Nodes))
+	}
+	got, err := exec.RunSequential(g, feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got["out"].AllClose(want["out"], 1e-5, 1e-6) {
+		t.Fatalf("fused output diverges: max diff %v", got["out"].MaxAbsDiff(want["out"]))
+	}
+}
+
 func TestFoldBatchNormIntoGemm(t *testing.T) {
 	r := tensor.NewRNG(7)
 	for _, tc := range []struct {
