@@ -16,8 +16,8 @@ import (
 )
 
 // benchOpts keeps the per-iteration cost of the table regenerators modest:
-// small images and a single measurement rep.
-var benchOpts = bench.Opts{ImageSize: 32, Reps: 1, Cores: 12}
+// small images and a single timed pair per speedup.
+var benchOpts = bench.Opts{ImageSize: 32, Reps: 1}
 
 // runTable is the common driver: regenerate the table/figure b.N times and
 // report its size so the benchmark has a visible unit of work.

@@ -1,6 +1,8 @@
 // Command benchtab regenerates the paper's evaluation tables and figures
 // (Tables I–VIII, Figs. 12–14) plus the design ablations, printing each next
-// to the published numbers.
+// to the published numbers. Runtime cells are wall-clock times measured on
+// this host: each speedup is the median of alternating one-lane/lanes
+// pairs of warm runs, with outputs checked against the sequential run.
 //
 // Usage:
 //
@@ -8,14 +10,13 @@
 //	benchtab -table 4            # one table
 //	benchtab -fig 13             # one figure
 //	benchtab -ablations          # ablation studies only
-//	benchtab -img 96 -cores 12   # harness parameters
+//	benchtab -img 96 -reps 5     # harness parameters
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/internal/bench"
 )
@@ -27,11 +28,10 @@ func main() {
 	fig := flag.Int("fig", 0, "regenerate one figure (12-14); 0 = all")
 	ablations := flag.Bool("ablations", false, "run only the ablation studies")
 	img := flag.Int("img", 64, "image size for vision models")
-	reps := flag.Int("reps", 2, "measurement repetitions")
-	cores := flag.Int("cores", 12, "simulated core count")
+	reps := flag.Int("reps", 7, "timed one-lane/lanes pairs per measured speedup")
 	flag.Parse()
 
-	opts := bench.Opts{ImageSize: *img, Reps: *reps, Cores: *cores}
+	opts := bench.Opts{ImageSize: *img, Reps: *reps}
 
 	type job struct {
 		name string
@@ -73,8 +73,7 @@ func main() {
 	for _, j := range jobs {
 		out, err := j.fn(opts)
 		if err != nil {
-			log.Printf("%s failed: %v", j.name, err)
-			os.Exit(1)
+			log.Fatalf("%s failed: %v", j.name, err)
 		}
 		fmt.Println(out)
 	}

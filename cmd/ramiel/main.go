@@ -1,7 +1,9 @@
 // Command ramiel is the end-to-end tool of Section IV: it ingests a model
 // (from the built-in zoo or an ONNX-subset file), runs the optimization and
-// clustering pipeline, and then executes, simulates, generates parallel Go
-// code, or dumps reports, depending on flags.
+// clustering pipeline, and then executes (timing the lane plan against a
+// one-lane plan on this host), generates parallel Go code, or dumps reports
+// (metrics, clusters, the static-model simulation, the memory plan),
+// depending on flags.
 //
 // Examples:
 //
@@ -49,7 +51,7 @@ func main() {
 
 	run := flag.Bool("run", false, "execute parallel + sequential and verify")
 	arena := flag.Bool("arena", true, "use arena-backed tensor memory for -run")
-	report := flag.Bool("report", false, "print metrics, clusters and simulation")
+	report := flag.Bool("report", false, "print metrics, clusters, the static-model simulation and the memory plan")
 	timelineOut := flag.String("timeline", "", "with -run: write the timed run's execution timeline as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	calibrate := flag.Bool("calibrate", false, "run calibration reps and report measured op cost vs the static model")
 	calibrateReps := flag.Int("calibrate-reps", 5, "parallel executions to accumulate for -calibrate")
@@ -212,20 +214,16 @@ func printReport(prog *ramiel.Program) {
 	}
 	fmt.Printf("  static-model simulation: %.2fx speedup over sequential\n", sim.Speedup())
 
-	// Measured-cost simulation of the paper's 12-core setup.
-	feeds := ramiel.RandomInputs(prog.Graph, 1)
-	mm, err := exec.MeasureCosts(prog.Graph, feeds, 1, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Static memory plan: liveness-driven release schedule and peak forecast
-	// (sizes were recorded during the measurement run above, since shapes
-	// are not statically inferable in this IR).
+	// (sizes come from one sequential sizing run, since shapes are not
+	// statically inferable in this IR).
 	if mp := prog.MemoryPlan(); mp != nil {
 		ms := mp.Summary()
 		fmt.Printf("  memory plan: %d managed values (%d dead on arrival)\n", ms.Managed, ms.ZeroUse)
-		est := mp.EstimateWithScratch(mm.ValueNumel, mm.ScratchNumel)
+		est, err := prog.MemoryEstimate()
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  memory estimate: peak live %s, unreused total %s\n",
 			fmtBytes(est.PeakLiveBytes), fmtBytes(est.TotalBytes))
 		if est.ScratchBytes > 0 {
@@ -237,14 +235,6 @@ func printReport(prog *ramiel.Program) {
 		fmt.Printf("  prepacked weights: %d nodes, %s packed at compile time\n",
 			nodes, fmtBytes(bytes))
 	}
-
-	mm.PaperEquivalentQueues()
-	res, err := exec.Simulate(prog.Plan, mm)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("  measured-cost simulation (12-core, paper-equivalent queues): seq %.2fms, par %.2fms, %.2fx\n",
-		res.TotalWork/1000, res.Makespan/1000, res.Speedup())
 }
 
 func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) error {

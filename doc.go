@@ -33,6 +33,10 @@
 // cancellation and deadlines abort an in-flight run cooperatively between
 // operator kernels, with no goroutine leaks and the arena left reusable.
 //
+// MeasureSpeedup times a program against a one-lane plan of a baseline on
+// this host, with outputs checked against the sequential run: the paper's
+// headline metric, and the source of every runtime cell cmd/benchtab prints.
+//
 // A Session serves one goroutine; the compiled Program underneath is safe
 // to share — any number of Sessions may run it concurrently (the serving
 // invariant; see the Plan concurrency contract in internal/exec).

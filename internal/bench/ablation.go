@@ -5,34 +5,28 @@ import (
 
 	ramiel "repro"
 	"repro/internal/cost"
-	"repro/internal/exec"
 	"repro/internal/models"
 )
 
 // AblationMerge quantifies the cluster-merging pass (DESIGN.md ablation 1):
-// simulated makespan and message counts with and without Algorithms 2-3.
+// measured speedup and cross-lane message counts with and without
+// Algorithms 2-3.
 func AblationMerge(opts Opts) (string, error) {
-	h := newHarness(opts)
 	t := &tb{}
-	t.title("Ablation — Cluster merging on/off")
+	t.title("Ablation — Cluster merging on/off, " + measured(opts))
 	t.row("%-13s %10s %10s | %10s %10s | %9s %9s", "Model",
 		"ClusNoMrg", "ClusMerged", "SpdNoMrg", "SpdMerged", "XEdgeNoM", "XEdgeMrg")
 	for _, name := range models.TableOrder {
-		c, err := h.model(name)
+		c, err := model(name, opts)
 		if err != nil {
 			return "", err
 		}
-		noRes, err := exec.Simulate(c.lcNoMrg.Plan, c.measured)
+		sp, err := speedups(opts, c.lc, c.lcNoMrg, c.lc)
 		if err != nil {
-			return "", err
-		}
-		mrgRes, err := exec.Simulate(c.lc.Plan, c.measured)
-		if err != nil {
-			return "", err
+			return "", fmt.Errorf("%s: %w", name, err)
 		}
 		t.row("%-13s %10d %10d | %9.2fx %9.2fx | %9d %9d", name,
-			c.lcNoMrg.NumClusters(), c.lc.NumClusters(),
-			noRes.Speedup(), mrgRes.Speedup(),
+			c.lcNoMrg.NumClusters(), c.lc.NumClusters(), sp[0], sp[1],
 			c.lcNoMrg.Clustering.CrossEdges(), c.lc.Clustering.CrossEdges())
 	}
 	return t.String(), nil
@@ -68,14 +62,14 @@ func AblationEdgeCost(opts Opts) (string, error) {
 }
 
 // AblationCloneThreshold sweeps the cloning cost bound (DESIGN.md ablation
-// 4): clones made and simulated speedup per threshold.
+// 4): clones made and measured speedup per threshold, against the
+// un-cloned program's one-lane run.
 func AblationCloneThreshold(opts Opts) (string, error) {
-	h := newHarness(opts)
 	t := &tb{}
-	t.title("Ablation — Cloning cost threshold")
+	t.title("Ablation — Cloning cost threshold, " + measured(opts))
 	t.row("%-13s | %22s %22s %22s", "Model", "cone<=10", "cone<=40", "cone<=120")
 	for _, name := range []string{"squeezenet", "googlenet", "inception_v3"} {
-		c, err := h.model(name)
+		c, err := model(name, opts)
 		if err != nil {
 			return "", err
 		}
@@ -86,24 +80,13 @@ func AblationCloneThreshold(opts Opts) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			feeds := models.RandomInputs(prog.Graph, 1)
-			mm, err := exec.MeasureCosts(prog.Graph, feeds, 1, 0)
+			sp, err := ramiel.MeasureSpeedup(prog, c.lc, opts.Reps)
 			if err != nil {
-				return "", err
+				return "", fmt.Errorf("%s: %w", name, err)
 			}
-			mm.PaperEquivalentQueues()
-			res, err := exec.Simulate(prog.Plan, mm)
-			if err != nil {
-				return "", err
-			}
-			sp := c.measured.TotalMicros() / res.Makespan
-			cells = append(cells, cellFmt(prog.CloneReport.AddedNodes, sp))
+			cells = append(cells, fmt.Sprintf("%d clones, %.2fx", prog.CloneReport.AddedNodes, sp.X()))
 		}
 		t.row("%-13s | %22s %22s %22s", name, cells[0], cells[1], cells[2])
 	}
 	return t.String(), nil
-}
-
-func cellFmt(clones int, sp float64) string {
-	return fmt.Sprintf("%d clones, %.2fx", clones, sp)
 }

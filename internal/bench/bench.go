@@ -1,133 +1,93 @@
 // Package bench regenerates every table and figure of the paper's
-// evaluation section (Tables I–VIII, Figs. 12–14) against this
-// reproduction. Each regenerator prints the same rows/series the paper
-// reports, side by side with the published numbers.
+// evaluation section (Tables I–VIII, Figs. 12–14) and the design ablations
+// against this reproduction. Each regenerator prints the same rows/series
+// the paper reports, side by side with the published numbers; DESIGN.md's
+// experiment index lists them.
 //
-// Measurement methodology (documented in EXPERIMENTS.md): the reproduction
-// host may have a single core, while the paper used a 12-core Xeon. Runtime
-// tables therefore use real measured per-node kernel durations replayed
-// through a deterministic discrete-event simulator of a 12-core machine
-// with paper-equivalent (Python-process-queue) message costs; wall-clock
-// parallel runs remain available through cmd/ramiel -run for hosts with
-// real cores.
+// Tables I–III and the edge-cost ablation are static: node counts, cluster
+// counts and the cost model's parallelism factor. Every runtime cell is
+// measured: ramiel.MeasureSpeedup times a program against a one-lane plan
+// on this host, in alternating pairs of warm runs, after checking the
+// outputs against the sequential reference. The paper used a 12-core Xeon,
+// so the measured speedups are bounded by this host's core count, which
+// every runtime table prints in its title.
 package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
-	"sync"
 
 	ramiel "repro"
-	"repro/internal/exec"
 )
 
 // Opts bundles the harness parameters.
 type Opts struct {
 	// ImageSize for vision models (the paper uses full-size inputs; the
-	// reproduction scales down, default 64).
+	// reproduction scales down, cmd/benchtab's default is 64).
 	ImageSize int
-	// Reps is the number of measurement repetitions per node.
+	// Reps is the number of timed one-lane/lanes pairs per measurement.
 	Reps int
-	// Cores is the simulated machine's core count (paper: 12).
-	Cores int
 }
 
-// Default returns the options used by cmd/benchtab.
-func Default() Opts {
-	return Opts{ImageSize: 64, Reps: 2, Cores: 12}
-}
-
-// modelCtx caches everything the tables need per model.
+// modelCtx holds one model's graph and its compiled table variants.
 type modelCtx struct {
-	name string
-	g    *ramiel.Graph
+	g *ramiel.Graph
 
-	lc       *ramiel.Program // plain linear clustering
-	lcNoMrg  *ramiel.Program // merge ablation
-	pruned   *ramiel.Program // LC + const-prop + DCE
-	cloned   *ramiel.Program // LC + cloning
-	best     *ramiel.Program // LC + prune + clone
-	measured *exec.MeasuredModel
-	prMeas   *exec.MeasuredModel // measured on the pruned graph
-	clMeas   *exec.MeasuredModel // measured on the cloned graph
-	bestMeas *exec.MeasuredModel
+	lc      *ramiel.Program // plain linear clustering
+	lcNoMrg *ramiel.Program // merge ablation
+	pruned  *ramiel.Program // LC + const-prop + DCE
+	cloned  *ramiel.Program // LC + cloning
+	best    *ramiel.Program // LC + prune + clone
 }
 
-// harness lazily builds and caches model contexts.
-type harness struct {
-	opts Opts
-	mu   sync.Mutex
-	ctx  map[string]*modelCtx
-}
-
-func newHarness(opts Opts) *harness {
-	return &harness{opts: opts, ctx: map[string]*modelCtx{}}
-}
-
-func (h *harness) model(name string) (*modelCtx, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if c, ok := h.ctx[name]; ok {
-		return c, nil
-	}
-	g, err := ramiel.BuildModel(name, ramiel.ModelConfig{ImageSize: h.opts.ImageSize})
+// model builds a zoo model and compiles its table variants.
+func model(name string, opts Opts) (*modelCtx, error) {
+	g, err := ramiel.BuildModel(name, ramiel.ModelConfig{ImageSize: opts.ImageSize})
 	if err != nil {
 		return nil, err
 	}
-	c := &modelCtx{name: name, g: g}
+	c := &modelCtx{g: g}
 
 	// The paper's pipeline has no operator-fusion pass; compiling the
 	// table variants WithoutFusion keeps node counts, op granularity and
 	// the Table I parallelism factors comparable to the published numbers.
 	// (Fusion stays on by default everywhere else — it is a serving-side
 	// optimization layered on top of the reproduction.)
-	if c.lc, err = ramiel.Compile(g, ramiel.WithoutFusion()); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if c.lcNoMrg, err = ramiel.Compile(g, ramiel.WithoutMerge(), ramiel.WithoutFusion()); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if c.pruned, err = ramiel.Compile(g, ramiel.WithPrune(), ramiel.WithoutFusion()); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if c.cloned, err = ramiel.Compile(g, ramiel.WithClone(), ramiel.WithoutFusion()); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	if c.best, err = ramiel.Compile(g, ramiel.WithPrune(), ramiel.WithClone(), ramiel.WithoutFusion()); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-
-	measure := func(p *ramiel.Program) (*exec.MeasuredModel, error) {
-		feeds := ramiel.RandomInputs(p.Graph, 1)
-		mm, err := exec.MeasureCosts(p.Graph, feeds, h.opts.Reps, 0)
-		if err != nil {
-			return nil, err
+	for _, v := range []struct {
+		dst  **ramiel.Program
+		opts []ramiel.CompileOption
+	}{
+		{&c.lc, nil},
+		{&c.lcNoMrg, []ramiel.CompileOption{ramiel.WithoutMerge()}},
+		{&c.pruned, []ramiel.CompileOption{ramiel.WithPrune()}},
+		{&c.cloned, []ramiel.CompileOption{ramiel.WithClone()}},
+		{&c.best, []ramiel.CompileOption{ramiel.WithPrune(), ramiel.WithClone()}},
+	} {
+		if *v.dst, err = ramiel.Compile(g, append(v.opts, ramiel.WithoutFusion())...); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
-		return mm.PaperEquivalentQueues(), nil
 	}
-	if c.measured, err = measure(c.lc); err != nil {
-		return nil, fmt.Errorf("%s: measure: %w", name, err)
-	}
-	if c.prMeas, err = measure(c.pruned); err != nil {
-		return nil, fmt.Errorf("%s: measure pruned: %w", name, err)
-	}
-	if c.clMeas, err = measure(c.cloned); err != nil {
-		return nil, fmt.Errorf("%s: measure cloned: %w", name, err)
-	}
-	if c.bestMeas, err = measure(c.best); err != nil {
-		return nil, fmt.Errorf("%s: measure best: %w", name, err)
-	}
-	h.ctx[name] = c
 	return c, nil
 }
 
-// simSpeedup runs the DES for a program against a measured model.
-func simSpeedup(p *ramiel.Program, mm *exec.MeasuredModel) (seqMs, parMs, speedup float64, err error) {
-	res, err := exec.Simulate(p.Plan, mm)
-	if err != nil {
-		return 0, 0, 0, err
+// speedups measures each program against base's one-lane run and returns
+// the factors in order.
+func speedups(opts Opts, base *ramiel.Program, progs ...*ramiel.Program) ([]float64, error) {
+	xs := make([]float64, len(progs))
+	for i, p := range progs {
+		sp, err := ramiel.MeasureSpeedup(p, base, opts.Reps)
+		if err != nil {
+			return nil, err
+		}
+		xs[i] = sp.X()
 	}
-	return res.TotalWork / 1000, res.Makespan / 1000, res.Speedup(), nil
+	return xs, nil
+}
+
+// measured is the title suffix of every runtime table.
+func measured(opts Opts) string {
+	return fmt.Sprintf("measured on this host (%d cores), medians of %d pairs", runtime.NumCPU(), max(opts.Reps, 1))
 }
 
 // tb is a minimal text-table builder.

@@ -21,23 +21,6 @@ type Model interface {
 	EdgeCost() float64
 }
 
-// EdgeCoster is an optional refinement of Model: per-dependence message
-// costs that depend on the communicating nodes (e.g. on the shipped tensor
-// size). Schedulers and simulators prefer it over the flat EdgeCost when
-// the model implements it.
-type EdgeCoster interface {
-	EdgeCostBetween(pred, succ *graph.Node) float64
-}
-
-// EdgeCostOf returns the model's cost for the dependence pred→succ, using
-// EdgeCoster when available and the flat EdgeCost otherwise.
-func EdgeCostOf(m Model, pred, succ *graph.Node) float64 {
-	if ec, ok := m.(EdgeCoster); ok {
-		return ec.EdgeCostBetween(pred, succ)
-	}
-	return m.EdgeCost()
-}
-
 // StaticModel is the paper's table of per-op weights. The zero value is NOT
 // usable; construct with DefaultModel.
 type StaticModel struct {

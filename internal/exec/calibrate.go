@@ -158,7 +158,7 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 	cal.Worst = worst
 	cal.Measured = &MeasuredModel{
 		ByName:  byName,
-		Edge:    3, // the MeasureCosts default channel-handoff estimate
+		Edge:    handoffMicros,
 		Default: sumUs / float64(len(nodes)),
 	}
 	return cal

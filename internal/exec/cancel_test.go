@@ -49,7 +49,7 @@ func TestExecuteCancelledBeforeStart(t *testing.T) {
 	if _, err := RunSequentialCtx(ctx, g, feeds); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunSequentialCtx on cancelled ctx did not return Canceled")
 	}
-	if _, err := MeasureCostsCtx(ctx, g, feeds, 1, 0); !errors.Is(err, context.Canceled) {
+	if _, err := MeasureCostsCtx(ctx, g, feeds, 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("MeasureCostsCtx on cancelled ctx did not return Canceled")
 	}
 }

@@ -135,7 +135,7 @@ func TestPrepackSkipsFeedableInitializers(t *testing.T) {
 // kernel scratch sizes the memory planner consumes.
 func TestMeasureCostsRecordsScratch(t *testing.T) {
 	g, feeds := gemmGraph()
-	mm, err := MeasureCosts(g, feeds, 1, 0)
+	mm, err := MeasureCosts(g, feeds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

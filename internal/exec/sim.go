@@ -10,10 +10,9 @@ import (
 // Simulate computes the deterministic makespan of a plan under the static
 // cost model: each lane is a core executing its nodes in order; a node
 // starts when its lane is free AND all predecessors have finished (plus the
-// model's edge overhead for cross-lane dependences). This is the
-// discrete-event counterpart of the wall-clock measurements — it lets the
-// benchmark harness report reproducible "who wins by how much" numbers
-// independent of host load.
+// model's edge overhead for cross-lane dependences). It prices a plan under
+// the static model (Program.Simulate) and, under zero costs, is the progress
+// check NewPlanOrdered uses to reject deadlocking lane orders.
 func Simulate(p *Plan, m cost.Model) (SimResult, error) {
 	laneOf := make(map[*graph.Node]int, len(p.Graph.Nodes))
 	for i, lane := range p.Lanes {
@@ -44,7 +43,7 @@ func Simulate(p *Plan, m cost.Model) (SimResult, error) {
 					}
 					arrival := f
 					if laneOf[pred] != li {
-						arrival += cost.EdgeCostOf(m, pred, n)
+						arrival += m.EdgeCost()
 					}
 					if arrival > start {
 						start = arrival

@@ -25,8 +25,7 @@ func TestAllModelsBuildAndValidate(t *testing.T) {
 
 func TestNodeCountsInPaperRegime(t *testing.T) {
 	// Table I: node counts must land in the same regime as the paper's
-	// ONNX exports (tolerance: ±30%, deviations documented in
-	// EXPERIMENTS.md).
+	// ONNX exports (tolerance: ±30%, see DESIGN.md's experiment index).
 	for _, name := range TableOrder {
 		g := MustBuild(name, Config{})
 		ref := PaperRefs[name]

@@ -30,7 +30,8 @@ var TableOrder = []string{
 }
 
 // PaperRef records the paper's published numbers for one model, used by
-// EXPERIMENTS.md and the benchmark harness to print paper-vs-measured rows.
+// the benchmark harness (internal/bench; see DESIGN.md's experiment index)
+// to print paper-vs-measured rows.
 type PaperRef struct {
 	Nodes          int     // Table I
 	NodeCost       float64 // Table I (weighted)

@@ -395,11 +395,13 @@ func (w *watchdog) sweep(now time.Time) {
 		if sl.start.Load() == started && !sl.killed.Swap(true) {
 			cancel = sl.cancel
 			sl.mu.Unlock()
-			cancel()
-			w.kills.Add(1)
+			// Record the kill before cancelling: the cancelled run's error
+			// path asks wasKilled, and must not find the ring without it.
 			if id != 0 {
 				w.killedIDs[w.killedPos.Add(1)%uint64(len(w.killedIDs))].Store(id)
 			}
+			cancel()
+			w.kills.Add(1)
 			w.killAge.Record(time.Duration(age))
 			// The run's stall diagnostic (lane/op position) arrives with the
 			// request error; this log marks who pulled the trigger.

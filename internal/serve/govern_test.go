@@ -269,6 +269,33 @@ func TestWatchdogKillsStuckRun(t *testing.T) {
 	}
 }
 
+// TestWatchdogRecordsKillBeforeCancel drives one sweep directly: by the
+// time the run's cancel func fires, wasKilled must already report the id,
+// since the cancelled run's error path asks it at once.
+func TestWatchdogRecordsKillBeforeCancel(t *testing.T) {
+	w := newWatchdog(1, 3, time.Hour, false)
+	defer w.stopLoop()
+	const id = 42
+	var seenAtCancel, cancelled bool
+	sl := w.begin("m", nil, id, func() {
+		cancelled = true
+		seenAtCancel = w.wasKilled(id)
+	})
+	if sl == nil {
+		t.Fatal("begin found no free slot")
+	}
+	w.sweep(time.Now().Add(2 * time.Hour))
+	if !cancelled {
+		t.Fatal("sweep past the limit did not cancel the run")
+	}
+	if !seenAtCancel {
+		t.Error("wasKilled was false when cancel ran: the kill is recorded after the cancel")
+	}
+	if !w.end(sl) {
+		t.Error("end did not report the kill")
+	}
+}
+
 // TestWatchdogDisabled: negative WatchdogFactor turns the watchdog off —
 // a slow run is left to its deadline.
 func TestWatchdogDisabled(t *testing.T) {

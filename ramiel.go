@@ -1,7 +1,6 @@
 package ramiel
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -249,7 +248,7 @@ func (p *Program) MemoryEstimate() (memplan.Estimate, error) {
 			p.memEstErr = fmt.Errorf("ramiel: graph defies memory analysis")
 			return
 		}
-		mm, err := exec.MeasureCostsCtx(context.Background(), p.Graph, RandomInputs(p.Graph, 1), 1, 0)
+		mm, err := exec.MeasureCosts(p.Graph, RandomInputs(p.Graph, 1), 1)
 		if err != nil {
 			p.memEstErr = fmt.Errorf("ramiel: memory sizing run: %w", err)
 			return
