@@ -376,8 +376,7 @@ func exportTimeline(prog *ramiel.Program, model, path string) error {
 }
 
 // runCalibration accumulates reps parallel executions and compares the
-// measured per-op costs against the static model driving clustering — the
-// feedback loop of ROADMAP item 5 (profile-guided re-clustering).
+// measured per-op costs against the static model driving clustering.
 func runCalibration(prog *ramiel.Program, seed uint64, reps int, out string) error {
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(prog.Graph, seed)

@@ -24,7 +24,6 @@
 //	curl localhost:8080/v1/stats
 //	curl localhost:8080/v1/trace?n=20        # recent request spans
 //	curl localhost:8080/v1/trace?slow=1      # tail-latency offenders
-//	curl localhost:8080/v1/stats?calibration=1   # measured vs static op cost
 //	curl 'localhost:8080/v1/timeline?model=squeezenet' > trace.json  # Perfetto
 //	curl localhost:8080/metrics              # Prometheus text exposition
 //	curl localhost:8080/readyz               # readiness (preload compiled)

@@ -71,8 +71,8 @@
 // -timeline), drives the measured critical-path analysis
 // (Program.CriticalPathFromTimeline) against the static prediction, and
 // Program.Calibrate compares the static cost model with the live per-op
-// measurements (ramiel -calibrate, /v1/stats?calibration=1) — the
-// profile-guided feedback loop behind cost.StaticModel.Rescale.
+// measurements (ramiel -calibrate): a per-op ratio table and the rank
+// correlation between predicted and measured node costs.
 //
 // The serving tier is resource-governed: sessions' shared arena carries a
 // hard byte budget (tensor.Arena.SetBudget — an over-budget run fails

@@ -111,36 +111,6 @@ func (m *StaticModel) NodeCost(n *graph.Node) float64 {
 // EdgeCost implements Model.
 func (m *StaticModel) EdgeCost() float64 { return m.Edge }
 
-// Rescale returns a copy of the model with each listed op's weight
-// multiplied by its factor (ops absent from the model start from DefaultWt).
-// The factors are the per-op measured/static ratios a live calibration
-// report produces (exec.Calibration.Factors), so Rescale is the
-// profile-guided feedback step: a static model whose relative weights match
-// what the kernels actually cost on this host, still cheap and
-// deterministic to evaluate at compile time.
-func (m *StaticModel) Rescale(factors map[string]float64) *StaticModel {
-	out := &StaticModel{
-		Weights:     make(map[string]float64, len(m.Weights)+len(factors)),
-		KernelScale: m.KernelScale,
-		DefaultWt:   m.DefaultWt,
-		Edge:        m.Edge,
-	}
-	for op, w := range m.Weights {
-		out.Weights[op] = w
-	}
-	for op, f := range factors {
-		if f <= 0 {
-			continue
-		}
-		w, ok := out.Weights[op]
-		if !ok {
-			w = m.DefaultWt
-		}
-		out.Weights[op] = w * f
-	}
-	return out
-}
-
 // GraphCost sums the weighted cost of every node in g.
 func GraphCost(g *graph.Graph, m Model) float64 {
 	var total float64

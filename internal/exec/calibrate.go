@@ -34,9 +34,7 @@ type OpCalibration struct {
 
 // Calibration compares the static cost model against the plan's live
 // per-node execution counters: a per-op ratio table, the rank correlation
-// between predicted and measured node costs, the worst-diverging ops, and a
-// MeasuredModel snapshot directly consumable as the measured-cost input to
-// profile-guided recompilation.
+// between predicted and measured node costs, and the worst-diverging ops.
 type Calibration struct {
 	// Nodes is how many plan nodes have measurements (opCount > 0).
 	Nodes int `json:"nodes"`
@@ -54,20 +52,6 @@ type Calibration struct {
 	// |Log2Ratio|, most divergent first, at most five).
 	Ops   []OpCalibration `json:"ops"`
 	Worst []OpCalibration `json:"worst,omitempty"`
-	// Measured is the per-node measured-cost model (mean µs per node), the
-	// exec.MeasuredModel shape the recompilation path consumes.
-	Measured *MeasuredModel `json:"measured"`
-}
-
-// Factors returns the per-op correction factors (measured ratio per op),
-// the input shape cost.StaticModel.Rescale takes to produce a calibrated
-// static model.
-func (c *Calibration) Factors() map[string]float64 {
-	f := make(map[string]float64, len(c.Ops))
-	for _, o := range c.Ops {
-		f[o.Op] = o.Ratio
-	}
-	return f
 }
 
 // Calibrate builds a calibration report from the plan's live per-node
@@ -85,11 +69,10 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		wt     float64
 	}
 	var (
-		nodes  []nodeMeas
-		byName = make(map[string]float64)
-		perOp  = make(map[string]*OpCalibration)
-		sumUs  float64
-		sumWt  float64
+		nodes []nodeMeas
+		perOp = make(map[string]*OpCalibration)
+		sumUs float64
+		sumWt float64
 	)
 	p.eachOp(func(n *graph.Node, c, ns int64) {
 		meanUs := float64(ns) / float64(c) / 1e3
@@ -98,7 +81,6 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		}
 		wt := m.NodeCost(n)
 		nodes = append(nodes, nodeMeas{meanUs, wt})
-		byName[n.Name] = meanUs
 		sumUs += meanUs
 		sumWt += wt
 		oc := perOp[n.OpType]
@@ -156,11 +138,6 @@ func (p *Plan) Calibrate(m cost.Model) *Calibration {
 		worst = worst[:5]
 	}
 	cal.Worst = worst
-	cal.Measured = &MeasuredModel{
-		ByName:  byName,
-		Edge:    handoffMicros,
-		Default: sumUs / float64(len(nodes)),
-	}
 	return cal
 }
 

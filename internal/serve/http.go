@@ -80,7 +80,8 @@ type valueInfoJSON struct {
 	Shape []int  `json:"shape,omitempty"`
 }
 
-// statsResponse is the body of GET /v1/stats.
+// statsResponse is the body of GET /v1/stats, and what GET /metrics
+// renders.
 type statsResponse struct {
 	UptimeSeconds float64                       `json:"uptime_seconds"`
 	Ready         bool                          `json:"ready"`
@@ -90,21 +91,14 @@ type statsResponse struct {
 	Arena         arenaStatsJSON                `json:"arena"`
 	Runtime       runtimeStatsJSON              `json:"runtime"`
 	Models        map[string]ModelStatsSnapshot `json:"models"`
-	// Ops is the per-model, per-op-type execution time table, merged across
-	// the model's compiled batch variants — where model time actually goes.
-	// Only models with a ready compiled program appear.
 	// Memory is the resource-governance view: budget, reservation ledger,
 	// headroom, shed/kill counters. Enabled=false when no budget is set;
 	// the fleet tier's stats probe reads HeadroomBytes for routing.
-	Memory MemoryStatsSnapshot      `json:"memory"`
-	Ops    map[string][]obs.OpTotal `json:"ops,omitempty"`
-	// OpsByVariant breaks Ops out per hypercluster batch variant
-	// (model → "batch_N" → table); populated only for ?variants=1.
-	OpsByVariant map[string]map[string][]obs.OpTotal `json:"ops_by_variant,omitempty"`
-	// Calibration is the per-model cost-model calibration report (static
-	// weights vs live measured per-op durations, batch-1 variant);
-	// populated only for ?calibration=1.
-	Calibration map[string]*ramiel.Calibration `json:"calibration,omitempty"`
+	Memory MemoryStatsSnapshot `json:"memory"`
+	// Ops is the per-model, per-op-type execution time table, merged across
+	// the model's compiled batch variants — where model time actually goes.
+	// Only models with a ready compiled program appear.
+	Ops map[string][]obs.OpTotal `json:"ops,omitempty"`
 	// MaxOutputValues is the most output values one reply is known to
 	// carry: the larger of the largest reply served so far and the largest
 	// total of a built model's declared output shapes (models not built
@@ -337,8 +331,6 @@ func InferHandler(b Backend, maxBody int64) http.HandlerFunc {
 //	GET  /v1/models   — registered models, signatures, cache + stats
 //	POST /v1/infer    — run one inference request (InferHandler)
 //	GET  /v1/stats    — registry/pool/per-model counters, histograms, op time
-//	                    (?variants=1 splits op time per batch variant,
-//	                    ?calibration=1 adds the cost-model calibration report)
 //	GET  /v1/trace    — recent request spans (?n= limits, ?slow=1 for the slow ring)
 //	GET  /v1/timeline — latest sampled run timeline of ?model= (&batch=, default 1)
 //	                    as Chrome trace-event JSON; needs Config.TimelineEvery > 0
@@ -352,7 +344,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/trace", s.handleTrace)
 	mux.HandleFunc("/v1/timeline", s.handleTimeline)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/metrics", obs.MetricsHandler(s.writeMetrics))
 	MountHealth(mux, s.Ready)
 	return mux
 }
@@ -515,6 +507,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
+	WriteJSON(w, http.StatusOK, s.snapshot())
+}
+
+// snapshot collects the one view of the server that GET /v1/stats
+// serializes and GET /metrics renders.
+func (s *Server) snapshot() statsResponse {
 	s.mu.Lock()
 	models := make(map[string]ModelStatsSnapshot, len(s.stats))
 	for name, st := range s.stats {
@@ -523,7 +521,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	arena := arenaStatsJSON{}
 	arena.ArenaStatsSnapshot, arena.Enabled = s.ArenaStats()
-	resp := statsResponse{
+	return statsResponse{
 		UptimeSeconds: s.Uptime().Seconds(),
 		Ready:         s.Ready(),
 		Panics:        s.Panics(),
@@ -542,13 +540,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 		MaxOutputValues: s.maxOutputValues(),
 	}
-	if r.URL.Query().Get("variants") == "1" {
-		resp.OpsByVariant = s.opTotalsByVariant()
-	}
-	if r.URL.Query().Get("calibration") == "1" {
-		resp.Calibration = s.calibrations()
-	}
-	WriteJSON(w, http.StatusOK, resp)
 }
 
 // maxOutputValues is the largest reply served so far, or the largest
@@ -566,55 +557,6 @@ func (s *Server) maxOutputValues() int64 {
 		}
 	}
 	return n
-}
-
-// opTotalsByVariant is opTotals without the merge: per model, each compiled
-// hypercluster batch variant's own op-time table under a "batch_N" key.
-// Same peek-only policy; variants that have never executed are omitted.
-func (s *Server) opTotalsByVariant() map[string]map[string][]obs.OpTotal {
-	var out map[string]map[string][]obs.OpTotal
-	for _, name := range s.reg.Models() {
-		for _, batch := range s.reg.CachedBatches(name) {
-			prog := s.reg.Peek(name, batch)
-			if prog == nil {
-				continue
-			}
-			totals := prog.OpTotals()
-			if totals == nil {
-				continue
-			}
-			if out == nil {
-				out = map[string]map[string][]obs.OpTotal{}
-			}
-			if out[name] == nil {
-				out[name] = map[string][]obs.OpTotal{}
-			}
-			out[name][fmt.Sprintf("batch_%d", batch)] = totals
-		}
-	}
-	return out
-}
-
-// calibrations builds the per-model cost-model calibration reports from the
-// batch-1 variants' live counters (peek-only; models that have not executed
-// are omitted).
-func (s *Server) calibrations() map[string]*ramiel.Calibration {
-	var out map[string]*ramiel.Calibration
-	for _, name := range s.reg.Models() {
-		prog := s.reg.Peek(name, 1)
-		if prog == nil {
-			continue
-		}
-		cal := prog.Calibrate()
-		if cal == nil {
-			continue
-		}
-		if out == nil {
-			out = map[string]*ramiel.Calibration{}
-		}
-		out[name] = cal
-	}
-	return out
 }
 
 // opTotals builds the per-model op-time tables for stats and metrics by

@@ -1,198 +1,101 @@
 package serve
 
 import (
-	"bufio"
-	"fmt"
-	"net/http"
-	"sort"
+	"io"
 
 	"repro/internal/obs"
 )
 
-// handleMetrics serves GET /metrics in the Prometheus text exposition
-// format (text/plain; version=0.0.4), dependency-free: counters, gauges and
-// the per-model stage-latency histograms (cumulative le buckets in
-// seconds). Reading is snapshot-priced — the hot path never pays for it.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-	s.writeMetrics(bw)
-}
+// writeMetrics renders GET /metrics from the snapshot GET /v1/stats
+// serves, collected once per scrape: counters, gauges and the per-model
+// stage-latency histograms. Reading is snapshot-priced — the hot path
+// never pays for it.
+func (s *Server) writeMetrics(w io.Writer) {
+	st := s.snapshot()
+	p := obs.NewProm(w)
+	p.Family("ramield_uptime_seconds", "gauge", "Time since the serving runtime started.", obs.Value(st.UptimeSeconds))
+	p.Family("ramield_ready", "gauge", "1 once the preload set has compiled (see /readyz).", obs.Value(st.Ready))
+	p.Family("ramield_panics_total", "counter", "Requests failed by a recovered panic; the per-model split is errors_total{cause=\"panic\"}.", obs.Value(st.Panics))
 
-// writeMetrics renders every family. Split from the handler so tests can
-// render to a buffer.
-func (s *Server) writeMetrics(w *bufio.Writer) {
-	// Process-level gauges.
-	obs.PromHeader(w, "ramield_uptime_seconds", "gauge", "Time since the serving runtime started.")
-	fmt.Fprintf(w, "ramield_uptime_seconds %s\n", obs.PromFloat(s.Uptime().Seconds()))
-	obs.PromHeader(w, "ramield_ready", "gauge", "1 once the preload set has compiled (see /readyz).")
-	fmt.Fprintf(w, "ramield_ready %d\n", boolToInt(s.Ready()))
-	obs.PromHeader(w, "ramield_panics_total", "counter", "Requests failed by a recovered panic; the per-model split is errors_total{cause=\"panic\"}.")
-	fmt.Fprintf(w, "ramield_panics_total %d\n", s.Panics())
+	reg := st.Registry
+	p.Family("ramield_compiles_total", "counter", "Model/variant compilations performed.", obs.Value(reg.Compiles))
+	p.Family("ramield_compile_cache_hits_total", "counter", "Program cache hits.", obs.Value(reg.CacheHits))
+	p.Family("ramield_compile_cache_misses_total", "counter", "Program cache misses.", obs.Value(reg.CacheMisses))
+	p.Family("ramield_compile_seconds_total", "counter", "Cumulative time spent compiling.", obs.Value(float64(reg.CompileMicros)/1e6))
 
-	// Registry (compile cache) counters.
-	reg := s.reg.Stats()
-	obs.PromHeader(w, "ramield_compiles_total", "counter", "Model/variant compilations performed.")
-	fmt.Fprintf(w, "ramield_compiles_total %d\n", reg.Compiles)
-	obs.PromHeader(w, "ramield_compile_cache_hits_total", "counter", "Program cache hits.")
-	fmt.Fprintf(w, "ramield_compile_cache_hits_total %d\n", reg.CacheHits)
-	obs.PromHeader(w, "ramield_compile_cache_misses_total", "counter", "Program cache misses.")
-	fmt.Fprintf(w, "ramield_compile_cache_misses_total %d\n", reg.CacheMisses)
-	obs.PromHeader(w, "ramield_compile_seconds_total", "counter", "Cumulative time spent compiling.")
-	fmt.Fprintf(w, "ramield_compile_seconds_total %s\n", obs.PromFloat(float64(reg.CompileMicros)/1e6))
+	p.Family("ramield_pool_workers", "gauge", "Configured worker count.", obs.Value(st.Pool.Workers))
+	p.Family("ramield_pool_queue_depth", "gauge", "Tasks accepted but not yet started.", obs.Value(st.Pool.QueueDepth))
+	p.Family("ramield_pool_in_flight", "gauge", "Tasks currently executing.", obs.Value(st.Pool.InFlight))
+	p.Family("ramield_pool_peak_in_flight", "gauge", "Highest concurrent execution count observed.", obs.Value(st.Pool.PeakInFlight))
 
-	// Worker pool gauges.
-	obs.PromHeader(w, "ramield_pool_workers", "gauge", "Configured worker count.")
-	fmt.Fprintf(w, "ramield_pool_workers %d\n", s.cfg.Workers)
-	obs.PromHeader(w, "ramield_pool_queue_depth", "gauge", "Tasks accepted but not yet started.")
-	fmt.Fprintf(w, "ramield_pool_queue_depth %d\n", s.pool.QueueDepth())
-	obs.PromHeader(w, "ramield_pool_in_flight", "gauge", "Tasks currently executing.")
-	fmt.Fprintf(w, "ramield_pool_in_flight %d\n", s.pool.InFlight())
-	obs.PromHeader(w, "ramield_pool_peak_in_flight", "gauge", "Highest concurrent execution count observed.")
-	fmt.Fprintf(w, "ramield_pool_peak_in_flight %d\n", s.pool.PeakInFlight())
-
-	// Arena counters (absent when the arena is disabled).
-	if arena, ok := s.ArenaStats(); ok {
-		obs.PromHeader(w, "ramield_arena_gets_total", "counter", "Arena buffer requests.")
-		fmt.Fprintf(w, "ramield_arena_gets_total %d\n", arena.Gets)
-		obs.PromHeader(w, "ramield_arena_hits_total", "counter", "Arena requests served from free lists.")
-		fmt.Fprintf(w, "ramield_arena_hits_total %d\n", arena.Hits)
-		obs.PromHeader(w, "ramield_arena_misses_total", "counter", "Arena requests that allocated.")
-		fmt.Fprintf(w, "ramield_arena_misses_total %d\n", arena.Misses)
-		obs.PromHeader(w, "ramield_arena_puts_total", "counter", "Buffers recycled back to arenas.")
-		fmt.Fprintf(w, "ramield_arena_puts_total %d\n", arena.Puts)
-		obs.PromHeader(w, "ramield_arena_alloc_bytes_total", "counter", "Bytes allocated by arena misses.")
-		fmt.Fprintf(w, "ramield_arena_alloc_bytes_total %d\n", arena.AllocBytes)
-		obs.PromHeader(w, "ramield_arena_in_use_bytes", "gauge", "Arena bytes handed out and not yet recycled.")
-		fmt.Fprintf(w, "ramield_arena_in_use_bytes %d\n", arena.InUseBytes)
-		obs.PromHeader(w, "ramield_arena_peak_bytes", "gauge", "Peak arena bytes in use.")
-		fmt.Fprintf(w, "ramield_arena_peak_bytes %d\n", arena.PeakBytes)
-		obs.PromHeader(w, "ramield_arena_held_bytes", "gauge", "Arena bytes parked on free lists.")
-		fmt.Fprintf(w, "ramield_arena_held_bytes %d\n", arena.HeldBytes)
+	if a := st.Arena; a.Enabled {
+		p.Family("ramield_arena_gets_total", "counter", "Arena buffer requests.", obs.Value(a.Gets))
+		p.Family("ramield_arena_hits_total", "counter", "Arena requests served from free lists.", obs.Value(a.Hits))
+		p.Family("ramield_arena_misses_total", "counter", "Arena requests that allocated.", obs.Value(a.Misses))
+		p.Family("ramield_arena_puts_total", "counter", "Buffers recycled back to arenas.", obs.Value(a.Puts))
+		p.Family("ramield_arena_alloc_bytes_total", "counter", "Bytes allocated by arena misses.", obs.Value(a.AllocBytes))
+		p.Family("ramield_arena_in_use_bytes", "gauge", "Arena bytes handed out and not yet recycled.", obs.Value(a.InUseBytes))
+		p.Family("ramield_arena_peak_bytes", "gauge", "Peak arena bytes in use.", obs.Value(a.PeakBytes))
+		p.Family("ramield_arena_held_bytes", "gauge", "Arena bytes parked on free lists.", obs.Value(a.HeldBytes))
 	}
 
 	// Resource governance: memory budget/headroom gauges and watchdog
 	// counters. Memory sheds ride errors_total{cause="memory"} per model.
-	mem := s.MemoryStats()
-	if mem.Enabled {
-		obs.PromHeader(w, "ramield_mem_budget_bytes", "gauge", "Configured memory budget for admission and the arena cap.")
-		fmt.Fprintf(w, "ramield_mem_budget_bytes %d\n", mem.BudgetBytes)
-		obs.PromHeader(w, "ramield_mem_reserved_bytes", "gauge", "Admission ledger: summed estimates of admitted, unfinished requests.")
-		fmt.Fprintf(w, "ramield_mem_reserved_bytes %d\n", mem.ReservedBytes)
-		obs.PromHeader(w, "ramield_mem_headroom_bytes", "gauge", "Budget minus in-use minus reserved (the fleet routing signal).")
-		fmt.Fprintf(w, "ramield_mem_headroom_bytes %d\n", mem.HeadroomBytes)
-		obs.PromHeader(w, "ramield_mem_sheds_total", "counter", "Requests rejected by memory-feasibility admission.")
-		fmt.Fprintf(w, "ramield_mem_sheds_total %d\n", mem.Sheds)
-		obs.PromHeader(w, "ramield_arena_budget_denials_total", "counter", "Arena buffer requests denied by the budget mid-run.")
-		fmt.Fprintf(w, "ramield_arena_budget_denials_total %d\n", mem.ArenaDenials)
-		obs.PromHeader(w, "ramield_mem_session_drops_total", "counter", "Pooled sessions discarded after a budget denial.")
-		fmt.Fprintf(w, "ramield_mem_session_drops_total %d\n", mem.SessionDrops)
+	if m := st.Memory; m.Enabled {
+		p.Family("ramield_mem_budget_bytes", "gauge", "Configured memory budget for admission and the arena cap.", obs.Value(m.BudgetBytes))
+		p.Family("ramield_mem_reserved_bytes", "gauge", "Admission ledger: summed estimates of admitted, unfinished requests.", obs.Value(m.ReservedBytes))
+		p.Family("ramield_mem_headroom_bytes", "gauge", "Budget minus in-use minus reserved (the fleet routing signal).", obs.Value(m.HeadroomBytes))
+		p.Family("ramield_mem_sheds_total", "counter", "Requests rejected by memory-feasibility admission.", obs.Value(m.Sheds))
+		p.Family("ramield_arena_budget_denials_total", "counter", "Arena buffer requests denied by the budget mid-run.", obs.Value(m.ArenaDenials))
+		p.Family("ramield_mem_session_drops_total", "counter", "Pooled sessions discarded after a budget denial.", obs.Value(m.SessionDrops))
 	}
 	if s.dog != nil {
-		obs.PromHeader(w, "ramield_watchdog_kills_total", "counter", "Runs force-cancelled by the stuck-run watchdog.")
-		fmt.Fprintf(w, "ramield_watchdog_kills_total %d\n", mem.WatchdogKills)
+		p.Family("ramield_watchdog_kills_total", "counter", "Runs force-cancelled by the stuck-run watchdog.", obs.Value(st.Memory.WatchdogKills))
 		if snap := s.dog.killAge.Snapshot(); snap.Count > 0 {
-			obs.PromHeader(w, "ramield_watchdog_kill_age_seconds", "histogram", "Age of runs at the moment the watchdog killed them.")
-			obs.PromHistogram(w, "ramield_watchdog_kill_age_seconds", `kind="kill"`, snap)
+			p.Family("ramield_watchdog_kill_age_seconds", "histogram", "Age of runs at the moment the watchdog killed them.",
+				obs.ByKey("kind", map[string]obs.HistogramSnapshot{"kill": snap}, nil))
 		}
 	}
 
-	// Per-model counters, cause-labeled errors, and stage histograms,
-	// snapshotted once per model. Sorted model order keeps the exposition
+	// Per-model families, in sorted model order so the exposition stays
 	// diffable.
-	s.mu.Lock()
-	names := make([]string, 0, len(s.stats))
-	snaps := make(map[string]ModelStatsSnapshot, len(s.stats))
-	for name, st := range s.stats {
-		names = append(names, name)
-		snaps[name] = st.Snapshot()
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-
-	writeModelCounter(w, "ramield_requests_total", "counter", "Inference requests routed to the model.",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.Requests })
-	writeModelCounter(w, "ramield_batched_requests_total", "counter", "Requests served inside a coalesced batch of size > 1.",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.Batched })
-	writeModelCounter(w, "ramield_batch_flushes_total", "counter", "Micro-batch flushes executed.",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.Flushes })
-	writeModelCounter(w, "ramield_batch_flushed_samples_total", "counter", "Requests carried by all flushes.",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.FlushedSamples })
-	writeModelCounter(w, "ramield_batch_max_seen", "gauge", "Largest coalesced batch executed.",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.MaxBatchSeen })
-	writeModelCounter(w, "ramield_batcher_queue_depth", "gauge", "Requests waiting in the micro-batcher window.",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.QueueDepth })
-	writeModelCounter(w, "ramield_model_in_flight", "gauge", "Requests dispatched for the model and not yet answered (the fleet spillover signal).",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.InFlight })
-	writeModelCounter(w, "ramield_batch_flush_window_ns", "gauge", "Micro-batch flush window last armed for the model (adaptive batching makes this move with load).",
-		names, snaps, func(m ModelStatsSnapshot) int64 { return m.FlushWindowNs })
-
-	obs.PromHeader(w, "ramield_errors_total", "counter", "Failed requests by cause. Canceled clients carry their own label but are excluded from error-rate SLOs by convention.")
-	for _, name := range names {
-		snap := snaps[name]
-		causes := make([]string, 0, len(snap.ErrorsByCause))
-		for cause := range snap.ErrorsByCause {
-			causes = append(causes, cause)
-		}
-		sort.Strings(causes)
-		for _, cause := range causes {
-			fmt.Fprintf(w, "ramield_errors_total{model=%s,cause=%s} %d\n",
-				obs.PromLabel(name), obs.PromLabel(cause), snap.ErrorsByCause[cause])
-		}
-	}
-
-	obs.PromHeader(w, "ramield_stage_duration_seconds", "histogram", "Request latency by lifecycle stage (batch_assembly, queue_wait, execute, e2e).")
-	for _, name := range names {
-		stages := snaps[name].Stages
-		for _, stage := range obs.Stages() {
-			snap, ok := stages[stage.String()]
-			if !ok || snap.Count == 0 {
-				continue
-			}
-			obs.PromHistogram(w, "ramield_stage_duration_seconds",
-				fmt.Sprintf("model=%s,stage=%s", obs.PromLabel(name), obs.PromLabel(stage.String())), snap)
-		}
-	}
+	byModel := func(v func(ModelStatsSnapshot) any) obs.Series { return obs.ByKey("model", st.Models, v) }
+	p.Family("ramield_requests_total", "counter", "Inference requests routed to the model.",
+		byModel(func(m ModelStatsSnapshot) any { return m.Requests }))
+	p.Family("ramield_batched_requests_total", "counter", "Requests served inside a coalesced batch of size > 1.",
+		byModel(func(m ModelStatsSnapshot) any { return m.Batched }))
+	p.Family("ramield_batch_flushes_total", "counter", "Micro-batch flushes executed.",
+		byModel(func(m ModelStatsSnapshot) any { return m.Flushes }))
+	p.Family("ramield_batch_flushed_samples_total", "counter", "Requests carried by all flushes.",
+		byModel(func(m ModelStatsSnapshot) any { return m.FlushedSamples }))
+	p.Family("ramield_batch_max_seen", "gauge", "Largest coalesced batch executed.",
+		byModel(func(m ModelStatsSnapshot) any { return m.MaxBatchSeen }))
+	p.Family("ramield_batcher_queue_depth", "gauge", "Requests waiting in the micro-batcher window.",
+		byModel(func(m ModelStatsSnapshot) any { return m.QueueDepth }))
+	p.Family("ramield_model_in_flight", "gauge", "Requests dispatched for the model and not yet answered (the fleet spillover signal).",
+		byModel(func(m ModelStatsSnapshot) any { return m.InFlight }))
+	p.Family("ramield_batch_flush_window_ns", "gauge", "Micro-batch flush window last armed for the model (adaptive batching makes this move with load).",
+		byModel(func(m ModelStatsSnapshot) any { return m.FlushWindowNs }))
+	p.Family("ramield_errors_total", "counter", "Failed requests by cause. Canceled clients carry their own label but are excluded from error-rate SLOs by convention.",
+		byModel(func(m ModelStatsSnapshot) any { return obs.ByKey("cause", m.ErrorsByCause, nil) }))
+	p.Family("ramield_stage_duration_seconds", "histogram", "Request latency by lifecycle stage (batch_assembly, queue_wait, execute, e2e).",
+		byModel(func(m ModelStatsSnapshot) any {
+			return obs.ByItem("stage", obs.Stages(), obs.Stage.String, func(stage obs.Stage) any {
+				if h, ok := m.Stages[stage.String()]; ok {
+					return h
+				}
+				return nil
+			})
+		}))
 
 	// Per-op execution totals, merged across each model's batch variants.
-	ops := s.opTotals()
-	opModels := make([]string, 0, len(ops))
-	for name := range ops {
-		opModels = append(opModels, name)
+	byOp := func(v func(obs.OpTotal) any) obs.Series {
+		return obs.ByKey("model", st.Ops, func(tab []obs.OpTotal) any {
+			return obs.ByItem("op", tab, func(t obs.OpTotal) string { return t.Op }, v)
+		})
 	}
-	sort.Strings(opModels)
-	obs.PromHeader(w, "ramield_op_invocations_total", "counter", "Kernel invocations by operator type.")
-	for _, name := range opModels {
-		for _, t := range ops[name] {
-			fmt.Fprintf(w, "ramield_op_invocations_total{model=%s,op=%s} %d\n",
-				obs.PromLabel(name), obs.PromLabel(t.Op), t.Count)
-		}
-	}
-	obs.PromHeader(w, "ramield_op_seconds_total", "counter", "Cumulative kernel wall time by operator type.")
-	for _, name := range opModels {
-		for _, t := range ops[name] {
-			fmt.Fprintf(w, "ramield_op_seconds_total{model=%s,op=%s} %s\n",
-				obs.PromLabel(name), obs.PromLabel(t.Op), obs.PromFloat(float64(t.TotalNs)/1e9))
-		}
-	}
-}
-
-// writeModelCounter renders one per-model single-value family.
-func writeModelCounter(w *bufio.Writer, family, kind, help string, names []string, snaps map[string]ModelStatsSnapshot, get func(ModelStatsSnapshot) int64) {
-	obs.PromHeader(w, family, kind, help)
-	for _, name := range names {
-		fmt.Fprintf(w, "%s{model=%s} %d\n", family, obs.PromLabel(name), get(snaps[name]))
-	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	p.Family("ramield_op_invocations_total", "counter", "Kernel invocations by operator type.",
+		byOp(func(t obs.OpTotal) any { return t.Count }))
+	p.Family("ramield_op_seconds_total", "counter", "Cumulative kernel wall time by operator type.",
+		byOp(func(t obs.OpTotal) any { return float64(t.TotalNs) / 1e9 }))
 }

@@ -8,7 +8,7 @@
 // over HTTP/JSON.
 //
 // The design point is the paper's: compilation is fast but not free, so a
-// serving system compiles each (model, batch, options) combination exactly
+// serving system compiles each (model, batch) combination exactly
 // once and amortizes it across every subsequent request, while
 // hyperclustering turns queued-up concurrent requests into intra-request
 // parallelism instead of mere throughput.
@@ -23,8 +23,6 @@
 //	                    front; X-Request-ID echoes the span ID)
 //	GET  /v1/models   — registered models
 //	GET  /v1/stats    — counters, stage histograms, per-op time, arenas
-//	                    (?variants=1 per-batch-variant op time,
-//	                    ?calibration=1 cost-model calibration report)
 //	GET  /v1/trace    — recent + slow request spans (?n= limits, ?slow=1)
 //	GET  /v1/timeline — latest sampled execution timeline of a model as
 //	                    Chrome trace-event JSON (Config.TimelineEvery > 0)
@@ -36,7 +34,8 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,46 +56,108 @@ var ErrCompile = errors.New("compile failed")
 // at registration time.
 type ModelSource func() (*ramiel.Graph, error)
 
-// programKey identifies one compiled program variant: the model, the
-// micro-batch size it was hyperclustered for (1 = the base plan), whether
-// switched hyperclustering was used, and a fingerprint of the compile
-// options.
+// programKey identifies one compiled program variant: the model and the
+// micro-batch size it was hyperclustered for (1 = the base plan). The
+// compile options and switched flag are fixed per registry.
 type programKey struct {
-	model    string
-	batch    int
-	switched bool
-	opts     string
+	model string
+	batch int
 }
 
-// optsFingerprint folds the compile options that change the produced plan
-// into a comparable cache-key component. CostModel is an interface and
-// cannot be fingerprinted; the registry assumes it is fixed per registry
-// (it is — options are set once at construction).
-func optsFingerprint(o ramiel.Options) string {
-	co := "-"
-	if o.CloneOptions != nil {
-		co = fmt.Sprintf("%+v", *o.CloneOptions)
-	}
-	return fmt.Sprintf("p%t-c%t-m%t-f%t-co%s", o.Prune, o.Clone, o.DisableMerge, o.DisableFusion, co)
-}
-
-// programEntry is one singleflight cache slot: the first goroutine to want
-// the key compiles; everyone else blocks on ready.
-type programEntry struct {
-	ready chan struct{}
-	prog  *ramiel.Program
-	err   error
-	// sessions pools the program's warm *ramiel.Session values (see
-	// sessionSource). The entry owns the pool, so dropping the program from
-	// the cache drops its sessions and their arenas with it.
+// compiled is one cached program variant with its warm sessions: the pool
+// holds the program's *ramiel.Session values (see sessionSource), so
+// dropping the program from the cache drops its sessions and their arenas
+// with it.
+type compiled struct {
+	prog     *ramiel.Program
 	sessions sync.Pool
 }
 
-// graphEntry is the singleflight slot for building a model's graph.
-type graphEntry struct {
+// slot is one singleflight cache entry: the first caller to want its key
+// builds the value; everyone else blocks on ready.
+type slot[V any] struct {
 	ready chan struct{}
-	graph *ramiel.Graph
+	val   V
 	err   error
+}
+
+// flight is the singleflight cache behind both of the registry's caches,
+// graphs and programs. A failed build is dropped, so the next call retries
+// it.
+type flight[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*slot[V]
+}
+
+// get returns key's value, building it with build when no slot holds it
+// yet; hit reports whether one did, in which case get waits for that
+// slot's build.
+func (f *flight[K, V]) get(key K, build func() (V, error)) (v V, hit bool, err error) {
+	f.mu.Lock()
+	s, hit := f.m[key]
+	if !hit {
+		if f.m == nil {
+			f.m = map[K]*slot[V]{}
+		}
+		s = &slot[V]{ready: make(chan struct{})}
+		f.m[key] = s
+	}
+	f.mu.Unlock()
+	if hit {
+		<-s.ready
+		return s.val, true, s.err
+	}
+	s.val, s.err = build()
+	close(s.ready)
+	if s.err != nil {
+		f.mu.Lock()
+		if f.m[key] == s {
+			delete(f.m, key)
+		}
+		f.mu.Unlock()
+	}
+	return s.val, false, s.err
+}
+
+// peek returns key's value only if it is already built — never building or
+// waiting. ok is false while the key is absent, still building, or failed.
+func (f *flight[K, V]) peek(key K) (v V, ok bool) {
+	f.mu.Lock()
+	s := f.m[key]
+	f.mu.Unlock()
+	if s == nil {
+		return v, false
+	}
+	select {
+	case <-s.ready:
+		return s.val, s.err == nil
+	default:
+		return v, false
+	}
+}
+
+// keys lists the keys whose value is built and usable.
+func (f *flight[K, V]) keys() []K {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []K
+	for k, s := range f.m {
+		select {
+		case <-s.ready:
+			if s.err == nil {
+				out = append(out, k)
+			}
+		default:
+		}
+	}
+	return out
+}
+
+// drop removes every key match accepts.
+func (f *flight[K, V]) drop(match func(K) bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	maps.DeleteFunc(f.m, func(k K, _ *slot[V]) bool { return match(k) })
 }
 
 // RegistryStats counts cache behavior; all fields are atomics, read via
@@ -121,21 +182,21 @@ type RegistryStatsSnapshot struct {
 // singleflight-style, so a burst of first requests for a model costs one
 // compile.
 type Registry struct {
+	// opts and switched are fixed at construction, so the program cache
+	// keys on (model, batch) alone.
 	opts     ramiel.Options
 	switched bool
-	// optsFP is the options fingerprint, precomputed so per-request key
-	// construction stays allocation-free.
-	optsFP string
 	// tlEvery/tlRing, when tlEvery > 0, attach an execution-timeline flight
 	// recorder to every program this registry compiles (set before the
 	// first compile via EnableTimeline).
 	tlEvery int
 	tlRing  int
 
-	mu       sync.Mutex
-	sources  map[string]ModelSource
-	graphs   map[string]*graphEntry
-	programs map[programKey]*programEntry
+	mu      sync.Mutex
+	sources map[string]ModelSource
+
+	graphs   flight[string, *ramiel.Graph]
+	programs flight[programKey, *compiled]
 
 	stats RegistryStats
 }
@@ -143,14 +204,7 @@ type Registry struct {
 // NewRegistry creates a registry compiling with the given default options;
 // switched selects switched hyperclustering for batch>1 variants.
 func NewRegistry(opts ramiel.Options, switched bool) *Registry {
-	return &Registry{
-		opts:     opts,
-		switched: switched,
-		optsFP:   optsFingerprint(opts),
-		sources:  map[string]ModelSource{},
-		graphs:   map[string]*graphEntry{},
-		programs: map[programKey]*programEntry{},
-	}
+	return &Registry{opts: opts, switched: switched, sources: map[string]ModelSource{}}
 }
 
 // EnableTimeline makes every program the registry compiles from now on
@@ -167,14 +221,10 @@ func (r *Registry) EnableTimeline(every, ring int) {
 // replaces its source and drops any cached graph and programs for it.
 func (r *Registry) Register(name string, src ModelSource) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.sources[name] = src
-	delete(r.graphs, name)
-	for k := range r.programs {
-		if k.model == name {
-			delete(r.programs, k)
-		}
-	}
+	r.mu.Unlock()
+	r.graphs.drop(func(model string) bool { return model == name })
+	r.programs.drop(func(k programKey) bool { return k.model == name })
 }
 
 // RegisterGraph registers an already-built graph.
@@ -202,52 +252,25 @@ func (r *Registry) RegisterZoo(cfg ramiel.ModelConfig, names ...string) error {
 func (r *Registry) Models() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.sources))
-	for name := range r.sources {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(r.sources))
 }
 
 // Graph returns the model's built graph, building it at most once.
 func (r *Registry) Graph(model string) (*ramiel.Graph, error) {
-	r.mu.Lock()
-	e, ok := r.graphs[model]
-	if !ok {
-		src, registered := r.sources[model]
-		if !registered {
-			r.mu.Unlock()
+	g, _, err := r.graphs.get(model, func() (*ramiel.Graph, error) {
+		r.mu.Lock()
+		src, ok := r.sources[model]
+		r.mu.Unlock()
+		if !ok {
 			return nil, fmt.Errorf("serve: model %q: %w", model, ErrNotRegistered)
 		}
-		e = &graphEntry{ready: make(chan struct{})}
-		r.graphs[model] = e
-		r.mu.Unlock()
-		e.graph, e.err = src()
-		close(e.ready)
-		if e.err != nil {
-			// Drop failed builds so a transient source failure is
-			// retryable, matching the program cache's policy.
-			r.mu.Lock()
-			if r.graphs[model] == e {
-				delete(r.graphs, model)
-			}
-			r.mu.Unlock()
+		g, err := src()
+		if err != nil {
+			return nil, fmt.Errorf("serve: building %q: %w: %w", model, ErrCompile, err)
 		}
-	} else {
-		r.mu.Unlock()
-		<-e.ready
-	}
-	if e.err != nil {
-		return nil, fmt.Errorf("serve: building %q: %w: %w", model, ErrCompile, e.err)
-	}
-	return e.graph, nil
-}
-
-// key builds the cache key for a (model, batch) variant under the
-// registry's options.
-func (r *Registry) key(model string, batch int) programKey {
-	return programKey{model, batch, r.switched && batch > 1, r.optsFP}
+		return g, nil
+	})
+	return g, err
 }
 
 // Program returns the compiled program for (model, batch) under the
@@ -255,57 +278,41 @@ func (r *Registry) key(model string, batch int) programKey {
 // the base Ramiel plan; batch > 1 yields the hyperclustered variant derived
 // from the base plan's clustering, so the base is compiled (once) too.
 func (r *Registry) Program(model string, batch int) (*ramiel.Program, error) {
-	e, err := r.entry(model, batch)
+	c, err := r.entry(model, batch)
 	if err != nil {
 		return nil, err
 	}
-	return e.prog, nil
+	return c.prog, nil
 }
 
 // entry is Program returning the cache entry, whose session pool the
 // serving paths borrow from.
-func (r *Registry) entry(model string, batch int) (*programEntry, error) {
+func (r *Registry) entry(model string, batch int) (*compiled, error) {
 	if batch < 1 {
 		return nil, fmt.Errorf("serve: batch must be >= 1, got %d", batch)
 	}
-	e := r.get(model, batch, true)
-	return e, e.err
+	return r.get(model, batch, true)
 }
 
-// get is the singleflight cache core. count separates client traffic
-// (counted in hit/miss stats) from internal derivations — compiling a
-// batch-n variant fetches the base program without pretending a request
-// hit the cache.
-func (r *Registry) get(model string, batch int, count bool) *programEntry {
-	key := r.key(model, batch)
-	r.mu.Lock()
-	e, ok := r.programs[key]
-	if ok {
-		r.mu.Unlock()
-		if count {
-			r.stats.CacheHits.Add(1)
+// get is the program cache lookup. count separates client traffic (counted
+// in hit/miss stats) from internal derivations — compiling a batch-n
+// variant fetches the base program without pretending a request hit the
+// cache.
+func (r *Registry) get(model string, batch int, count bool) (*compiled, error) {
+	c, hit, err := r.programs.get(programKey{model, batch}, func() (*compiled, error) {
+		prog, err := r.compile(model, batch)
+		if err != nil {
+			return nil, err
 		}
-		<-e.ready
-		return e
-	}
-	e = &programEntry{ready: make(chan struct{})}
-	r.programs[key] = e
-	r.mu.Unlock()
-	if count {
+		return &compiled{prog: prog}, nil
+	})
+	switch {
+	case count && hit:
+		r.stats.CacheHits.Add(1)
+	case count:
 		r.stats.CacheMisses.Add(1)
 	}
-
-	e.prog, e.err = r.compile(model, batch)
-	close(e.ready)
-	if e.err != nil {
-		// Drop failed entries so a transient failure is retryable.
-		r.mu.Lock()
-		if r.programs[key] == e {
-			delete(r.programs, key)
-		}
-		r.mu.Unlock()
-	}
-	return e
+	return c, err
 }
 
 // compile builds the requested variant (called outside the registry lock).
@@ -344,9 +351,9 @@ func (r *Registry) compileVariant(model string, batch int) (*ramiel.Program, err
 		}
 		return prog, nil
 	}
-	base := r.get(model, 1, false)
-	if base.err != nil {
-		return nil, base.err
+	base, err := r.get(model, 1, false)
+	if err != nil {
+		return nil, err
 	}
 	prog, err := base.prog.Hypercluster(batch, r.switched)
 	if err != nil {
@@ -359,20 +366,8 @@ func (r *Registry) compileVariant(model string, batch int) (*ramiel.Program, err
 // inspection endpoints must not force lazy ModelSource builds (or pin
 // every registered model in memory). Nil when unbuilt or failed.
 func (r *Registry) PeekGraph(model string) *ramiel.Graph {
-	r.mu.Lock()
-	e := r.graphs[model]
-	r.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	select {
-	case <-e.ready:
-		if e.err == nil {
-			return e.graph
-		}
-	default:
-	}
-	return nil
+	g, _ := r.graphs.peek(model)
+	return g
 }
 
 // Peek returns the ready compiled program for (model, batch) without
@@ -380,18 +375,8 @@ func (r *Registry) PeekGraph(model string) *ramiel.Graph {
 // endpoints that must not skew serving stats. Nil when absent, still
 // compiling, or failed.
 func (r *Registry) Peek(model string, batch int) *ramiel.Program {
-	r.mu.Lock()
-	e := r.programs[r.key(model, batch)]
-	r.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	select {
-	case <-e.ready:
-		if e.err == nil {
-			return e.prog
-		}
-	default:
+	if c, ok := r.programs.peek(programKey{model, batch}); ok {
+		return c.prog
 	}
 	return nil
 }
@@ -399,22 +384,13 @@ func (r *Registry) Peek(model string, batch int) *ramiel.Program {
 // CachedBatches lists the batch sizes with a ready compiled program for the
 // model, sorted ascending.
 func (r *Registry) CachedBatches(model string) []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []int
-	for k, e := range r.programs {
-		if k.model != model {
-			continue
-		}
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out = append(out, k.batch)
-			}
-		default:
+	for _, k := range r.programs.keys() {
+		if k.model == model {
+			out = append(out, k.batch)
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 

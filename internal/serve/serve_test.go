@@ -536,11 +536,46 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
-func TestOptsFingerprintDistinguishesOptions(t *testing.T) {
-	a := optsFingerprint(ramiel.Options{})
-	b := optsFingerprint(ramiel.Options{Prune: true})
-	c := optsFingerprint(ramiel.Options{Prune: true, Clone: true})
-	if a == b || b == c || a == c {
-		t.Errorf("fingerprints collide: %q %q %q", a, b, c)
+// TestRegistryRetriesFailedBuild: a build that fails leaves no entry in
+// either cache, so the next Graph or Program call builds again and
+// succeeds, and the call after that is served from the cache.
+func TestRegistryRetriesFailedBuild(t *testing.T) {
+	for _, via := range []string{"Graph", "Program"} {
+		t.Run(via, func(t *testing.T) {
+			reg := NewRegistry(ramiel.Options{}, false)
+			var builds atomic.Int64
+			g := tinyModel()
+			reg.Register("tiny", func() (*ramiel.Graph, error) {
+				if builds.Add(1) == 1 {
+					return nil, errors.New("transient source failure")
+				}
+				return g, nil
+			})
+			call := func() error {
+				if via == "Graph" {
+					_, err := reg.Graph("tiny")
+					return err
+				}
+				_, err := reg.Program("tiny", 1)
+				return err
+			}
+			if err := call(); !errors.Is(err, ErrCompile) {
+				t.Fatalf("first %s: err = %v, want ErrCompile", via, err)
+			}
+			if reg.PeekGraph("tiny") != nil || reg.Peek("tiny", 1) != nil {
+				t.Fatal("the failed build left a cache entry")
+			}
+			for i := 0; i < 2; i++ {
+				if err := call(); err != nil {
+					t.Fatalf("%s after the failure: %v", via, err)
+				}
+			}
+			if n := builds.Load(); n != 2 {
+				t.Errorf("source built %d times, want 2 (one failure, one retry)", n)
+			}
+			if reg.PeekGraph("tiny") != g {
+				t.Error("the retried graph is not cached")
+			}
+		})
 	}
 }

@@ -21,8 +21,6 @@ type Config struct {
 	// GOMAXPROCS). Each running plan itself fans out one goroutine per
 	// cluster, so this bounds total execution parallelism.
 	Workers int
-	// Backlog is the worker-pool queue depth (default 4×Workers).
-	Backlog int
 	// MaxBatch caps dynamic micro-batching; 1 disables coalescing.
 	MaxBatch int
 	// FlushTimeout is how long a lone request waits for batch companions
@@ -57,9 +55,6 @@ type Config struct {
 	// adds. Default false: telemetry is always on, and designed to be cheap
 	// enough to leave on (zero allocations per request).
 	NoObs bool
-	// TraceDepth is the capacity of each request-trace ring (recent and
-	// slow), rounded up to a power of two. Default 256.
-	TraceDepth int
 	// SlowThreshold routes requests at or above this end-to-end latency
 	// into the dedicated slow-trace ring, so rare tail-latency offenders
 	// survive the churn of the recent ring. Default 100ms.
@@ -107,14 +102,17 @@ const (
 	minFlush = 50 * time.Microsecond
 	// timelineRing is how many sampled run timelines each program retains.
 	timelineRing = 4
+	// backlogPerWorker sizes the worker-pool queue: this many waiting
+	// tasks per worker.
+	backlogPerWorker = 4
+	// traceDepth is the capacity of each request-trace ring (recent and
+	// slow).
+	traceDepth = 256
 )
 
 func (c Config) withDefaults() Config {
 	if c.Workers < 1 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Backlog < 1 {
-		c.Backlog = 4 * c.Workers
 	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 1
@@ -124,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 30 * time.Second
-	}
-	if c.TraceDepth < 1 {
-		c.TraceDepth = 256
 	}
 	if c.SlowThreshold <= 0 {
 		c.SlowThreshold = 100 * time.Millisecond
@@ -242,7 +237,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		reg:      reg,
-		pool:     NewPool(cfg.Workers, cfg.Backlog),
+		pool:     NewPool(cfg.Workers, backlogPerWorker*cfg.Workers),
 		sessions: newSessionSource(!cfg.NoArena),
 		batchers: map[string]*batcher{},
 		stats:    map[string]*ModelStats{},
@@ -250,8 +245,8 @@ func New(cfg Config) *Server {
 		start:    time.Now(),
 	}
 	if s.obs {
-		s.traces = obs.NewTraceRing(cfg.TraceDepth)
-		s.slow = obs.NewTraceRing(cfg.TraceDepth)
+		s.traces = obs.NewTraceRing(traceDepth)
+		s.slow = obs.NewTraceRing(traceDepth)
 	}
 	if cfg.MemBudgetBytes > 0 {
 		var arena *tensor.ArenaStats

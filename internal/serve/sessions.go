@@ -45,7 +45,7 @@ func newSessionSource(arena bool) *sessionSource {
 
 // run executes the entry's program under ctx with a session borrowed from
 // the entry's pool, making one when the pool is empty.
-func (s *sessionSource) run(ctx context.Context, e *programEntry, feeds ramiel.Env) (outs ramiel.Env, err error) {
+func (s *sessionSource) run(ctx context.Context, e *compiled, feeds ramiel.Env) (outs ramiel.Env, err error) {
 	sess, _ := e.sessions.Get().(*ramiel.Session)
 	if sess == nil {
 		if s.arena {

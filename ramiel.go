@@ -294,9 +294,8 @@ func (p *Program) LastTimeline() *RunTimeline { return p.Plan.LastTimeline() }
 
 // Calibrate compares the program's compile-time cost model against its live
 // measured per-op durations (the counters behind OpTotals): a per-op ratio
-// table, the rank correlation between static and measured node costs, the
-// worst-diverging ops, and a MeasuredModel snapshot for profile-guided
-// recompilation. Nil until the program has run.
+// table, the rank correlation between static and measured node costs, and
+// the worst-diverging ops. Nil until the program has run.
 func (p *Program) Calibrate() *Calibration {
 	return p.Plan.Calibrate(p.costModel())
 }
