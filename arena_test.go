@@ -9,10 +9,26 @@ import (
 	"repro/internal/serve"
 )
 
-// arenaServer builds a warmed single-worker server for allocation tests.
-func arenaServer(t testing.TB, noArena bool) *serve.Server {
-	t.Helper()
-	s := serve.New(serve.Config{Workers: 1, MaxBatch: 1, NoArena: noArena})
+// Allocation bounds for one steady-state batch-1 request to a 16 px
+// squeezenet server (serve.Server.Infer, unbatched): the count measured
+// with warm session arenas, and the looser bound that holds under the race
+// detector, where sync.Pool drops pooled sessions at random and a request
+// sometimes builds a fresh session and arena (213–219 measured there).
+const (
+	maxArenaAllocs     = 213
+	maxArenaAllocsRace = 245
+)
+
+// TestArenaSteadyStateAllocations is the allocation-regression guard:
+// once the per-worker arena is warm, a batch-1 inference performs no
+// per-request tensor allocations beyond the escaping outputs — observable
+// both as flat arena misses and as an absolute allocation count per
+// request.
+func TestArenaSteadyStateAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting in -short mode")
+	}
+	s := serve.New(serve.Config{Workers: 1, MaxBatch: 1})
 	t.Cleanup(func() { s.Close(context.Background()) })
 	if err := s.RegisterZoo(ramiel.ModelConfig{ImageSize: 16}, "squeezenet"); err != nil {
 		t.Fatal(err)
@@ -20,25 +36,11 @@ func arenaServer(t testing.TB, noArena bool) *serve.Server {
 	if err := s.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	return s
-}
-
-// TestArenaSteadyStateAllocations is the allocation-regression guard:
-// once the per-worker arena is warm, a batch-1 inference performs no
-// per-request tensor allocations beyond the escaping outputs — observable
-// both as flat arena misses and as materially fewer allocations per run
-// than the arena-disabled path.
-func TestArenaSteadyStateAllocations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation counting in -short mode")
-	}
-	on := arenaServer(t, false)
-	off := arenaServer(t, true)
-	feeds, err := on.RandomFeeds("squeezenet", 1)
+	feeds, err := s.RandomFeeds("squeezenet", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	infer := func(s *serve.Server) {
+	infer := func() {
 		if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +49,7 @@ func TestArenaSteadyStateAllocations(t *testing.T) {
 	// full intermediate working set after the first run; a few more runs
 	// settle size-class churn.
 	for i := 0; i < 10; i++ {
-		infer(on)
-		infer(off)
+		infer()
 	}
 
 	// 1. Arena misses stay flat up to the escaping outputs: each request
@@ -57,12 +58,12 @@ func TestArenaSteadyStateAllocations(t *testing.T) {
 	// the race detector sync.Pool intentionally drops a fraction of Put
 	// items, discarding whole worker arenas, so the bound only holds in
 	// normal builds.
-	pre, _ := on.ArenaStats()
+	pre := s.ArenaStats()
 	const runs = 50
 	for i := 0; i < runs; i++ {
-		infer(on)
+		infer()
 	}
-	post, _ := on.ArenaStats()
+	post := s.ArenaStats()
 	missDelta := post.Misses - pre.Misses
 	if !raceEnabled && missDelta > 2*runs {
 		t.Errorf("arena misses grew by %d over %d steady-state requests, want <= %d (outputs only)",
@@ -72,20 +73,17 @@ func TestArenaSteadyStateAllocations(t *testing.T) {
 		t.Fatal("no arena traffic recorded — arena path not exercised")
 	}
 
-	// 2. The arena path allocates materially less than the heap path. The
-	// difference is the per-request intermediate tensors (squeezenet has
-	// ~64 intermediate values); everything else (env maps, channels,
-	// goroutines) is identical between the two servers.
-	allocsOn := testing.AllocsPerRun(30, func() { infer(on) })
-	allocsOff := testing.AllocsPerRun(30, func() { infer(off) })
-	if allocsOn >= allocsOff {
-		t.Errorf("arena run allocates more than heap run: %v >= %v", allocsOn, allocsOff)
+	// 2. The whole request — intermediates on the arena, env maps,
+	// channels, lane goroutines — stays within the measured count.
+	bound := float64(maxArenaAllocs)
+	if raceEnabled {
+		bound = maxArenaAllocsRace
 	}
-	if saved := allocsOff - allocsOn; saved < 40 {
-		t.Errorf("arena saves only %.0f allocs/request, want >= 40 (intermediate tensors)", saved)
+	allocs := testing.AllocsPerRun(30, infer)
+	if allocs > bound {
+		t.Errorf("steady-state request allocates %.0f times, want <= %.0f", allocs, bound)
 	}
-	t.Logf("allocs/request: arena %.0f, heap %.0f (saved %.0f); misses over %d runs: %d",
-		allocsOn, allocsOff, allocsOff-allocsOn, runs, missDelta)
+	t.Logf("allocs/request: %.0f (bound %.0f); misses over %d runs: %d", allocs, bound, runs, missDelta)
 }
 
 // TestConcurrentArenaRunsShareProgram is the acceptance-criteria race

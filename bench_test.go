@@ -116,9 +116,10 @@ func BenchmarkRunParallelSqueezenet(b *testing.B) {
 		b.Fatal(err)
 	}
 	feeds := ramiel.RandomInputs(g, 1)
+	sess := prog.NewSession()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds); err != nil {
+		if _, err := sess.Run(context.Background(), feeds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -205,85 +206,57 @@ func BenchmarkServeThroughputNoBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkServeArena measures steady-state batch-1 serving with the
-// per-worker tensor arena on vs off. Run with -benchmem: the arena run
-// must show materially fewer allocs/op and B/op — the per-request
-// intermediate tensors move from GC garbage to free-list reuse.
-func BenchmarkServeArena(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		noArena bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := serve.New(serve.Config{Workers: 2, MaxBatch: 1, NoArena: bc.noArena})
-			defer s.Close(context.Background())
-			if err := s.RegisterZoo(ramiel.ModelConfig{ImageSize: 16}, "squeezenet"); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Warm(); err != nil {
-				b.Fatal(err)
-			}
-			feeds, err := s.RandomFeeds("squeezenet", 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Reach steady state before measuring.
-			for i := 0; i < 5; i++ {
-				if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if st, ok := s.ArenaStats(); ok && st.Gets > 0 {
-				b.ReportMetric(100*float64(st.Hits)/float64(st.Gets), "arena-hit-%")
-			}
-		})
+// benchServe measures steady-state batch-1 serving of a 16 px squeezenet
+// under cfg (two workers, no batching). Run with -benchmem: allocs/op is
+// the serving hot path's whole per-request allocation count.
+func benchServe(b *testing.B, cfg serve.Config) *serve.Server {
+	cfg.Workers, cfg.MaxBatch = 2, 1
+	s := serve.New(cfg)
+	b.Cleanup(func() { s.Close(context.Background()) })
+	if err := s.RegisterZoo(ramiel.ModelConfig{ImageSize: 16}, "squeezenet"); err != nil {
+		b.Fatal(err)
 	}
+	if err := s.Warm(); err != nil {
+		b.Fatal(err)
+	}
+	feeds, err := s.RandomFeeds("squeezenet", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Reach steady state before measuring.
+	for i := 0; i < 5; i++ {
+		if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	return s
 }
 
-// BenchmarkServeObs measures the serving hot path with telemetry on
-// (default: stage histograms + request tracing) vs off. Run with -benchmem:
-// the deltas are the observability layer's whole per-request cost — the
-// design target is zero extra allocations and low tens of nanoseconds.
+// BenchmarkServeArena measures steady-state batch-1 serving on the
+// per-worker session arenas and reports their hit rate: the per-request
+// intermediate tensors are free-list reuse, not GC garbage.
+func BenchmarkServeArena(b *testing.B) {
+	b.Run("on", func(b *testing.B) {
+		s := benchServe(b, serve.Config{})
+		if st := s.ArenaStats(); st.Gets > 0 {
+			b.ReportMetric(100*float64(st.Hits)/float64(st.Gets), "arena-hit-%")
+		}
+	})
+}
+
+// BenchmarkServeObs measures the serving hot path with its telemetry (stage
+// histograms + request tracing), which is always on: the design target is
+// zero allocations and low tens of nanoseconds per request for it.
 func BenchmarkServeObs(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		noObs bool
-	}{{"on", false}, {"off", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := serve.New(serve.Config{Workers: 2, MaxBatch: 1, NoObs: bc.noObs})
-			defer s.Close(context.Background())
-			if err := s.RegisterZoo(ramiel.ModelConfig{ImageSize: 16}, "squeezenet"); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Warm(); err != nil {
-				b.Fatal(err)
-			}
-			feeds, err := s.RandomFeeds("squeezenet", 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("on", func(b *testing.B) { benchServe(b, serve.Config{}) })
 }
 
 // BenchmarkServeTimeline measures the serving hot path with the execution
@@ -296,32 +269,7 @@ func BenchmarkServeTimeline(b *testing.B) {
 		name  string
 		every int
 	}{{"off", 0}, {"on", 32}} {
-		b.Run(bc.name, func(b *testing.B) {
-			s := serve.New(serve.Config{Workers: 2, MaxBatch: 1, TimelineEvery: bc.every})
-			defer s.Close(context.Background())
-			if err := s.RegisterZoo(ramiel.ModelConfig{ImageSize: 16}, "squeezenet"); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.Warm(); err != nil {
-				b.Fatal(err)
-			}
-			feeds, err := s.RandomFeeds("squeezenet", 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < 5; i++ {
-				if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := s.Infer(context.Background(), "squeezenet", feeds, true); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(bc.name, func(b *testing.B) { benchServe(b, serve.Config{TimelineEvery: bc.every}) })
 	}
 }
 
@@ -334,7 +282,7 @@ func BenchmarkServeCompilePerRequest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds); err != nil {
+		if _, err := prog.NewSession().Run(context.Background(), feeds); err != nil {
 			b.Fatal(err)
 		}
 	}

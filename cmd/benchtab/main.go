@@ -2,7 +2,8 @@
 // (Tables I–VIII, Figs. 12–14) plus the design ablations, printing each next
 // to the published numbers. Runtime cells are wall-clock times measured on
 // this host: each speedup is the median of alternating one-lane/lanes
-// pairs of warm runs, with outputs checked against the sequential run.
+// pairs of warm samples (each at least 10 ms of back-to-back runs), with
+// outputs checked against the sequential run.
 //
 // Usage:
 //

@@ -50,7 +50,6 @@ func main() {
 	intra := flag.Int("intra", 1, "intra-op threads for real execution")
 
 	run := flag.Bool("run", false, "execute parallel + sequential and verify")
-	arena := flag.Bool("arena", true, "use arena-backed tensor memory for -run")
 	report := flag.Bool("report", false, "print metrics, clusters, the static-model simulation and the memory plan")
 	timelineOut := flag.String("timeline", "", "with -run: write the timed run's execution timeline as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	calibrate := flag.Bool("calibrate", false, "run calibration reps and report measured op cost vs the static model")
@@ -124,7 +123,7 @@ func main() {
 	}
 	if *run {
 		did = true
-		if err := runAndVerify(prog, *seed, *arena, *report); err != nil {
+		if err := runAndVerify(prog, *seed, *report); err != nil {
 			log.Fatal(err)
 		}
 		if *timelineOut != "" {
@@ -237,7 +236,7 @@ func printReport(prog *ramiel.Program) {
 	}
 }
 
-func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) error {
+func runAndVerify(prog *ramiel.Program, seed uint64, report bool) error {
 	ctx := context.Background()
 	feeds := ramiel.RandomInputs(prog.Graph, seed)
 	want, err := prog.RunSequential(feeds)
@@ -256,10 +255,6 @@ func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) erro
 	oneLane := &ramiel.Program{Graph: prog.Graph, Plan: onePlan}
 	// Both timed runs record a timeline, so they pay the same recording cost.
 	oneLane.EnableTimeline(1, 1)
-	var sopts []ramiel.SessionOption
-	if !useArena {
-		sopts = append(sopts, ramiel.WithoutArena())
-	}
 	// timed warms the session untimed, so the printed speedup compares
 	// steady states rather than cold-start vs warm-arena, then times and
 	// verifies one run.
@@ -280,11 +275,11 @@ func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) erro
 		}
 		return took, nil
 	}
-	seq, err := timed(oneLane.NewSession(sopts...))
+	seq, err := timed(oneLane.NewSession())
 	if err != nil {
 		return err
 	}
-	sess := prog.NewSession(sopts...)
+	sess := prog.NewSession()
 	par, err := timed(sess)
 	if err != nil {
 		return err
@@ -296,15 +291,13 @@ func runAndVerify(prog *ramiel.Program, seed uint64, useArena, report bool) erro
 			time.Duration(tl.OpTimeNs()).Round(time.Microsecond),
 			time.Duration(tl.WaitTimeNs()).Round(time.Microsecond), tl.Lanes)
 	}
-	if ar := sess.Arena(); ar != nil {
-		st := ar.Stats().Snapshot()
-		hitRate := 0.0
-		if st.Gets > 0 {
-			hitRate = 100 * float64(st.Hits) / float64(st.Gets)
-		}
-		fmt.Printf("  arena: %d gets (%.0f%% hits), %d puts, peak %s, fresh heap %s\n",
-			st.Gets, hitRate, st.Puts, fmtBytes(st.PeakBytes), fmtBytes(st.AllocBytes))
+	st := sess.Arena().Stats().Snapshot()
+	hitRate := 0.0
+	if st.Gets > 0 {
+		hitRate = 100 * float64(st.Hits) / float64(st.Gets)
 	}
+	fmt.Printf("  arena: %d gets (%.0f%% hits), %d puts, peak %s, fresh heap %s\n",
+		st.Gets, hitRate, st.Puts, fmtBytes(st.PeakBytes), fmtBytes(st.AllocBytes))
 	if report {
 		printOpTable(prog, 8)
 	}

@@ -13,7 +13,6 @@
 //
 //	ramield -models squeezenet,googlenet
 //	ramield -models bert -prune -max-batch 8 -flush 3ms -switched
-//	ramield -models squeezenet -max-batch 4,squeezenet=8 -flush 2ms,squeezenet=500us
 //	ramield -load mymodel=path/to/model.onnx.json.gz -addr :9090
 //	ramield -models squeezenet -replicas 4        # in-process fleet
 //	ramield -replicas 0 -remotes http://10.0.0.1:8080,http://10.0.0.2:8080
@@ -28,12 +27,12 @@
 //	curl localhost:8080/metrics              # Prometheus text exposition
 //	curl localhost:8080/readyz               # readiness (preload compiled)
 //
-// Batching: -max-batch and -flush take a global value plus optional
-// per-model overrides ("4,bert=8"). With -adaptive (the default) the flush
-// value is only the window cap — the batcher picks the actual window per
-// model from live inter-arrival and execution histograms, flushing early
-// at low load and growing batches under pressure; -adaptive=false restores
-// the static flush timeout as a manual fallback.
+// Batching: -max-batch caps every model's micro-batch and -flush its
+// window. With -adaptive (the default) the flush value is only the window
+// cap — the batcher picks the actual window per model from that model's
+// live inter-arrival and execution histograms, flushing early at low load
+// and growing batches under pressure; -adaptive=false restores the static
+// flush timeout as a manual fallback.
 //
 // Fleet: the daemon is a fleet front whenever it runs more than one
 // replica — -replicas N in-process runtimes, -remotes URLs of other
@@ -72,12 +71,11 @@
 // the model's live p99 execution time (never under 2s), so a pathological
 // input degrades one request instead of wedging a worker.
 // Input hardening: request bodies are capped at -max-body (413 cause
-// "body_too_large") and feeds containing NaN/Inf are rejected
-// (-finite-check=false restores raw feeds).
+// "body_too_large") and feeds containing NaN/Inf are rejected.
 //
 // Telemetry (stage-latency histograms, request tracing) is always on and
-// costs no allocations per request; -obs=false switches it off for A/B
-// overhead measurements. -timeline N additionally samples every Nth plan
+// costs no allocations per request; the watchdog, the adaptive batcher and
+// the memory shed's Retry-After read its histograms. -timeline N samples every Nth plan
 // execution into the per-op timeline flight recorder (sampled runs allocate,
 // so it defaults to off); the latest sampled run is exported as Chrome
 // trace-event JSON at GET /v1/timeline. -pprof additionally mounts
@@ -103,73 +101,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/serve"
 )
-
-// parseTuning splits a "global,model=value,..." flag into the global part
-// and per-model overrides. Items without '=' (re)set the global value.
-func parseTuning(spec string) (global string, overrides map[string]string, err error) {
-	overrides = map[string]string{}
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		if model, val, ok := strings.Cut(item, "="); ok {
-			if model == "" || val == "" {
-				return "", nil, fmt.Errorf("%q: want model=value", item)
-			}
-			overrides[model] = val
-		} else {
-			global = item
-		}
-	}
-	return global, overrides, nil
-}
-
-// batchTuning resolves the -max-batch and -flush flag grammars into the
-// global config values plus a per-model serve.BatchTuning map.
-func batchTuning(maxBatchSpec, flushSpec string) (maxBatch int, flush time.Duration, perModel map[string]serve.BatchTuning, err error) {
-	mbGlobal, mbOver, err := parseTuning(maxBatchSpec)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("-max-batch %v", err)
-	}
-	flGlobal, flOver, err := parseTuning(flushSpec)
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("-flush %v", err)
-	}
-	if mbGlobal != "" {
-		if maxBatch, err = strconv.Atoi(mbGlobal); err != nil {
-			return 0, 0, nil, fmt.Errorf("-max-batch %q: %v", mbGlobal, err)
-		}
-	}
-	if flGlobal != "" {
-		if flush, err = time.ParseDuration(flGlobal); err != nil {
-			return 0, 0, nil, fmt.Errorf("-flush %q: %v", flGlobal, err)
-		}
-	}
-	perModel = map[string]serve.BatchTuning{}
-	for model, val := range mbOver {
-		n, err := strconv.Atoi(val)
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("-max-batch %s=%q: %v", model, val, err)
-		}
-		t := perModel[model]
-		t.MaxBatch = n
-		perModel[model] = t
-	}
-	for model, val := range flOver {
-		d, err := time.ParseDuration(val)
-		if err != nil {
-			return 0, 0, nil, fmt.Errorf("-flush %s=%q: %v", model, val, err)
-		}
-		t := perModel[model]
-		t.FlushTimeout = d
-		perModel[model] = t
-	}
-	if len(perModel) == 0 {
-		perModel = nil
-	}
-	return maxBatch, flush, perModel, nil
-}
 
 // replicaBudget resolves -mem-budget into each in-process replica's share:
 // 0 detects 80% of the cgroup/system limit, negative disables governance,
@@ -291,8 +222,8 @@ func main() {
 	img := flag.Int("img", 32, "image size for zoo vision models")
 
 	workers := flag.Int("workers", 0, "concurrent plan executions per replica (0 = GOMAXPROCS)")
-	maxBatchSpec := flag.String("max-batch", "4", `micro-batch cap, with optional per-model overrides "4,bert=8" (1 disables coalescing)`)
-	flushSpec := flag.String("flush", "2ms", `micro-batch flush window, with optional per-model overrides "2ms,bert=500us" (the cap when -adaptive)`)
+	maxBatch := flag.Int("max-batch", 4, "micro-batch cap (1 disables coalescing)")
+	flush := flag.Duration("flush", 2*time.Millisecond, "micro-batch flush window (the cap when -adaptive)")
 	adaptive := flag.Bool("adaptive", true, "latency-aware flush windows from live queue/exec histograms (-flush becomes the cap)")
 	replicasN := flag.Int("replicas", 1, "in-process serving replicas; with -remotes, or >1, the fleet front (routing + admission) is served on -addr")
 	remotesFlag := flag.String("remotes", "", "comma-separated base URLs of other ramields to front as remote replicas (with -replicas 0: a pure front)")
@@ -303,41 +234,30 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "memory budget in bytes for admission + arena caps, split across in-process replicas (0 = 80% of cgroup/system memory; negative disables)")
 	watchdogF := flag.Float64("watchdog", 0, "kill runs exceeding this multiple of the model's live p99 exec time (0 = 20; negative disables)")
 	maxBody := flag.Int64("max-body", 0, "POST /v1/infer request-body cap in bytes (0 = 8 MiB; negative disables)")
-	finiteCheck := flag.Bool("finite-check", true, "reject feeds containing NaN or Inf values")
 	switched := flag.Bool("switched", false, "use switched hyperclustering for batch plans")
-	arena := flag.Bool("arena", true, "arena-backed execution: recycle intermediate tensors across requests")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	prune := flag.Bool("prune", false, "compile with constant propagation + DCE")
 	clone := flag.Bool("clone", false, "compile with limited task cloning")
 	fusion := flag.Bool("fusion", true, "compile with operator fusion (BN folding, kernel epilogues, fused elementwise chains)")
 	warm := flag.Bool("warm", true, "precompile batch-1 programs at startup")
-	obsOn := flag.Bool("obs", true, "serve-layer telemetry: stage-latency histograms and request tracing")
 	timelineEvery := flag.Int("timeline", 0, "sample every Nth execution into the timeline flight recorder (0 disables; exported at GET /v1/timeline)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
-	maxBatch, flush, perModel, err := batchTuning(*maxBatchSpec, *flushSpec)
-	if err != nil {
-		log.Fatal(err)
-	}
 	st := settings{
 		serve: serve.Config{
 			Workers:       *workers,
-			MaxBatch:      maxBatch,
-			FlushTimeout:  flush,
+			MaxBatch:      *maxBatch,
+			FlushTimeout:  *flush,
 			AdaptiveBatch: *adaptive,
-			ModelTuning:   perModel,
 			Switched:      *switched,
 			Deadline:      *deadline,
-			NoArena:       !*arena,
-			NoObs:         !*obsOn,
 			TimelineEvery: *timelineEvery,
 			Compile:       ramiel.Options{Prune: *prune, Clone: *clone, DisableFusion: !*fusion},
 
 			MemBudgetBytes: replicaBudget(*memBudget, *replicasN),
 			WatchdogFactor: *watchdogF,
 			MaxBodyBytes:   *maxBody,
-			NoFiniteCheck:  !*finiteCheck,
 		},
 		fleet: fleet.Config{
 			NoAdmission:      !*admission,
@@ -392,8 +312,8 @@ func main() {
 	if len(d.servers) > 0 {
 		models = d.servers[0].Registry().Models()
 	}
-	log.Printf("serving %v on %s (max-batch %s, flush %s, adaptive %v, arena %v, fusion %v, obs %v, timeline %d)",
-		models, *addr, *maxBatchSpec, *flushSpec, *adaptive, *arena, *fusion, *obsOn, *timelineEvery)
+	log.Printf("serving %v on %s (max-batch %d, flush %v, adaptive %v, fusion %v, timeline %d)",
+		models, *addr, *maxBatch, *flush, *adaptive, *fusion, *timelineEvery)
 
 	handler := d.handler
 	if *pprofOn {

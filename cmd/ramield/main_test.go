@@ -17,45 +17,6 @@ import (
 	"repro/internal/tensor"
 )
 
-func TestBatchTuningGrammar(t *testing.T) {
-	maxBatch, flush, perModel, err := batchTuning("4,bert=8, squeezenet=2", "2ms,bert=500us")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxBatch != 4 || flush != 2*time.Millisecond {
-		t.Errorf("globals = %d, %v; want 4, 2ms", maxBatch, flush)
-	}
-	want := map[string]serve.BatchTuning{
-		"bert":       {MaxBatch: 8, FlushTimeout: 500 * time.Microsecond},
-		"squeezenet": {MaxBatch: 2},
-	}
-	if !reflect.DeepEqual(perModel, want) {
-		t.Errorf("per-model tuning = %+v, want %+v", perModel, want)
-	}
-
-	// Overrides alone leave the globals to serve.Config's defaults; no
-	// overrides leave the map nil.
-	if maxBatch, _, perModel, err = batchTuning("bert=8", "3ms"); err != nil || maxBatch != 0 || perModel["bert"].MaxBatch != 8 {
-		t.Errorf(`batchTuning("bert=8") = %d, %+v, %v; want global 0 and bert=8`, maxBatch, perModel, err)
-	}
-	if _, _, perModel, err = batchTuning("4", "2ms"); err != nil || perModel != nil {
-		t.Errorf("no overrides: per-model = %+v, %v; want nil", perModel, err)
-	}
-
-	for _, bad := range [][2]string{
-		{"4,=8", "2ms"},       // override without a model
-		{"4,bert=", "2ms"},    // override without a value
-		{"four", "2ms"},       // global not a number
-		{"4,bert=x", "2ms"},   // override not a number
-		{"4", "soon"},         // global not a duration
-		{"4", "2ms,bert=500"}, // override not a duration (no unit)
-	} {
-		if _, _, _, err := batchTuning(bad[0], bad[1]); err == nil {
-			t.Errorf("batchTuning(%q, %q) accepted", bad[0], bad[1])
-		}
-	}
-}
-
 func TestReplicaBudget(t *testing.T) {
 	if got := replicaBudget(1<<30, 4); got != 1<<28 {
 		t.Errorf("1 GiB over 4 replicas = %d, want %d each", got, 1<<28)

@@ -33,7 +33,7 @@ func TestProgramRunConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < iters; j++ {
-				out, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), feeds)
+				out, err := prog.NewSession().Run(context.Background(), feeds)
 				if err != nil {
 					t.Error(err)
 					return
@@ -86,7 +86,7 @@ func TestHyperclusteredRunConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := prog.NewSession(ramiel.WithoutArena()).Run(context.Background(), batched)
+			out, err := prog.NewSession().Run(context.Background(), batched)
 			if err != nil {
 				t.Error(err)
 				return

@@ -24,10 +24,10 @@
 // CompileWithOptions accepts the same configuration as an
 // Options struct for callers that carry it as data.
 //
-// A Session bundles the run configuration — by default it owns a tensor
-// arena that recycles intermediate tensors across its runs (steady-state
-// inference allocates nothing per run; WithArena and WithoutArena choose
-// otherwise). What a run did is recorded on the Program, not the Session:
+// A Session bundles the run configuration — a tensor arena that recycles
+// intermediate tensors across its runs, so steady-state inference allocates
+// nothing per run (the session owns one unless WithArena hands it a
+// caller-owned arena). What a run did is recorded on the Program, not the Session:
 // its op counters and, when enabled, its sampled timeline (both below).
 // Session.Run validates feeds up front (ValidateFeeds) and honors its context:
 // cancellation and deadlines abort an in-flight run cooperatively between
@@ -83,8 +83,7 @@
 // stuck-run watchdog force-cancels runs exceeding a multiple of the
 // model's p99 (-watchdog, never under 2s; cause "watchdog"), request
 // bodies are capped (-max-body, 413), and non-finite feeds (NaN/Inf) are
-// rejected at validation (ramiel.CheckFiniteFeeds; -finite-check=false
-// opts out). DESIGN.md's "Resource governance" section has the policy
+// rejected at validation (ramiel.CheckFiniteFeeds). DESIGN.md's "Resource governance" section has the policy
 // details.
 //
 // See the examples/ directory for runnable end-to-end programs and

@@ -7,7 +7,8 @@
 // Tables I–III and the edge-cost ablation are static: node counts, cluster
 // counts and the cost model's parallelism factor. Every runtime cell is
 // measured: ramiel.MeasureSpeedup times a program against a one-lane plan
-// on this host, in alternating pairs of warm runs, after checking the
+// on this host, in alternating pairs of warm samples (each at least 10 ms
+// of back-to-back runs), after checking the
 // outputs against the sequential reference. The paper used a 12-core Xeon,
 // so the measured speedups are bounded by this host's core count, which
 // every runtime table prints in its title.

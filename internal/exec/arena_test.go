@@ -147,8 +147,8 @@ func TestRunArenaConcurrentIndependentArenas(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunArenaMixedWithPlainRuns: arena and non-arena runs of the same
-// plan interleave freely (the registry serves both paths in production).
+// TestRunArenaMixedWithPlainRuns: runs on a kept arena and runs with a nil
+// arena (a fresh arena for that one run) interleave freely on one plan.
 func TestRunArenaMixedWithPlainRuns(t *testing.T) {
 	g, feeds := smallGraph()
 	ref, err := RunSequential(g, feeds)

@@ -441,13 +441,14 @@ func checkPartition(g *graph.Graph, lanes [][]*graph.Node) error {
 // returning the graph outputs. What the run did is recorded by the plan's op
 // counters (OpTotals) and, on a sampled run, its timeline (EnableTimeline).
 //
-// With a non-nil ar every kernel output is allocated from the arena and each
-// intermediate's storage goes back to it the moment its statically-known
-// last consumer finishes (the release schedule of internal/memplan); graph
-// outputs escape to the caller as ordinary heap-owned tensors. Concurrent runs must
-// each pass their own (or a pooled, currently idle) arena; keeping one alive
+// Every kernel output is allocated from the arena ar and each intermediate's
+// storage goes back to it the moment its statically-known last consumer
+// finishes (the release schedule of internal/memplan); graph outputs escape
+// to the caller as ordinary heap-owned tensors. Concurrent runs must each
+// pass their own (or a pooled, currently idle) arena; keeping one alive
 // across sequential runs is what makes steady-state inference allocation-
-// free for intermediates. A nil ar runs on the heap.
+// free for intermediates. A nil ar gets a fresh arena for this one run.
+// RunSequential is the heap reference the arena path is checked against.
 //
 // Cancellation is cooperative: lanes observe ctx between operator kernels
 // and while blocked on cross-lane receives, so a cancelled or deadline-
@@ -485,18 +486,13 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 	// is a nil-safe no-op then — the hot loop's zero-allocation contract.
 	rec := p.tl.Load().StartRun(len(p.Lanes))
 
-	// Arena mode: a private copy of the reference counts. Lane goroutines
-	// decrement the counts of a node's managed inputs once the node
-	// completes; whoever performs a value's final decrement owns the
-	// release. alloc is the allocator handed to every kernel.
-	var (
-		refs  []int32
-		alloc tensor.Allocator
-	)
-	if ar != nil {
-		alloc = ar
-		refs = slices.Clone(rt.refs)
+	// A private copy of the reference counts. Lane goroutines decrement
+	// the counts of a node's managed inputs once the node completes;
+	// whoever performs a value's final decrement owns the release.
+	if ar == nil {
+		ar = tensor.NewArena()
 	}
+	refs := slices.Clone(rt.refs)
 
 	// One ready channel per cross-lane value, freshly made per run so
 	// concurrent runs never share signals: the producer closes it once the
@@ -578,7 +574,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 						return
 					}
 				}
-				outs, err := runKernel(s.node, s.kernel, args, alloc, refs != nil && s.inplace)
+				outs, err := runKernel(s.node, s.kernel, args, ar, s.inplace)
 				if err != nil {
 					fail(li, err)
 					return
@@ -606,11 +602,9 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 				// consumers' references, so only values whose global count
 				// reaches zero here — no reader left in any lane — are
 				// recycled.
-				if refs != nil {
-					for _, sl := range s.release {
-						if atomic.AddInt32(&refs[sl], -1) == 0 {
-							tensor.ReleaseData(ar, frame[sl])
-						}
+				for _, sl := range s.release {
+					if atomic.AddInt32(&refs[sl], -1) == 0 {
+						tensor.ReleaseData(ar, frame[sl])
 					}
 				}
 				runs[li].done = si + 1
@@ -645,9 +639,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 		// The unwound run abandons its in-flight tensors to the GC; take
 		// their bytes out of the arena's in-use accounting so the gauge
 		// reflects reality. Safe here: every lane has exited.
-		if ar != nil {
-			ar.AbandonOutstanding()
-		}
+		ar.AbandonOutstanding()
 		// A failed sampled run still commits its partial timeline (marked
 		// incomplete): seeing where lanes stopped is diagnostic signal.
 		rec.Commit(time.Since(start), false)
@@ -665,7 +657,7 @@ func (p *Plan) Execute(ctx context.Context, feeds Env, ar *tensor.Arena) (Env, e
 		// Node-produced graph outputs escape to the caller: drop them from
 		// the arena's working-set accounting so long-lived arenas report
 		// the real steady-state footprint, not a per-request ratchet.
-		if ar != nil && rt.escapes[i] {
+		if rt.escapes[i] {
 			ar.NoteEscape(frame[sl].Data())
 		}
 	}

@@ -13,9 +13,9 @@ import (
 
 // TestExecuteEdgeCasesMatchReference runs two-lane plans over the value
 // aliasing and failure shapes the run table must route by slot, comparing
-// a heap run, an arena run and the sequential reference: outputs must be
-// bit-identical, and a failing graph must fail on every path with the
-// reference's error text.
+// a fresh-arena run, a kept-arena run (cold, then warm) and the sequential
+// reference: outputs must be bit-identical, and a failing graph must fail
+// on every path with the reference's error text.
 func TestExecuteEdgeCasesMatchReference(t *testing.T) {
 	r := tensor.NewRNG(5)
 	x := r.RandTensor(2, 4)
@@ -131,7 +131,7 @@ func TestExecuteEdgeCasesMatchReference(t *testing.T) {
 			for _, run := range []struct {
 				name string
 				ar   *tensor.Arena
-			}{{"heap", nil}, {"arena", ar}, {"warm arena", ar}} {
+			}{{"fresh arena", nil}, {"arena", ar}, {"warm arena", ar}} {
 				got, err := plan.Execute(context.Background(), feeds, run.ar)
 				if tc.wantErr != "" {
 					if seqErr == nil || !strings.Contains(seqErr.Error(), tc.wantErr) {

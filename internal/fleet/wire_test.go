@@ -130,7 +130,7 @@ func TestInferWireSheds(t *testing.T) {
 
 	// One byte of budget: the first requests are admitted while the model's
 	// estimate is still being sized in the background, every later one sheds.
-	memSrv := newLocalServer(t, serve.Config{Workers: 1, MaxBatch: 1, NoArena: true, MemBudgetBytes: 1})
+	memSrv := newLocalServer(t, serve.Config{Workers: 1, MaxBatch: 1, MemBudgetBytes: 1})
 	for i := 0; ; i++ {
 		if _, _, err := memSrv.Infer(context.Background(), "tiny", tinyFeeds(0), false); errors.Is(err, serve.ErrMemoryPressure) {
 			break

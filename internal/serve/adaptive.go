@@ -15,8 +15,8 @@ import (
 //     companions — tracks the model's live execution time (half the p50
 //     from the stage histograms): batching only pays while the wait it
 //     adds stays small against the work it amortizes. With no samples yet
-//     (cold model, or telemetry off) the budget falls back to the
-//     configured static window.
+//     (a cold model) the budget falls back to the configured static
+//     window.
 //   - The *fill estimate* — how long until a full window of maxBatch
 //     requests accumulates — comes from an EWMA of request inter-arrival
 //     gaps. When arrivals are sparse (fill > budget: the companions are
@@ -29,7 +29,7 @@ import (
 // All state is atomic; note and window are called on the submit path and
 // allocate nothing.
 type batchAdapter struct {
-	exec      *obs.Histogram // live exec-stage histogram (nil-safe: Quantile = 0)
+	exec      *obs.Histogram // the model's live exec-stage histogram
 	minWindow time.Duration  // floor (minFlush)
 	maxWindow time.Duration  // cap = the configured static window
 	maxBatch  int

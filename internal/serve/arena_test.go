@@ -35,10 +35,7 @@ func TestArenaServingMatchesSequential(t *testing.T) {
 			t.Fatalf("request %d: arena-served output differs from reference", i)
 		}
 	}
-	st, ok := s.ArenaStats()
-	if !ok {
-		t.Fatal("arena should be enabled by default")
-	}
+	st := s.ArenaStats()
 	if st.Gets == 0 || st.Puts == 0 {
 		t.Fatalf("arena saw no traffic: %+v", st)
 	}
@@ -67,20 +64,6 @@ func TestArenaOutputsSurviveSubsequentRequests(t *testing.T) {
 			t.Fatalf("held response mutated at %d: %v -> %v (output recycled into arena?)",
 				i, snapshot[i], v)
 		}
-	}
-}
-
-// TestNoArenaConfig: the opt-out path serves correctly and reports the
-// arena as disabled.
-func TestNoArenaConfig(t *testing.T) {
-	s := New(Config{Workers: 2, MaxBatch: 1, NoArena: true})
-	defer s.Close(context.Background())
-	s.RegisterGraph("tiny", tinyModel())
-	if _, _, err := s.Infer(context.Background(), "tiny", tinyFeeds(-1), false); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.ArenaStats(); ok {
-		t.Fatal("NoArena server still reports arena stats")
 	}
 }
 

@@ -82,7 +82,7 @@ func TestInferCancelAbortsInFlightRun(t *testing.T) {
 	// Aborted runs must not ratchet the arena's in-use gauge: with no
 	// request in flight, everything handed out was either recycled,
 	// escaped to a client, or abandoned-and-reconciled.
-	if st, ok := s.ArenaStats(); ok && st.InUseBytes != 0 {
+	if st := s.ArenaStats(); st.InUseBytes != 0 {
 		t.Errorf("arena in_use_bytes = %d with no requests in flight, want 0", st.InUseBytes)
 	}
 	// Cancellations are client behavior, not model failures.

@@ -92,8 +92,8 @@ type modelEstimate struct {
 // sync.Map hit — zero allocations.
 type memGovernor struct {
 	budget int64
-	// arena is the server's shared arena stats block (nil when arena-less):
-	// its InUseBytes gauge is the live component of the projection.
+	// arena is the server's shared arena stats block: its InUseBytes gauge
+	// is the live component of the projection.
 	arena *tensor.ArenaStats
 	// reserved sums the estimates of admitted-but-unfinished requests —
 	// memory the projection says is about to be resident.
@@ -150,10 +150,7 @@ func (g *memGovernor) admit(s *Server, model string) (reserved int64, ok bool) {
 		return 0, true
 	}
 	est := g.estimate(s, model)
-	var inUse int64
-	if g.arena != nil {
-		inUse = g.arena.InUseBytes.Load()
-	}
+	inUse := g.arena.InUseBytes.Load()
 	for {
 		res := g.reserved.Load()
 		if inUse+res+est > g.budget {
@@ -231,10 +228,8 @@ func (s *Server) MemoryStats() MemoryStatsSnapshot {
 	snap.Enabled = true
 	snap.BudgetBytes = g.budget
 	snap.ReservedBytes = g.reserved.Load()
-	if g.arena != nil {
-		snap.InUseBytes = g.arena.InUseBytes.Load()
-		snap.ArenaDenials = g.arena.BudgetDenials.Load()
-	}
+	snap.InUseBytes = g.arena.InUseBytes.Load()
+	snap.ArenaDenials = g.arena.BudgetDenials.Load()
 	if h := g.budget - snap.InUseBytes - snap.ReservedBytes; h > 0 {
 		snap.HeadroomBytes = h
 	}
@@ -284,13 +279,13 @@ type watchdog struct {
 	// batchSeq hands synthetic ids to batch runs (high bit set, so they
 	// never collide with server request ids) for the same attribution.
 	batchSeq atomic.Uint64
-	// killAge records how old runs were when killed (nil with NoObs).
-	killAge *obs.Histogram
+	// killAge records how old runs were when killed.
+	killAge obs.Histogram
 	stop    chan struct{}
 	done    chan struct{}
 }
 
-func newWatchdog(workers int, factor float64, floor time.Duration, withObs bool) *watchdog {
+func newWatchdog(workers int, factor float64, floor time.Duration) *watchdog {
 	w := &watchdog{
 		slots:     make([]watchSlot, workers),
 		factor:    factor,
@@ -298,9 +293,6 @@ func newWatchdog(workers int, factor float64, floor time.Duration, withObs bool)
 		killedIDs: make([]atomic.Uint64, max(2*workers, 8)),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-	}
-	if withObs {
-		w.killAge = &obs.Histogram{}
 	}
 	tick := floor / 8
 	if tick < time.Millisecond {

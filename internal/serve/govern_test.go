@@ -54,7 +54,7 @@ func sleepyModel() *ramiel.Graph {
 // estimate table: admit while projected ≤ budget, shed one request past
 // it, admit again after a release.
 func TestMemGovernorBoundary(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 1, MemBudgetBytes: 1000, NoArena: true})
+	s := New(Config{Workers: 1, MaxBatch: 1, MemBudgetBytes: 1000})
 	defer s.Close(context.Background())
 	s.RegisterGraph("tiny", tinyModel())
 	g := s.gov
@@ -204,10 +204,7 @@ func TestArenaBudgetExhaustionMidRun(t *testing.T) {
 			t.Fatalf("request %d causeOf = %v, want memory", i, got)
 		}
 	}
-	arena, ok := s.ArenaStats()
-	if !ok {
-		t.Fatal("arena disabled")
-	}
+	arena := s.ArenaStats()
 	if arena.InUseBytes != 0 {
 		t.Errorf("InUseBytes = %d after budget-failed runs, want 0 (arena not reconciled)", arena.InUseBytes)
 	}
@@ -273,7 +270,7 @@ func TestWatchdogKillsStuckRun(t *testing.T) {
 // time the run's cancel func fires, wasKilled must already report the id,
 // since the cancelled run's error path asks it at once.
 func TestWatchdogRecordsKillBeforeCancel(t *testing.T) {
-	w := newWatchdog(1, 3, time.Hour, false)
+	w := newWatchdog(1, 3, time.Hour)
 	defer w.stopLoop()
 	const id = 42
 	var seenAtCancel, cancelled bool
@@ -353,8 +350,7 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestNonFiniteFeedsRejected: NaN/Inf feeds fail as validation errors by
-// default; NoFiniteCheck restores raw feeds.
+// TestNonFiniteFeedsRejected: NaN/Inf feeds fail as validation errors.
 func TestNonFiniteFeedsRejected(t *testing.T) {
 	s := New(Config{Workers: 1, MaxBatch: 1})
 	defer s.Close(context.Background())
@@ -377,15 +373,6 @@ func TestNonFiniteFeedsRejected(t *testing.T) {
 		if got, _, _ := ReplyFor(err); got != http.StatusBadRequest {
 			t.Errorf("%s feed: status = %d, want 400", name, got)
 		}
-	}
-
-	raw := New(Config{Workers: 1, MaxBatch: 1, NoFiniteCheck: true})
-	defer raw.Close(context.Background())
-	raw.RegisterGraph("tiny", tinyModel())
-	raw.MarkReady()
-	feeds := ramiel.Env{"x": ramiel.NewTensor(ramiel.NewShape(4), []float32{1, float32(math.NaN()), 3, 4})}
-	if _, _, err := raw.Infer(context.Background(), "tiny", feeds, false); err != nil {
-		t.Fatalf("NoFiniteCheck server rejected NaN feed: %v", err)
 	}
 }
 

@@ -114,8 +114,8 @@ type poolStatsJSON struct {
 	PeakInFlight int64 `json:"peak_in_flight"`
 }
 
-// arenaStatsJSON aggregates every worker arena's counters. When disabled,
-// only Enabled is meaningful.
+// arenaStatsJSON aggregates every worker arena's counters. Enabled is
+// always true: every run executes on a session arena.
 type arenaStatsJSON struct {
 	Enabled bool `json:"enabled"`
 	tensor.ArenaStatsSnapshot
@@ -414,10 +414,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	if !s.obs {
-		writeError(w, http.StatusNotImplemented, errors.New("tracing disabled (server started with telemetry off)"))
-		return
-	}
 	n := 0
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
@@ -519,8 +515,6 @@ func (s *Server) snapshot() statsResponse {
 		models[name] = st.Snapshot()
 	}
 	s.mu.Unlock()
-	arena := arenaStatsJSON{}
-	arena.ArenaStatsSnapshot, arena.Enabled = s.ArenaStats()
 	return statsResponse{
 		UptimeSeconds: s.Uptime().Seconds(),
 		Ready:         s.Ready(),
@@ -532,7 +526,7 @@ func (s *Server) snapshot() statsResponse {
 			InFlight:     s.pool.InFlight(),
 			PeakInFlight: s.pool.PeakInFlight(),
 		},
-		Arena:   arena,
+		Arena:   arenaStatsJSON{Enabled: true, ArenaStatsSnapshot: s.ArenaStats()},
 		Memory:  s.MemoryStats(),
 		Runtime: readRuntimeStats(),
 		Models:  models,

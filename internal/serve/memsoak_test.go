@@ -108,7 +108,7 @@ func TestMemorySoakShedsInsteadOfQueueing(t *testing.T) {
 	if snap.Sheds != report.Class("shed_memory").Count {
 		t.Errorf("governor counted %d sheds, clients saw %d", snap.Sheds, report.Class("shed_memory").Count)
 	}
-	if arena, ok := s.ArenaStats(); ok && arena.InUseBytes != 0 {
+	if arena := s.ArenaStats(); arena.InUseBytes != 0 {
 		t.Errorf("arena InUseBytes = %d after soak, want 0", arena.InUseBytes)
 	}
 }

@@ -28,16 +28,15 @@ func (s *Server) writeMetrics(w io.Writer) {
 	p.Family("ramield_pool_in_flight", "gauge", "Tasks currently executing.", obs.Value(st.Pool.InFlight))
 	p.Family("ramield_pool_peak_in_flight", "gauge", "Highest concurrent execution count observed.", obs.Value(st.Pool.PeakInFlight))
 
-	if a := st.Arena; a.Enabled {
-		p.Family("ramield_arena_gets_total", "counter", "Arena buffer requests.", obs.Value(a.Gets))
-		p.Family("ramield_arena_hits_total", "counter", "Arena requests served from free lists.", obs.Value(a.Hits))
-		p.Family("ramield_arena_misses_total", "counter", "Arena requests that allocated.", obs.Value(a.Misses))
-		p.Family("ramield_arena_puts_total", "counter", "Buffers recycled back to arenas.", obs.Value(a.Puts))
-		p.Family("ramield_arena_alloc_bytes_total", "counter", "Bytes allocated by arena misses.", obs.Value(a.AllocBytes))
-		p.Family("ramield_arena_in_use_bytes", "gauge", "Arena bytes handed out and not yet recycled.", obs.Value(a.InUseBytes))
-		p.Family("ramield_arena_peak_bytes", "gauge", "Peak arena bytes in use.", obs.Value(a.PeakBytes))
-		p.Family("ramield_arena_held_bytes", "gauge", "Arena bytes parked on free lists.", obs.Value(a.HeldBytes))
-	}
+	a := st.Arena
+	p.Family("ramield_arena_gets_total", "counter", "Arena buffer requests.", obs.Value(a.Gets))
+	p.Family("ramield_arena_hits_total", "counter", "Arena requests served from free lists.", obs.Value(a.Hits))
+	p.Family("ramield_arena_misses_total", "counter", "Arena requests that allocated.", obs.Value(a.Misses))
+	p.Family("ramield_arena_puts_total", "counter", "Buffers recycled back to arenas.", obs.Value(a.Puts))
+	p.Family("ramield_arena_alloc_bytes_total", "counter", "Bytes allocated by arena misses.", obs.Value(a.AllocBytes))
+	p.Family("ramield_arena_in_use_bytes", "gauge", "Arena bytes handed out and not yet recycled.", obs.Value(a.InUseBytes))
+	p.Family("ramield_arena_peak_bytes", "gauge", "Peak arena bytes in use.", obs.Value(a.PeakBytes))
+	p.Family("ramield_arena_held_bytes", "gauge", "Arena bytes parked on free lists.", obs.Value(a.HeldBytes))
 
 	// Resource governance: memory budget/headroom gauges and watchdog
 	// counters. Memory sheds ride errors_total{cause="memory"} per model.

@@ -435,25 +435,3 @@ func TestAdaptiveWindow(t *testing.T) {
 		a.note(time.Now()) // must not panic
 	})
 }
-
-// TestPerModelTuning checks the Config.ModelTuning override used by the
-// -flush/-max-batch per-model flag grammar.
-func TestPerModelTuning(t *testing.T) {
-	cfg := Config{
-		MaxBatch:     4,
-		FlushTimeout: 2 * time.Millisecond,
-		ModelTuning: map[string]BatchTuning{
-			"bert": {MaxBatch: 8, FlushTimeout: 500 * time.Microsecond},
-			"tiny": {MaxBatch: 1},
-		},
-	}
-	if mb, fl := cfg.tuning("bert"); mb != 8 || fl != 500*time.Microsecond {
-		t.Errorf("tuning(bert) = %d, %v; want 8, 500µs", mb, fl)
-	}
-	if mb, fl := cfg.tuning("tiny"); mb != 1 || fl != 2*time.Millisecond {
-		t.Errorf("tuning(tiny) = %d, %v; want 1 and the global flush", mb, fl)
-	}
-	if mb, fl := cfg.tuning("other"); mb != 4 || fl != 2*time.Millisecond {
-		t.Errorf("tuning(other) = %d, %v; want the globals", mb, fl)
-	}
-}

@@ -185,27 +185,6 @@ func TestTraceRingCapturesRequests(t *testing.T) {
 	}
 }
 
-func TestNoObsDisablesTelemetry(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 1, NoObs: true})
-	defer s.Close(context.Background())
-	s.RegisterGraph("tiny", tinyModel())
-
-	if _, _, err := s.Infer(context.Background(), "tiny", tinyFeeds(0), false); err != nil {
-		t.Fatal(err)
-	}
-	if s.Traces(0) != nil || s.SlowTraces(0) != nil {
-		t.Error("traces recorded with telemetry off")
-	}
-	snap := s.modelStats("tiny").Snapshot()
-	if snap.Stages != nil {
-		t.Errorf("stage histograms recorded with telemetry off: %v", snap.Stages)
-	}
-	// Counters stay on regardless.
-	if snap.Requests != 1 {
-		t.Errorf("Requests = %d, want 1", snap.Requests)
-	}
-}
-
 func TestReadyz(t *testing.T) {
 	s, ts := newHTTPServer(t, Config{Workers: 1, MaxBatch: 1}, "squeezenet")
 
@@ -473,33 +452,46 @@ func TestStatsIncludesOpsAndStages(t *testing.T) {
 	}
 }
 
-// TestInferZeroExtraAllocs pins the telemetry overhead of the serving hot
-// path: the instrumented path may cost at most 2 allocations per request
-// more than with telemetry off (the acceptance budget; measured delta is 0).
+// maxInferAllocs is the allocation count of one steady-state unbatched
+// request to the tiny model, telemetry (stage histograms, trace rings)
+// included: the serving hot path's whole per-request budget. Under the race
+// detector sync.Pool drops pooled sessions at random, and a request that
+// builds a fresh session allocates more: maxInferAllocsRace is the count
+// measured there (39) plus two.
+const (
+	maxInferAllocs     = 38
+	maxInferAllocsRace = 41
+)
+
+// TestInferZeroExtraAllocs pins the serving hot path's allocations per
+// request, with the always-on telemetry recording every request.
 func TestInferZeroExtraAllocs(t *testing.T) {
-	run := func(noObs bool) float64 {
-		s := New(Config{Workers: 1, MaxBatch: 1, NoObs: noObs})
-		defer s.Close(context.Background())
-		s.RegisterGraph("tiny", tinyModel())
-		feeds := tinyFeeds(1)
-		ctx := context.Background()
-		// Warm: compile, session pool, arena steady state.
-		for i := 0; i < 8; i++ {
-			if _, _, err := s.Infer(ctx, "tiny", feeds, true); err != nil {
-				t.Fatal(err)
-			}
+	s := New(Config{Workers: 1, MaxBatch: 1})
+	defer s.Close(context.Background())
+	s.RegisterGraph("tiny", tinyModel())
+	feeds := tinyFeeds(1)
+	ctx := context.Background()
+	// Warm: compile, session pool, arena steady state.
+	for i := 0; i < 8; i++ {
+		if _, _, err := s.Infer(ctx, "tiny", feeds, true); err != nil {
+			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(200, func() {
-			if _, _, err := s.Infer(ctx, "tiny", feeds, true); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
-	withObs := run(false)
-	without := run(true)
-	if delta := withObs - without; delta > 2 {
-		t.Errorf("telemetry costs %.1f allocs/request (on %.1f, off %.1f), budget 2",
-			delta, withObs, without)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := s.Infer(ctx, "tiny", feeds, true); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bound := float64(maxInferAllocs)
+	if raceEnabled {
+		bound = maxInferAllocsRace
+	}
+	if allocs > bound {
+		t.Errorf("request allocates %.1f times, want <= %.0f", allocs, bound)
+	}
+	t.Logf("allocs/request: %.1f (bound %.0f)", allocs, bound)
+	if snap := s.modelStats("tiny").Snapshot(); snap.Stages == nil || len(s.Traces(1)) != 1 {
+		t.Error("measured requests left no stage samples or trace spans")
 	}
 }
 

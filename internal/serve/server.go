@@ -36,25 +36,10 @@ type Config struct {
 	// FlushTimeout bound the chosen window; the static policy remains the
 	// manual fallback when this is off.
 	AdaptiveBatch bool
-	// ModelTuning overrides MaxBatch/FlushTimeout for individual models;
-	// zero fields inherit the global values. Models absent from the map
-	// use the globals.
-	ModelTuning map[string]BatchTuning
 	// Switched selects switched hyperclustering for batch plans (Fig. 9).
 	Switched bool
 	// Deadline is the default per-request deadline (default 30s).
 	Deadline time.Duration
-	// NoArena disables arena-backed execution; the default (false) pools
-	// warm ramiel.Sessions per program, each owning a tensor arena recycled
-	// across requests, so steady-state inference performs no per-request
-	// intermediate-tensor allocation.
-	NoArena bool
-	// NoObs disables serve-layer telemetry: per-model stage-latency
-	// histograms and request tracing are simply never allocated (the record
-	// paths are nil-safe no-ops). Counters stay on — they are single atomic
-	// adds. Default false: telemetry is always on, and designed to be cheap
-	// enough to leave on (zero allocations per request).
-	NoObs bool
 	// SlowThreshold routes requests at or above this end-to-end latency
 	// into the dedicated slow-trace ring, so rare tail-latency offenders
 	// survive the churn of the recent ring. Default 100ms.
@@ -62,7 +47,8 @@ type Config struct {
 	// TimelineEvery enables the execution-timeline flight recorder on every
 	// compiled program: one run in TimelineEvery is sampled into per-op
 	// spans, exportable as Chrome trace-event JSON at GET /v1/timeline.
-	// Default 0 = off — unlike the request-level telemetry above, sampled
+	// Default 0 = off — unlike the request-level telemetry (stage
+	// histograms and trace rings, always on and allocation-free), sampled
 	// runs allocate their span storage, so the recorder is opt-in and the
 	// serving hot path keeps its zero-allocation contract by default. Each
 	// program retains its timelineRing most recent sampled runs.
@@ -89,10 +75,6 @@ type Config struct {
 	// MaxBodyBytes caps HTTP /v1/infer request bodies (413 past it).
 	// 0 picks the default (8 MiB); negative disables the cap.
 	MaxBodyBytes int64
-	// NoFiniteCheck skips the NaN/±Inf feed scan (on by default: poisoned
-	// inputs fail as validation errors instead of propagating through the
-	// fused kernels).
-	NoFiniteCheck bool
 	// Compile sets the Ramiel pipeline options used for every model.
 	Compile ramiel.Options
 }
@@ -138,27 +120,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// BatchTuning is a per-model override of the micro-batching knobs (see
-// Config.ModelTuning). Zero fields inherit the global Config values.
-type BatchTuning struct {
-	MaxBatch     int
-	FlushTimeout time.Duration
-}
-
-// tuning resolves the effective micro-batching knobs for a model.
-func (c Config) tuning(model string) (maxBatch int, flush time.Duration) {
-	maxBatch, flush = c.MaxBatch, c.FlushTimeout
-	if t, ok := c.ModelTuning[model]; ok {
-		if t.MaxBatch > 0 {
-			maxBatch = t.MaxBatch
-		}
-		if t.FlushTimeout > 0 {
-			flush = t.FlushTimeout
-		}
-	}
-	return maxBatch, flush
-}
-
 // stageTimes carries a request's per-stage wall time out of dispatch. It is
 // passed by value — no allocation on the serving hot path. ran is false
 // when the request never reached a pool worker (its exec time would be
@@ -193,7 +154,9 @@ type InferMeta struct {
 }
 
 // Server is the serving runtime: registry + pool + per-model batchers.
-// All methods are safe for concurrent use.
+// Every request runs on a pooled session with a warm tensor arena, and its
+// stage times and trace span are recorded (telemetry costs no allocation
+// per request). All methods are safe for concurrent use.
 type Server struct {
 	cfg      Config
 	reg      *Registry
@@ -207,10 +170,6 @@ type Server struct {
 	stats    map[string]*ModelStats
 	closed   bool
 
-	// obs gates serve-layer telemetry (stage histograms + trace rings);
-	// when false, traces/slow are nil and ModelStats.stages stays nil —
-	// all record paths are nil-safe no-ops.
-	obs    bool
 	traces *obs.TraceRing // most recent requests
 	slow   *obs.TraceRing // requests at or above cfg.SlowThreshold
 	reqID  atomic.Uint64  // request ID sequence
@@ -238,37 +197,30 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		reg:      reg,
 		pool:     NewPool(cfg.Workers, backlogPerWorker*cfg.Workers),
-		sessions: newSessionSource(!cfg.NoArena),
+		sessions: &sessionSource{},
 		batchers: map[string]*batcher{},
 		stats:    map[string]*ModelStats{},
-		obs:      !cfg.NoObs,
+		traces:   obs.NewTraceRing(traceDepth),
+		slow:     obs.NewTraceRing(traceDepth),
 		start:    time.Now(),
 	}
-	if s.obs {
-		s.traces = obs.NewTraceRing(traceDepth)
-		s.slow = obs.NewTraceRing(traceDepth)
-	}
 	if cfg.MemBudgetBytes > 0 {
-		var arena *tensor.ArenaStats
-		if !cfg.NoArena {
-			// One budget governs both layers: admission projects against
-			// it up front, and the shared arena enforces it mid-run as the
-			// backstop for runs that outgrow their estimate.
-			arena = &s.sessions.stats
-			arena.SetBudget(cfg.MemBudgetBytes)
-		}
-		s.gov = newMemGovernor(cfg.MemBudgetBytes, arena)
+		// One budget governs both layers: admission projects against it up
+		// front, and the shared arena enforces it mid-run as the backstop
+		// for runs that outgrow their estimate.
+		s.sessions.stats.SetBudget(cfg.MemBudgetBytes)
+		s.gov = newMemGovernor(cfg.MemBudgetBytes, &s.sessions.stats)
 	}
 	if cfg.WatchdogFactor > 0 {
-		s.dog = newWatchdog(cfg.Workers, cfg.WatchdogFactor, cfg.WatchdogFloor, s.obs)
+		s.dog = newWatchdog(cfg.Workers, cfg.WatchdogFactor, cfg.WatchdogFloor)
 	}
 	return s
 }
 
 // ArenaStats reads the aggregate arena counters across all pooled session
-// arenas; ok is false when the arena is disabled.
-func (s *Server) ArenaStats() (snap tensor.ArenaStatsSnapshot, ok bool) {
-	return s.sessions.snapshot()
+// arenas.
+func (s *Server) ArenaStats() tensor.ArenaStatsSnapshot {
+	return s.sessions.stats.Snapshot()
 }
 
 // Registry exposes the server's model registry for registration and
@@ -339,12 +291,11 @@ func (s *Server) Load() (queued, inflight int64) {
 func (s *Server) Workers() int { return s.cfg.Workers }
 
 // Traces returns up to n most-recent request spans, newest first (n <= 0
-// means all retained). Nil when telemetry is disabled.
+// means all retained).
 func (s *Server) Traces(n int) []obs.Span { return s.traces.Snapshot(n) }
 
 // SlowTraces returns up to n retained slow-request spans (end-to-end
-// latency >= Config.SlowThreshold), newest first. Nil when telemetry is
-// disabled.
+// latency >= Config.SlowThreshold), newest first.
 func (s *Server) SlowTraces(n int) []obs.Span { return s.slow.Snapshot(n) }
 
 // statsLocked returns (creating on demand) the stats block for a model.
@@ -353,9 +304,6 @@ func (s *Server) statsLocked(model string) *ModelStats {
 	st, ok := s.stats[model]
 	if !ok {
 		st = &ModelStats{}
-		if s.obs {
-			st.stages = &obs.StageSet{}
-		}
 		s.stats[model] = st
 	}
 	return st
@@ -378,16 +326,13 @@ func (s *Server) batcher(model string) *batcher {
 	}
 	b, ok := s.batchers[model]
 	if !ok {
-		maxBatch, flush := s.cfg.tuning(model)
 		st := s.statsLocked(model)
 		var adapt *batchAdapter
 		if s.cfg.AdaptiveBatch {
-			// The controller reads the model's live exec-time histogram;
-			// with telemetry off the histogram is nil and the controller
-			// falls back to arrival-rate-only decisions.
-			adapt = newBatchAdapter(st.stages.Stage(obs.StageExec), minFlush, flush, maxBatch)
+			// The controller reads the model's live exec-time histogram.
+			adapt = newBatchAdapter(st.stages.Stage(obs.StageExec), minFlush, s.cfg.FlushTimeout, s.cfg.MaxBatch)
 		}
-		b = newBatcher(model, s.reg, s.pool, s.sessions, maxBatch, flush, s.cfg.Deadline, st, adapt, s.dog)
+		b = newBatcher(model, s.reg, s.pool, s.sessions, s.cfg.MaxBatch, s.cfg.FlushTimeout, s.cfg.Deadline, st, adapt, s.dog)
 		s.batchers[model] = b
 	}
 	return b
@@ -440,7 +385,7 @@ func (s *Server) Infer(ctx context.Context, model string, feeds ramiel.Env, noBa
 	if err == nil {
 		err = ramiel.ValidateFeeds(g, feeds)
 	}
-	if err == nil && !s.cfg.NoFiniteCheck {
+	if err == nil {
 		err = ramiel.CheckFiniteFeeds(feeds)
 	}
 	if err == nil {
@@ -508,12 +453,9 @@ func (s *Server) Panics() int64 { return s.panics.Load() }
 
 // record feeds one finished request into the stage histograms and trace
 // rings. Everything here is lock-free or per-slot-locked and allocates
-// nothing; with telemetry off every call is a nil-receiver no-op.
+// nothing.
 func (s *Server) record(st *ModelStats, model string, meta InferMeta, ts stageTimes, start time.Time, cause ErrorCause, err error) {
-	if !s.obs {
-		return
-	}
-	h := st.stages
+	h := &st.stages
 	h.Record(obs.StageE2E, meta.Latency)
 	if meta.BatchWait > 0 {
 		h.Record(obs.StageAssembly, meta.BatchWait)
@@ -543,8 +485,7 @@ func (s *Server) record(st *ModelStats, model string, meta InferMeta, ts stageTi
 }
 
 func (s *Server) dispatch(ctx context.Context, cancel context.CancelFunc, model string, st *ModelStats, id uint64, feeds ramiel.Env, noBatch bool) (ramiel.Env, int, stageTimes, error) {
-	maxBatch, _ := s.cfg.tuning(model)
-	if maxBatch > 1 && !noBatch {
+	if s.cfg.MaxBatch > 1 && !noBatch {
 		b := s.batcher(model)
 		if b == nil {
 			return nil, 0, stageTimes{}, ErrShutdown

@@ -26,12 +26,9 @@ import (
 // cooperatively instead of wasting the worker slot; the aborted session's
 // arena stays consistent and the session goes back into the pool.
 //
-// When the server runs arena-less (Config.NoArena) the pooled sessions are
-// created WithoutArena — same borrowing discipline, plain heap execution.
 // All session arenas report into one shared stats block so /v1/stats shows
 // aggregate hit/miss/peak numbers for the whole server.
 type sessionSource struct {
-	arena bool
 	stats tensor.ArenaStats
 	// budgetDrops counts sessions discarded after an arena-budget denial
 	// (see run): dropping the session hands its parked free lists to the
@@ -39,20 +36,12 @@ type sessionSource struct {
 	budgetDrops atomic.Int64
 }
 
-func newSessionSource(arena bool) *sessionSource {
-	return &sessionSource{arena: arena}
-}
-
 // run executes the entry's program under ctx with a session borrowed from
 // the entry's pool, making one when the pool is empty.
 func (s *sessionSource) run(ctx context.Context, e *compiled, feeds ramiel.Env) (outs ramiel.Env, err error) {
 	sess, _ := e.sessions.Get().(*ramiel.Session)
 	if sess == nil {
-		if s.arena {
-			sess = e.prog.NewSession(ramiel.WithArena(tensor.NewArenaWithStats(&s.stats)))
-		} else {
-			sess = e.prog.NewSession(ramiel.WithoutArena())
-		}
+		sess = e.prog.NewSession(ramiel.WithArena(tensor.NewArenaWithStats(&s.stats)))
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -77,13 +66,4 @@ func (s *sessionSource) run(ctx context.Context, e *compiled, feeds ramiel.Env) 
 		e.sessions.Put(sess)
 	}()
 	return sess.Run(ctx, feeds)
-}
-
-// snapshot reads the aggregate arena counters; ok is false when the server
-// runs arena-less.
-func (s *sessionSource) snapshot() (tensor.ArenaStatsSnapshot, bool) {
-	if s == nil || !s.arena {
-		return tensor.ArenaStatsSnapshot{}, false
-	}
-	return s.stats.Snapshot(), true
 }

@@ -173,10 +173,10 @@ type ModelStats struct {
 	FlushWindowNs atomic.Int64
 	// stages holds the per-stage latency histograms (batch assembly, queue
 	// wait, execute, end-to-end) that replaced the old mean-only latency
-	// accumulator: p50/p90/p99/max per stage instead of one average. Nil
-	// when the server runs with telemetry disabled (Config.NoObs) — the
-	// Record path is nil-safe.
-	stages *obs.StageSet
+	// accumulator: p50/p90/p99/max per stage instead of one average. The
+	// watchdog, the adaptive batcher and the memory shed's Retry-After all
+	// read the execute stage.
+	stages obs.StageSet
 }
 
 // noteQueued bumps the batcher queue gauge and its high-water mark.
@@ -232,8 +232,8 @@ type ModelStatsSnapshot struct {
 	InFlight       int64            `json:"in_flight"`
 	FlushWindowNs  int64            `json:"flush_window_ns,omitempty"`
 	// Stages carries the per-stage latency histograms (count, sum, max,
-	// p50/p90/p99 in ns), keyed by stage label. Absent with telemetry off
-	// or before the first request.
+	// p50/p90/p99 in ns), keyed by stage label. Absent before the first
+	// request.
 	Stages map[string]obs.HistogramSnapshot `json:"stages,omitempty"`
 }
 

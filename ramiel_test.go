@@ -27,7 +27,7 @@ func TestCompileAndRunSqueezenet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := prog.NewSession(WithoutArena()).Run(context.Background(), feeds)
+	got, err := prog.NewSession().Run(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestCompilePipelineVariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
-		got, err := prog.NewSession(WithoutArena()).Run(context.Background(), feeds)
+		got, err := prog.NewSession().Run(context.Background(), feeds)
 		if err != nil {
 			t.Fatalf("%+v: %v", opts, err)
 		}
@@ -132,7 +132,7 @@ func TestHyperclusterEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hp.NewSession(WithoutArena()).Run(context.Background(), feeds)
+		got, err := hp.NewSession().Run(context.Background(), feeds)
 		if err != nil {
 			t.Fatal(err)
 		}

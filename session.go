@@ -24,8 +24,7 @@ var ErrInvalidFeeds = errors.New("invalid feeds")
 
 // sessionConfig is the resolved NewSession configuration.
 type sessionConfig struct {
-	arena   *Arena
-	noArena bool
+	arena *Arena
 }
 
 // SessionOption configures NewSession.
@@ -34,30 +33,15 @@ type SessionOption func(*sessionConfig)
 // WithArena makes the session execute with the given caller-owned arena
 // instead of creating its own. The session takes exclusive use of it while
 // running; sharing one arena between concurrently-running sessions is a
-// contract violation (see the Arena docs). WithArena(nil) is equivalent to
-// WithoutArena.
+// contract violation (see the Arena docs). WithArena(nil) keeps the
+// session's own arena.
 func WithArena(a *Arena) SessionOption {
-	return func(c *sessionConfig) {
-		if a == nil {
-			c.noArena = true
-			c.arena = nil
-			return
-		}
-		c.arena = a
-		c.noArena = false
-	}
-}
-
-// WithoutArena disables arena-backed execution: every kernel output is an
-// ordinary heap allocation and nothing is recycled between runs. Useful for
-// one-shot runs and allocation-behavior comparisons.
-func WithoutArena() SessionOption {
-	return func(c *sessionConfig) { c.noArena = true; c.arena = nil }
+	return func(c *sessionConfig) { c.arena = a }
 }
 
 // Session is a reusable execution handle over a compiled Program: it
-// bundles the run configuration — an arena for tensor recycling, on by
-// default — so the execution API is one method, Session.Run, instead of a
+// bundles the run configuration — the arena its runs recycle tensors
+// through — so the execution API is one method, Session.Run, instead of a
 // matrix of Run variants. What a run did is recorded on the Program: its
 // op counters (OpTotals) and, when enabled, its sampled timeline
 // (EnableTimeline).
@@ -77,21 +61,16 @@ type Session struct {
 
 // NewSession creates an execution handle for the program. By default the
 // session owns a fresh arena, so intermediate tensors are recycled across
-// its runs; see WithArena and WithoutArena.
+// its runs; WithArena hands it a caller-owned one instead.
 func (p *Program) NewSession(opts ...SessionOption) *Session {
 	var cfg sessionConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	s := &Session{prog: p}
-	switch {
-	case cfg.noArena:
-	case cfg.arena != nil:
-		s.arena = cfg.arena
-	default:
-		s.arena = NewArena()
+	if cfg.arena == nil {
+		cfg.arena = NewArena()
 	}
-	return s
+	return &Session{prog: p, arena: cfg.arena}
 }
 
 // Run executes the program with the session's configuration and returns the
@@ -118,8 +97,8 @@ func (s *Session) Run(ctx context.Context, feeds Env) (Env, error) {
 	return s.prog.Plan.Execute(ctx, feeds, s.arena)
 }
 
-// Arena returns the session's arena, or nil when created WithoutArena.
-// Useful for reading its stats; do not pass it to another running session.
+// Arena returns the session's arena; it is never nil. Useful for reading
+// its stats; do not pass it to another running session.
 func (s *Session) Arena() *Arena { return s.arena }
 
 // Program returns the compiled program this session executes.
@@ -182,10 +161,10 @@ func (p *Program) ValidateFeeds(feeds Env) error { return ValidateFeeds(p.Graph,
 
 // CheckFiniteFeeds rejects feeds carrying NaN or ±Inf values. Non-finite
 // inputs propagate silently through the fused kernels and poison every
-// downstream activation, so serving layers scan feeds up front (opt-out via
-// their config) and fail them as validation errors. The scan is branch-only
-// over the feed data — no allocation on the accept path. The error wraps
-// ErrInvalidFeeds for cause classification.
+// downstream activation, so serving layers scan feeds up front and fail
+// them as validation errors. The scan is branch-only over the feed data —
+// no allocation on the accept path. The error wraps ErrInvalidFeeds for
+// cause classification.
 func CheckFiniteFeeds(feeds Env) error {
 	for name, t := range feeds {
 		if t == nil {

@@ -27,10 +27,10 @@ func compiledSqueezenet(t testing.TB, img int) (*ramiel.Program, ramiel.Env) {
 	return prog, ramiel.RandomInputs(g, 42)
 }
 
-// TestSessionArenaOptionsAgree: the allocator is a session option, not a
-// second implementation — the default session-owned arena, a caller-owned
-// arena and the heap path produce the same outputs, and WithArena(nil)
-// means the heap, not a throwaway arena per call.
+// TestSessionArenaOptionsAgree: the arena is a session option, not a
+// second implementation — the default session-owned arena and a
+// caller-owned arena produce the same outputs, and WithArena(nil) keeps the
+// session's own arena, so Session.Arena is never nil.
 func TestSessionArenaOptionsAgree(t *testing.T) {
 	prog, feeds := compiledSqueezenet(t, 16)
 	ctx := context.Background()
@@ -39,9 +39,9 @@ func TestSessionArenaOptionsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	own := ramiel.NewArena()
 	for name, opt := range map[string]ramiel.SessionOption{
-		"WithArena":      ramiel.WithArena(ramiel.NewArena()),
-		"WithoutArena":   ramiel.WithoutArena(),
+		"WithArena":      ramiel.WithArena(own),
 		"WithArena(nil)": ramiel.WithArena(nil),
 	} {
 		got, err := prog.NewSession(opt).Run(ctx, feeds)
@@ -57,8 +57,54 @@ func TestSessionArenaOptionsAgree(t *testing.T) {
 			}
 		}
 	}
-	if s := prog.NewSession(ramiel.WithArena(nil)); s.Arena() != nil {
-		t.Error("WithArena(nil) created an arena; want heap execution")
+	if s := prog.NewSession(ramiel.WithArena(own)); s.Arena() != own {
+		t.Error("WithArena(a) session does not run on a")
+	}
+	if s := prog.NewSession(ramiel.WithArena(nil)); s.Arena() == nil || s.Arena() == own {
+		t.Error("WithArena(nil) session has no arena of its own")
+	}
+	if prog.NewSession().Arena() == nil {
+		t.Error("default session has no arena")
+	}
+}
+
+// TestSessionMatchesSequentialZoo: every zoo model's lane plan, run twice
+// on one session — first on a cold arena, then on a warm one that hands
+// out recycled buffers and runs in-place kernels over them — matches the
+// heap reference RunSequential within MeasureSpeedup's tolerance.
+func TestSessionMatchesSequentialZoo(t *testing.T) {
+	for _, name := range ramiel.ModelNames() {
+		t.Run(name, func(t *testing.T) {
+			g, err := ramiel.BuildModel(name, ramiel.ModelConfig{ImageSize: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := ramiel.Compile(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feeds := ramiel.RandomInputs(g, 3)
+			want, err := prog.RunSequential(feeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := prog.NewSession()
+			for _, run := range []string{"cold", "warm"} {
+				hits := sess.Arena().Stats().Hits.Load()
+				got, err := sess.Run(context.Background(), feeds)
+				if err != nil {
+					t.Fatalf("%s run: %v", run, err)
+				}
+				for k, w := range want {
+					if got[k] == nil || !got[k].AllClose(w, 1e-4, 1e-5) {
+						t.Errorf("%s run: output %q differs from RunSequential", run, k)
+					}
+				}
+				if run == "warm" && sess.Arena().Stats().Hits.Load() == hits {
+					t.Error("warm run recycled no arena buffer")
+				}
+			}
+		})
 	}
 }
 

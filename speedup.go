@@ -9,6 +9,13 @@ import (
 	"repro/internal/exec"
 )
 
+// minSample is the least wall time one timed sample of MeasureSpeedup
+// covers: a side shorter than this repeats back to back until it has run
+// that long, and the sample is the mean per run. A program that runs in
+// microseconds is then timed over many runs rather than one, so a burst of
+// host load lands in few samples instead of deciding most of them.
+const minSample = 10 * time.Millisecond
+
 // Speedup is a wall-clock comparison measured on this host: the median run
 // times of a baseline's one-lane plan and of a program's lane plan.
 type Speedup struct {
@@ -29,8 +36,10 @@ func (s Speedup) X() float64 { return float64(s.OneLane) / float64(s.Lanes) }
 // The one-lane twin is built as a compiled plan is (weights prepacked), and
 // both sides run through arena sessions on seed-1 inputs. One untimed
 // warm-up pair is checked against baseline.RunSequential; an output that
-// differs is an error and no speedup. Then reps pairs (at least one) are
-// timed, one lane and lanes alternating, so drifting host load hits both.
+// differs is an error and no speedup. Then reps samples of each side (at
+// least one) are timed, one lane and lanes alternating, so drifting host
+// load hits both. A sample repeats its side until minSample has passed and
+// records the mean run time.
 func MeasureSpeedup(prog, baseline *Program, reps int) (Speedup, error) {
 	plan, err := exec.SequentialPlan(baseline.Graph)
 	if err != nil {
@@ -46,35 +55,43 @@ func MeasureSpeedup(prog, baseline *Program, reps int) (Speedup, error) {
 		return Speedup{}, fmt.Errorf("ramiel: sequential reference: %w", err)
 	}
 	ctx := context.Background()
-	run := func(s *Session, side string, check bool) (time.Duration, error) {
-		t0 := time.Now()
+	warm := func(s *Session, side string) error {
 		got, err := s.Run(ctx, feeds)
-		took := time.Since(t0)
 		if err != nil {
-			return 0, fmt.Errorf("ramiel: %s run: %w", side, err)
+			return fmt.Errorf("ramiel: %s run: %w", side, err)
 		}
-		if check {
-			for k, w := range want {
-				if g := got[k]; g == nil || !g.AllClose(w, 1e-4, 1e-5) {
-					return 0, fmt.Errorf("ramiel: %s output %q differs from the sequential reference", side, k)
-				}
+		for k, w := range want {
+			if g := got[k]; g == nil || !g.AllClose(w, 1e-4, 1e-5) {
+				return fmt.Errorf("ramiel: %s output %q differs from the sequential reference", side, k)
 			}
 		}
-		return took, nil
+		return nil
+	}
+	sample := func(s *Session, side string) (time.Duration, error) {
+		t0 := time.Now()
+		for n := 1; ; n++ {
+			if _, err := s.Run(ctx, feeds); err != nil {
+				return 0, fmt.Errorf("ramiel: %s run: %w", side, err)
+			}
+			if took := time.Since(t0); took >= minSample {
+				return took / time.Duration(n), nil
+			}
+		}
+	}
+	if err := warm(oneLane, "one-lane"); err != nil {
+		return Speedup{}, err
+	}
+	if err := warm(lanes, "lane plan"); err != nil {
+		return Speedup{}, err
 	}
 	reps = max(reps, 1)
-	var one, par []time.Duration
-	for i := 0; i <= reps; i++ {
-		a, err := run(oneLane, "one-lane", i == 0)
-		if err != nil {
+	one, par := make([]time.Duration, reps), make([]time.Duration, reps)
+	for i := range reps {
+		if one[i], err = sample(oneLane, "one-lane"); err != nil {
 			return Speedup{}, err
 		}
-		b, err := run(lanes, "lane plan", i == 0)
-		if err != nil {
+		if par[i], err = sample(lanes, "lane plan"); err != nil {
 			return Speedup{}, err
-		}
-		if i > 0 {
-			one, par = append(one, a), append(par, b)
 		}
 	}
 	return Speedup{OneLane: median(one), Lanes: median(par)}, nil
