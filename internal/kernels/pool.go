@@ -1,12 +1,12 @@
 package kernels
 
-// Pooling windows. One output row of a MaxPool or AveragePool is a run of
-// windows whose starts lie s apart in the input. Inside the row, window j
-// covers the taps x[r*w + j*s + t] for r < rows and t < k, where w is the
-// input's row stride. Both reductions visit the taps in that row-major
-// order, so the result of every window is fixed bit for bit; on amd64 with
-// AVX2, poolBlocks (pool_amd64.go) computes eight windows per instruction
-// in that same order.
+// Windowed rows. One output row of a MaxPool, AveragePool or depthwise
+// Conv is a run of windows whose starts lie s apart in the input. Inside
+// the row, window j covers the taps x[r*w + j*s + t] for r < rows and
+// t < k, where w is the input's row stride. Every reduction visits the
+// taps in that row-major order, so the result of every window is fixed bit
+// for bit; on amd64 with AVX2, poolBlocks (pool_amd64.go) computes eight
+// pooling windows per instruction in that same order.
 
 // PoolRow sets o, one output row of a MaxPool (avg false) or AveragePool,
 // from rows: the input rows its windows span once clamped to the input,
@@ -14,48 +14,73 @@ package kernels
 // taps are those inside [0, w). A max starts from −MaxFloat32; an average
 // divides the sum by area, or when area is 0 by the number of taps (1 when
 // there are none). s must be at least 1.
-//
-// The interior outputs, whose windows lie wholly inside the row, are
-// reduced in one call; each edge output is a call of its own, with its
-// window clamped to the row.
 func PoolRow(o, rows []float32, w, k, s, pad, area int, avg bool) {
-	nr := 0
-	if w > 0 {
-		nr = len(rows) / w
-	}
-	lo, hi := interior(len(o), w, k, s, pad)
-	for ox := 0; ox < len(o); ox++ {
-		x0 := min(max(ox*s-pad, 0), w)
-		x1 := max(min(ox*s-pad+k, w), x0)
-		end := ox + 1
-		if ox == lo {
-			end = hi
-		}
+	nr, lo, hi := rowWindows(len(o), len(rows), w, k, s, pad)
+	for j := 0; j < len(o); {
+		end, x0, taps, _ := span(j, lo, hi, w, k, s, pad)
 		x := rows[min(x0, len(rows)):]
 		if avg {
 			div := area
 			if div == 0 {
-				div = max(nr*(x1-x0), 1)
+				div = max(nr*taps, 1)
 			}
-			avgWindows(o[ox:end], x, nr, w, x1-x0, s, float32(div))
+			avgWindows(o[j:end], x, nr, w, taps, s, float32(div))
 		} else {
-			maxWindows(o[ox:end], x, nr, w, x1-x0, s)
+			maxWindows(o[j:end], x, nr, w, taps, s)
 		}
-		ox = end - 1
+		j = end
 	}
 }
 
-// interior returns the outputs [lo, hi) of a row of n whose windows lie
-// wholly inside its w columns, or -1, -1 when there are none.
-func interior(n, w, k, s, pad int) (lo, hi int) {
+// DepthwiseRow sets o, one output row of a depthwise Conv, from rows as
+// PoolRow reads them, with wts the kernel rows that meet rows, k weights
+// each. Each output starts at bias and adds tap·weight over its taps in
+// row-major order, the order of a skip-out-of-bounds loop, so it equals
+// that loop bit for bit.
+func DepthwiseRow(o, rows, wts []float32, w, k, s, pad int, bias float32) {
+	nr, lo, hi := rowWindows(len(o), len(rows), w, k, s, pad)
+	for j := 0; j < len(o); {
+		end, x0, taps, t0 := span(j, lo, hi, w, k, s, pad)
+		x := rows[min(x0, len(rows)):]
+		for d := range o[j:end] {
+			acc := bias
+			for r := 0; r < nr; r++ {
+				xr := x[d*s+r*w:][:taps]
+				for t, wt := range wts[r*k+t0:][:len(xr)] {
+					acc += xr[t] * wt
+				}
+			}
+			o[j+d] = acc
+		}
+		j = end
+	}
+}
+
+// rowWindows returns the number of w-wide rows in nx values, and the
+// outputs [lo, hi) of a row of n whose windows lie wholly inside its w
+// columns (hi ≤ lo when there are none).
+func rowWindows(n, nx, w, k, s, pad int) (nr, lo, hi int) {
+	if w > 0 {
+		nr = nx / w
+	}
 	lo = max(pad+s-1, 0) / s // the first window starting at or after column 0
+	hi = lo                  // past the last window ending at or before column w
 	if end := w - k + pad; end >= 0 {
-		hi = min(end/s+1, n) // past the last window ending at or before column w
+		hi = min(end/s+1, n)
 	}
-	if hi <= lo {
-		return -1, -1
+	return nr, lo, hi
+}
+
+// span returns the outputs [j, end) that reduce as one, the interior
+// [lo, hi) when j starts it, else j alone, and window j's part inside the
+// row: from column x0, taps wide, starting at kernel column t0.
+func span(j, lo, hi, w, k, s, pad int) (end, x0, taps, t0 int) {
+	at := j*s - pad
+	x0 = min(max(at, 0), w)
+	if end = j + 1; j == lo && hi > lo {
+		end = hi
 	}
-	return lo, hi
+	return end, x0, max(min(at+k, w), x0) - x0, min(max(x0-at, 0), k)
 }
 
 // maxSeed is where a max starts: -MaxFloat32, so a window of no taps (or of

@@ -101,3 +101,59 @@ func TestPoolRowProperty(t *testing.T) {
 		t.Logf("%d rows", cases)
 	})
 }
+
+// refDepthwiseRow is the skip-out-of-bounds depthwise Conv row: every tap
+// of every window is tested against both bounds of the row, and the
+// products are added to the bias in row-major order. It shares no window
+// code with DepthwiseRow.
+func refDepthwiseRow(o, rows, wts []float32, nr, w, k, s, pad int, bias float32) {
+	for ox := range o {
+		acc := bias
+		for r := 0; r < nr; r++ {
+			for t := 0; t < k; t++ {
+				ix := ox*s - pad + t
+				if ix < 0 || ix >= w {
+					continue
+				}
+				acc += rows[r*w+ix] * wts[r*k+t]
+			}
+		}
+		o[ox] = acc
+	}
+}
+
+// TestDepthwiseRowProperty holds DepthwiseRow to the skip-out-of-bounds
+// reference bit for bit: rows 1 to 40 wide, kernels of 1 to 7 taps,
+// strides 1 to 3, pads 0 to k+2 on each side (from a pad of k on, whole
+// windows lie in the padding) and 0 to 3 input rows (0: every window lies in the
+// padding above or below). Taps, weights and the bias hold NaN, ±0, ±Inf
+// and −MaxFloat32.
+func TestDepthwiseRowProperty(t *testing.T) {
+	pick := rand.New(rand.NewSource(39))
+	cases := 0
+	for w := 1; w <= 40; w++ {
+		for k := 1; k <= 7; k++ {
+			for s := 1; s <= 3; s++ {
+				for pl := 0; pl <= k+2; pl++ {
+					pr, nr := pick.Intn(k+3), pick.Intn(4)
+					ow := (w+pl+pr-k)/s + 1
+					if ow <= 0 {
+						continue
+					}
+					rows, wts, bias := poolValues(pick, nr*w), poolValues(pick, nr*k), poolValues(pick, 1)[0]
+					got, want := make([]float32, ow), make([]float32, ow)
+					DepthwiseRow(got, rows, wts, w, k, s, pl, bias)
+					refDepthwiseRow(want, rows, wts, nr, w, k, s, pl, bias)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("w=%d k=%d s=%d pads=%d,%d rows=%d bias=%v: o[%d] = %v (%#x), want %v (%#x); rows %v weights %v",
+								w, k, s, pl, pr, nr, bias, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]), rows, wts)
+						}
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("%d rows", cases)
+}

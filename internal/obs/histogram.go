@@ -270,34 +270,24 @@ func Stages() []Stage {
 }
 
 // StageSet is one histogram per lifecycle stage — the per-model unit the
-// serving layer keeps. A nil *StageSet ignores records, so disabling
-// telemetry is just not allocating one.
+// serving layer keeps. The zero value is ready to use.
 type StageSet struct {
 	h [NumStages]Histogram
 }
 
-// Record adds a sample to one stage's histogram. Nil-safe.
+// Record adds a sample to one stage's histogram.
 func (s *StageSet) Record(st Stage, d time.Duration) {
-	if s == nil {
-		return
-	}
 	s.h[st].Record(d)
 }
 
-// Stage returns one stage's histogram (nil when the set is nil).
+// Stage returns one stage's histogram.
 func (s *StageSet) Stage(st Stage) *Histogram {
-	if s == nil {
-		return nil
-	}
 	return &s.h[st]
 }
 
 // Snapshot reads every stage that has samples, keyed by stage label.
-// Nil and empty sets return nil, so JSON omits the block cleanly.
+// An empty set returns nil, so JSON omits the block cleanly.
 func (s *StageSet) Snapshot() map[string]HistogramSnapshot {
-	if s == nil {
-		return nil
-	}
 	var out map[string]HistogramSnapshot
 	for _, st := range Stages() {
 		snap := s.h[st].Snapshot()

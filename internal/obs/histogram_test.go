@@ -129,15 +129,9 @@ func TestHistogramBucketsCumulate(t *testing.T) {
 	}
 }
 
-func TestStageSetNilSafe(t *testing.T) {
-	var s *StageSet
-	s.Record(StageExec, time.Second) // must not panic
-	if s.Snapshot() != nil {
-		t.Error("nil StageSet snapshot should be nil")
-	}
-	if s.Stage(StageE2E) != nil {
-		t.Error("nil StageSet Stage should be nil")
-	}
+// TestStageSetSnapshotOmitsEmptyStages: an empty set snapshots to nil, so
+// JSON omits the block, and a snapshot keys only the stages with samples.
+func TestStageSetSnapshotOmitsEmptyStages(t *testing.T) {
 	set := &StageSet{}
 	if set.Snapshot() != nil {
 		t.Error("empty StageSet snapshot should be nil")

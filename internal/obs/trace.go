@@ -43,7 +43,7 @@ type traceSlot struct {
 // TraceRing is a fixed-capacity, lock-striped ring buffer of Spans. Record
 // claims a slot with one atomic increment and takes only that slot's lock,
 // so writers scale with the ring size; Snapshot locks slots one at a time.
-// Recording never allocates. A nil *TraceRing ignores records.
+// Recording never allocates.
 type TraceRing struct {
 	slots []traceSlot
 	mask  uint64
@@ -61,11 +61,8 @@ func NewTraceRing(size int) *TraceRing {
 }
 
 // Record stores a span, overwriting the oldest entry once the ring is full.
-// Nil-safe and allocation-free.
+// Allocation-free.
 func (r *TraceRing) Record(sp Span) {
-	if r == nil {
-		return
-	}
 	s := &r.slots[(r.next.Add(1)-1)&r.mask]
 	s.mu.Lock()
 	s.span = sp
@@ -75,9 +72,6 @@ func (r *TraceRing) Record(sp Span) {
 
 // Len reports how many spans are currently held (capacity once wrapped).
 func (r *TraceRing) Len() int {
-	if r == nil {
-		return 0
-	}
 	n := r.next.Load()
 	if n > uint64(len(r.slots)) {
 		return len(r.slots)
@@ -87,11 +81,8 @@ func (r *TraceRing) Len() int {
 
 // Snapshot returns up to n spans, newest first (by request ID — concurrent
 // completions may land in the ring slightly out of order). n <= 0 means
-// all. Nil-safe.
+// all.
 func (r *TraceRing) Snapshot(n int) []Span {
-	if r == nil {
-		return nil
-	}
 	out := make([]Span, 0, len(r.slots))
 	for i := range r.slots {
 		s := &r.slots[i]

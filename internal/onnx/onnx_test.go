@@ -182,6 +182,12 @@ const poolModel = `{"ir_version":8,"producer_name":"test","graph":{"name":"pool"
 	`"node":[{"name":"pool","op_type":"MaxPool","input":["x"],"output":["y"],"attribute":{"kernel_shape":[2,2]}}],` +
 	`"input":[{"name":"x","dims":[1,1,4,4]}],"output":[{"name":"y"}]}}`
 
+// convModel convolves the same input with a constant 2x2 filter.
+const convModel = `{"ir_version":8,"producer_name":"test","graph":{"name":"conv",` +
+	`"node":[{"name":"conv","op_type":"Conv","input":["x","w"],"output":["y"],"attribute":{"kernel_shape":[2,2]}}],` +
+	`"initializer":[{"name":"w","dims":[1,1,2,2],"float_data":[1,0,0,1]}],` +
+	`"input":[{"name":"x","dims":[1,1,4,4]}],"output":[{"name":"y"}]}}`
+
 func TestMaxPoolWithoutStridesStridesByOne(t *testing.T) {
 	x := tensor.New(tensor.Shape{1, 1, 4, 4}, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	for _, c := range []struct{ name, model, err string }{
@@ -189,6 +195,7 @@ func TestMaxPoolWithoutStridesStridesByOne(t *testing.T) {
 		{"ceil_mode", strings.Replace(poolModel, `[2,2]}`, `[2,2],"ceil_mode":1}`, 1), "ceil_mode"},
 		{"dilations", strings.Replace(poolModel, `[2,2]}`, `[2,2],"dilations":[2,2]}`, 1), "dilations"},
 		{"auto_pad", strings.Replace(poolModel, `[2,2]}`, `[2,2],"auto_pad":"SAME_UPPER"}`, 1), "auto_pad"},
+		{"Conv dilations", strings.Replace(convModel, `[2,2]}`, `[2,2],"dilations":[2,2]}`, 1), "dilations"},
 	} {
 		m, err := Unmarshal([]byte(c.model))
 		if err != nil {

@@ -1,9 +1,9 @@
 package ops
 
 import (
+	"fmt"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/tensor"
 )
 
@@ -39,19 +39,26 @@ func BenchmarkConvIm2col(b *testing.B) {
 	}
 }
 
-// BenchmarkConvDirect is the pre-PR kernel: the direct 7-loop nest with
-// per-element bounds branches, on the same shape.
-func BenchmarkConvDirect(b *testing.B) {
-	r := tensor.NewRNG(7)
-	x, w, bias, attrs := inceptionConvCase(r)
-	sh, sw := strides2(attrs.Ints("strides", nil))
-	pt, pl, pb2, pr := pads4(attrs.Ints("pads", nil))
-	oh := convOutDim(x.Shape()[2], w.Shape()[2], sh, pt, pb2)
-	ow := convOutDim(x.Shape()[3], w.Shape()[3], sw, pl, pr)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := convDirect(x, w, bias, nil, 1, sh, sw, pt, pl, oh, ow, kernels.Epilogue{}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkDepthwiseNasnet runs the depthwise halves of nasnet@224's
+// first-stack separable convolutions, 3x3 and 5x5 at stride 1 over
+// [1,8,112,112], where a one-lane nasnet run spends most of its time: the
+// windowed-row engine, bound with a constant filter, on an arena.
+func BenchmarkDepthwiseNasnet(b *testing.B) {
+	for _, k := range []int{3, 5} {
+		b.Run(fmt.Sprintf("%dx%d", k, k), func(b *testing.B) {
+			r := tensor.NewRNG(7)
+			x, w := r.RandTensor(1, 8, 112, 112), r.RandTensor(8, 1, k, k)
+			attrs := Attrs{"kernel_shape": []int{k, k}, "pads": []int{k / 2, k / 2, k / 2, k / 2}, "group": 8}
+			conv, _ := Bind("Conv", attrs, []*tensor.Tensor{nil, w})
+			in := []*tensor.Tensor{x, w}
+			ar := tensor.NewArena()
+			for b.Loop() {
+				out, err := conv.Run(in, ar, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tensor.ReleaseData(ar, out[0])
+			}
+		})
 	}
 }

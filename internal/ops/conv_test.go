@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
@@ -57,7 +58,7 @@ func TestConvMatchesReference(t *testing.T) {
 		{1, 3, 12, 12, 8, 5, 5, 2, 2, 2, 1},
 		{1, 3, 14, 14, 4, 7, 7, 2, 2, 3, 1},
 		// im2col lowering edge shapes: odd spatial tails, stride 3, wide
-		// output (tile tails in GEMM n), depthwise (direct-path fallback),
+		// output (tile tails in GEMM n), depthwise (windowed rows),
 		// grouped with odd channel counts, and 1x1 with stride.
 		{1, 5, 9, 7, 7, 3, 3, 3, 3, 1, 1},
 		{2, 3, 19, 23, 17, 3, 3, 1, 1, 1, 1},
@@ -66,24 +67,106 @@ func TestConvMatchesReference(t *testing.T) {
 		{1, 4, 8, 8, 6, 1, 1, 2, 2, 0, 1}, // 1x1 strided: im2col, not alias path
 		{1, 4, 8, 8, 6, 1, 1, 1, 1, 0, 1}, // 1x1 stride-1: plane-alias fast path
 		{3, 2, 5, 5, 4, 4, 4, 1, 1, 2, 2}, // even kernel, batch > 1
+		// Shapes that once ran the direct loop and now run as GEMMs.
+		{1, 3, 6, 6, 1, 3, 3, 1, 1, 1, 1}, // one output channel
+		{1, 3, 5, 5, 4, 1, 1, 1, 1, 0, 1}, // 1x1, cg = 3: K = 3
+		{1, 3, 7, 7, 4, 1, 1, 2, 2, 1, 1}, // the same, strided and padded
+		{1, 4, 6, 6, 8, 1, 1, 1, 1, 0, 4}, // depth multiplier 2 at 1x1
+		{1, 6, 7, 7, 3, 3, 3, 1, 1, 1, 3}, // one output channel per group, cg = 2
+		// More windowed rows.
+		{2, 5, 9, 8, 5, 5, 5, 2, 2, 2, 5},  // depthwise 5x5, strided, batch > 1
+		{1, 3, 4, 11, 3, 7, 7, 1, 3, 3, 3}, // depthwise, kernel taller than the input
 	}
 	for _, c := range cases {
 		x := r.RandTensor(c.n, c.c, c.h, c.w)
 		w := r.RandTensor(c.m, c.c/c.groups, c.kh, c.kw)
 		b := r.RandTensor(c.m)
-		attrs := Attrs{
-			"strides": []int{c.sh, c.sw},
-			"pads":    []int{c.pad, c.pad, c.pad, c.pad},
-			"group":   c.groups,
-		}
-		got, err := call("Conv", []*tensor.Tensor{x, w, b}, attrs)
-		if err != nil {
-			t.Fatalf("%+v: %v", c, err)
-		}
 		want := refConv(x, w, b, c.sh, c.sw, c.pad, c.pad, c.pad, c.pad, c.groups)
-		if !got[0].AllClose(want, 1e-4, 1e-5) {
-			t.Errorf("%+v: conv mismatch, max diff %v", c, got[0].MaxAbsDiff(want))
+		for _, relu := range []bool{false, true} {
+			attrs := Attrs{
+				"strides": []int{c.sh, c.sw},
+				"pads":    []int{c.pad, c.pad, c.pad, c.pad},
+				"group":   c.groups,
+			}
+			if relu { // the fused writeback epilogue
+				for k, v := range EpilogueAttrs("Relu", nil) {
+					attrs[k] = v
+				}
+				want = want.Clone()
+				for i, v := range want.Data() {
+					want.Data()[i] = max(v, 0)
+				}
+			}
+			got, err := call("Conv", []*tensor.Tensor{x, w, b}, attrs)
+			if err != nil {
+				t.Fatalf("%+v: %v", c, err)
+			}
+			if !got[0].AllClose(want, 1e-4, 1e-5) {
+				t.Errorf("%+v relu %v: conv mismatch, max diff %v", c, relu, got[0].MaxAbsDiff(want))
+			}
 		}
+	}
+}
+
+// convCase is one Conv call, drawn by drawConvCase.
+type convCase struct {
+	x, w, b        *tensor.Tensor
+	attrs          Attrs
+	sh, sw, groups int
+	pads           []int
+}
+
+// drawConvCase draws a depthwise Conv or a grouped one with 1 to 3 input
+// and output channels per group, 1 to 3 groups, an input of up to 7×7
+// with NaN, ±Inf and ±0 among its values, a kernel of 1 to 5 by 1 to 5,
+// strides of 1 to 3, pads of 0 to the kernel, a bias and a fused
+// Relu, LeakyRelu or Clip epilogue or none.
+func drawConvCase(pick func(n int) int, rng *rand.Rand) convCase {
+	groups, cg, mg := 1+pick(3), 1, 1
+	if pick(2) == 1 {
+		cg, mg = 1+pick(3), 1+pick(3)
+	}
+	n, h, w := 1+pick(2), pick(8), pick(8)
+	kh, kw := 1+pick(5), 1+pick(5)
+	c := convCase{
+		x:      poolInput(rng, n, groups*cg, h, w),
+		w:      tensor.NewRNG(uint64(rng.Int63())).RandTensor(groups*mg, cg, kh, kw),
+		b:      tensor.NewRNG(uint64(rng.Int63())).RandTensor(groups * mg),
+		sh:     1 + pick(3),
+		sw:     1 + pick(3),
+		groups: groups,
+		pads:   []int{pick(kh + 1), pick(kw + 1), pick(kh + 1), pick(kw + 1)},
+	}
+	c.attrs = Attrs{"kernel_shape": []int{kh, kw}, "strides": []int{c.sh, c.sw}, "pads": c.pads, "group": groups}
+	op := []string{"", "Relu", "LeakyRelu", "Clip"}[pick(4)]
+	for k, v := range EpilogueAttrs(op, Attrs{"alpha": 0.25, "min": -0.5, "max": 0.5}) {
+		c.attrs[k] = v
+	}
+	return c
+}
+
+// check runs c and compares it with refConv and the epilogue: a
+// depthwise Conv bit for bit, since both add the bias and then the taps
+// in row-major order; any other within the GEMM's rounding. An empty
+// output must be refused.
+func (c convCase) check(t *testing.T) {
+	t.Helper()
+	xs, ws := c.x.Shape(), c.w.Shape()
+	got, err := call("Conv", []*tensor.Tensor{c.x, c.w, c.b}, c.attrs)
+	if oh, ow := (xs[2]+c.pads[0]+c.pads[2]-ws[2])/c.sh+1, (xs[3]+c.pads[1]+c.pads[3]-ws[3])/c.sw+1; oh <= 0 || ow <= 0 {
+		if err == nil {
+			t.Fatalf("Conv %v on %v %v: empty output accepted", c.attrs, xs, ws)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("Conv %v on %v %v: %v", c.attrs, xs, ws, err)
+	}
+	want := refConv(c.x, c.w, c.b, c.sh, c.sw, c.pads[0], c.pads[1], c.pads[2], c.pads[3], c.groups)
+	epilogueOf(c.attrs).Apply(want.Data())
+	depthwise := ws[1] == 1 && ws[0] == c.groups
+	if depthwise && !bitsEqual(got[0].Data(), want.Data()) || !got[0].AllClose(want, 1e-4, 1e-5) {
+		t.Fatalf("Conv %v on %v %v: got %v, want %v", c.attrs, xs, ws, got[0], want)
 	}
 }
 

@@ -170,34 +170,3 @@ func need(op string, in []*tensor.Tensor, min, max int) error {
 	}
 	return nil
 }
-
-// convOutDim computes a single spatial output extent for convolution or
-// pooling: floor((in + padBegin + padEnd - kernel)/stride) + 1.
-func convOutDim(in, kernel, stride, padBegin, padEnd int) int {
-	return (in+padBegin+padEnd-kernel)/max(stride, 1) + 1
-}
-
-// pads4 normalizes a pads attribute to [top, left, bottom, right]. ONNX
-// stores [hBegin, wBegin, hEnd, wEnd]; a nil or short slice means zero.
-func pads4(p []int) (top, left, bottom, right int) {
-	switch len(p) {
-	case 4:
-		return p[0], p[1], p[2], p[3]
-	case 2:
-		return p[0], p[1], p[0], p[1]
-	case 1:
-		return p[0], p[0], p[0], p[0]
-	}
-	return 0, 0, 0, 0
-}
-
-// strides2 normalizes a strides attribute to (sh, sw), defaulting to 1.
-func strides2(s []int) (sh, sw int) {
-	switch len(s) {
-	case 2:
-		return s[0], s[1]
-	case 1:
-		return s[0], s[0]
-	}
-	return 1, 1
-}

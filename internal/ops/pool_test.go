@@ -27,11 +27,16 @@ func refPool2d(op string, isMax bool, in []*tensor.Tensor, attrs Attrs) ([]*tens
 		return nil, argErr(op, "kernel_shape must have 2 entries, got %v", ks)
 	}
 	kh, kw := ks[0], ks[1]
-	sh, sw := strides2(attrs.Ints("strides", nil))
-	pt, pl, pb, pr := pads4(attrs.Ints("pads", nil))
+	sh, sw, pt, pl, pb, pr := 1, 1, 0, 0, 0, 0 // the cases give 2 strides and 4 pads or none
+	if s := attrs.Ints("strides", nil); len(s) == 2 {
+		sh, sw = s[0], s[1]
+	}
+	if p := attrs.Ints("pads", nil); len(p) == 4 {
+		pt, pl, pb, pr = p[0], p[1], p[2], p[3]
+	}
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
-	oh := convOutDim(h, kh, sh, pt, pb)
-	ow := convOutDim(w, kw, sw, pl, pr)
+	oh := (h+pt+pb-kh)/sh + 1
+	ow := (w+pl+pr-kw)/sw + 1
 	if oh <= 0 || ow <= 0 {
 		return nil, argErr(op, "non-positive output size %dx%d", oh, ow)
 	}
@@ -286,6 +291,40 @@ func TestPoolFollowsONNXDefaults(t *testing.T) {
 			case !c.ok && (err == nil || !strings.Contains(err.Error(), c.name)):
 				t.Errorf("%s %s=%v: error %v, want one naming %s", op, c.name, c.value, err, c.name)
 			}
+		}
+	}
+}
+
+// TestConvRefusesWhatItCannotCompute: Conv decodes its window as the pools
+// do, so dilations, auto_pad, non-positive strides and a kernel_shape the
+// weight disagrees with fail when the node runs, with an error that names
+// the attribute, instead of returning wrong numbers.
+func TestConvRefusesWhatItCannotCompute(t *testing.T) {
+	x, w := tensor.NewRNG(39).RandTensor(1, 2, 5, 5), tensor.NewRNG(40).RandTensor(4, 2, 3, 3)
+	for _, c := range []struct {
+		name  string
+		value any
+		ok    bool
+	}{
+		{"dilations", []int{1, 1}, true},
+		{"dilations", []int{2, 1}, false},
+		{"auto_pad", "NOTSET", true},
+		{"auto_pad", "SAME_UPPER", false},
+		{"auto_pad", "VALID", false},
+		{"strides", []int{1, 1}, true},
+		{"strides", []int{0, 1}, false},
+		{"strides", []int{2, -1}, false},
+		{"kernel_shape", []int{3, 3}, true},
+		{"kernel_shape", []int{3, 2}, false},
+		{"kernel_shape", []int{3}, false},
+	} {
+		attrs := Attrs{c.name: c.value}
+		_, err := call("Conv", []*tensor.Tensor{x, w}, attrs)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("Conv %s=%v: %v", c.name, c.value, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), c.name)):
+			t.Errorf("Conv %s=%v: error %v, want one naming %s", c.name, c.value, err, c.name)
 		}
 	}
 }

@@ -40,8 +40,8 @@ func packed(op string, body func(in []*tensor.Tensor, attrs Attrs, a tensor.Allo
 	}
 }
 
-// prepack packs the constant weight operand of one MatMul, Gemm or Conv
-// node; constIn mirrors the node's inputs positionally, nil for anything
+// prepack packs the constant weight operand of one MatMul or Gemm node
+// (Conv packs its own filters, conv.pack); constIn mirrors the node's inputs positionally, nil for anything
 // that is not a graph constant.
 func prepack(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
 	switch opType {
@@ -79,30 +79,6 @@ func prepack(opType string, attrs Attrs, constIn []*tensor.Tensor) *Prepacked {
 			return nil
 		}
 		return &Prepacked{B: kernels.PrepackB(b.Data(), k, n, bs[1], transB)}
-	case "Conv":
-		if len(constIn) < 2 || constIn[1] == nil {
-			return nil
-		}
-		w := constIn[1]
-		ws := w.Shape()
-		if ws.Rank() != 4 {
-			return nil
-		}
-		m, cg, kh, kw := ws[0], ws[1], ws[2], ws[3]
-		groups := max(attrs.Int("group", 1), 1)
-		if m <= 0 || m%groups != 0 {
-			return nil
-		}
-		mPerG := m / groups
-		if !convGEMMWorthy(mPerG, cg, kh, kw) {
-			return nil
-		}
-		colK := cg * kh * kw
-		pa := make([]*kernels.PackedA, groups)
-		for g := 0; g < groups; g++ {
-			pa[g] = kernels.PrepackA(w.Data()[g*mPerG*colK:], mPerG, colK, colK, false)
-		}
-		return &Prepacked{A: pa}
 	}
 	return nil
 }
@@ -139,27 +115,10 @@ func ScratchElems(opType string, attrs Attrs, in []*tensor.Tensor) int {
 		n := in[1].Numel() / max(k, 1)
 		return kernels.PackedASize(m, k) + kernels.PackedBSize(k, n)
 	case "Conv":
-		if len(in) < 2 || in[0].Shape().Rank() != 4 || in[1].Shape().Rank() != 4 {
+		if len(in) < 2 {
 			return 0
 		}
-		xs, ws := in[0].Shape(), in[1].Shape()
-		h, wd := xs[2], xs[3]
-		m, cg, kh, kw := ws[0], ws[1], ws[2], ws[3]
-		groups := max(attrs.Int("group", 1), 1)
-		if m%groups != 0 || !convGEMMWorthy(m/groups, cg, kh, kw) {
-			return 0
-		}
-		sh, sw := strides2(attrs.Ints("strides", nil))
-		pt, pl, pb, pr := pads4(attrs.Ints("pads", nil))
-		oh := convOutDim(h, kh, sh, pt, pb)
-		ow := convOutDim(wd, kw, sw, pl, pr)
-		if oh <= 0 || ow <= 0 {
-			return 0
-		}
-		colK, colN := cg*kh*kw, oh*ow
-		return colK*colN + // im2col patch matrix
-			kernels.PackedBSize(colK, colN) + // patch packing inside GEMM
-			kernels.PackedASize(m/groups, colK) // filter packing when not prepacked
+		return newConv(attrs).scratch(in[0].Shape(), in[1].Shape())
 	}
 	return 0
 }

@@ -101,7 +101,7 @@ func TestPrepackedConvMatchesRegistry(t *testing.T) {
 }
 
 // TestPrepackSkipsNonGEMMCases: ops without a GEMM-shaped constant operand
-// (or where the kernel would take the direct path) must not pack.
+// (or where the kernel would run the windowed rows) must not pack.
 func TestPrepackSkipsNonGEMMCases(t *testing.T) {
 	r := tensor.NewRNG(54)
 	if k, _ := Bind("Relu", nil, []*tensor.Tensor{r.RandTensor(4)}); k.Packed != nil {
@@ -114,7 +114,7 @@ func TestPrepackSkipsNonGEMMCases(t *testing.T) {
 	if k, _ := Bind("MatMul", nil, []*tensor.Tensor{nil, r.RandTensor(2, 3, 4)}); k.Packed != nil {
 		t.Error("batched constant B prepacked")
 	}
-	// Depthwise conv takes the direct path; packing would be wasted.
+	// Depthwise conv runs the windowed rows; packing would be wasted.
 	dw := r.RandTensor(8, 1, 3, 3)
 	if k, _ := Bind("Conv", Attrs{"group": 8}, []*tensor.Tensor{nil, dw, nil}); k.Packed != nil {
 		t.Error("depthwise conv prepacked")
@@ -136,7 +136,8 @@ func TestScratchElems(t *testing.T) {
 	}
 	// The estimate must cover what an arena-backed run actually draws.
 	ar := tensor.NewArena()
-	if _, err := convK([]*tensor.Tensor{x, w}, attrs, ar, nil); err != nil {
+	conv, _ := Bind("Conv", attrs, nil)
+	if _, err := conv.Run([]*tensor.Tensor{x, w}, ar, false); err != nil {
 		t.Fatal(err)
 	}
 	if held := ar.Stats().Snapshot().HeldBytes; held > 4*2*int64(s) {

@@ -62,7 +62,7 @@ func kernel(k AllocKernel) binder {
 var (
 	regMu    sync.RWMutex
 	registry = map[string]binder{
-		"Conv":               packed("Conv", convK),
+		"Conv":               bindConv,
 		"MaxPool":            bindPool("MaxPool"),
 		"AveragePool":        bindPool("AveragePool"),
 		"GlobalAveragePool":  bindPool("GlobalAveragePool"),

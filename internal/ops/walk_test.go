@@ -639,11 +639,13 @@ func (f *fuzzBytes) next() int {
 // of range included) and a broadcast partner, then into a pooling case:
 // the op, an NCHW input with NaN, ±Inf and ±0 among its values, a window
 // of 1 to 5 by 1 to 5 taps, strides of 1 to 3, pads of up to two more than
-// the window and count_include_pad, and last into a MatMul with operand
-// and output views, a bias and a Relu (drawViewCase). Transpose, Slice, Add
-// in both operand orders, the pooling op and the MatMul must not panic,
-// and must match the references bit for bit (the pooling op also in its
-// errors, the MatMul the Reshape/Transpose chain it stands for).
+// the window and count_include_pad, then into a depthwise or grouped Conv
+// with a bias and an epilogue (drawConvCase), and last into a MatMul with
+// operand and output views, a bias and a Relu (drawViewCase). Transpose,
+// Slice, Add in both operand orders, the pooling op, the Conv and the
+// MatMul must not panic, and must match the references bit for bit (the
+// pooling op also in its errors, a Conv that is not depthwise within the
+// GEMM's rounding, the MatMul the Reshape/Transpose chain it stands for).
 func FuzzStridedOps(f *testing.F) {
 	f.Add([]byte{4, 1, 16, 4, 8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3})
 	f.Add([]byte{3, 2, 0, 5, 1, 1, 0xfe, 0xff, 7, 2, 0, 0x41})
@@ -651,6 +653,11 @@ func FuzzStridedOps(f *testing.F) {
 	// Rank 0, then an AveragePool with count_include_pad over [1,3,4,4],
 	// 3x3 stride 2 with pads 1, 4, 0, 2.
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 4, 4, 2, 2, 1, 1, 1, 4, 0, 2, 1})
+	// The same, then a 3x3 depthwise Conv over [1,3,7,6] with stride 2x1,
+	// pads 1, 0, 2, 1 and a fused Relu; and a grouped Conv, 2 groups of 2
+	// input and 3 output channels, 3x2 over [2,4,5,6], with LeakyRelu.
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 4, 4, 2, 2, 1, 1, 1, 4, 0, 2, 1, 2, 0, 0, 7, 6, 2, 2, 1, 0, 1, 0, 2, 1, 1})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 4, 4, 2, 2, 1, 1, 1, 4, 0, 2, 1, 1, 1, 1, 2, 1, 5, 6, 2, 1, 0, 1, 1, 1, 0, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		rank := in.next() % 7
@@ -720,6 +727,8 @@ func FuzzStridedOps(f *testing.F) {
 		}
 		pc := poolCase{op, attrs, []*tensor.Tensor{poolInput(rand.New(rand.NewSource(int64(len(data)))), n, c, h, w)}}
 		checkPool(t, pc, nil)
+
+		drawConvCase(func(n int) int { return in.next() % n }, rand.New(rand.NewSource(int64(len(data))))).check(t)
 
 		vc := drawViewCase(func(n int) int { return in.next() % n }, tensor.NewRNG(uint64(len(data))))
 		vc.check(t, vc.chain(t), tensor.NewArena())
